@@ -13,6 +13,11 @@
 # BUILD_DIR selects the build tree (default: build). Binaries must already be
 # built; this script never compiles.
 #
+# An entry is a bench name optionally followed by its arguments; its golden
+# file is named after both ("sec54_failover --quick --chaos-seed=7" ->
+# bench/golden/sec54_failover_quick_chaos-seed-7.txt). The argument entries
+# pin the fault paths (kills, chaos plans) that the default runs never reach.
+#
 # THREADS=<n> appends --threads=<n> to every bench invocation. The goldens
 # are recorded at one host thread; re-running the gate with THREADS=4 proves
 # the parallel engine's promise that host thread count never changes a
@@ -47,6 +52,13 @@ BENCHES=(
   polling_model
   ablation_urpc
   conn_scale
+  "sec54_failover --quick --kill"
+  "sec54_failover --quick --kill-db"
+  "sec54_failover --quick --chaos-seed=7"
+  "store_readwrite --quick --kill-leader"
+  "store_readwrite --quick --chaos-seed=4"
+  "rack_serving --quick --kill"
+  "rack_serving --quick --chaos-seed=4"
 )
 
 update=0
@@ -56,8 +68,12 @@ if [[ "${1:-}" == "--update" ]]; then
 fi
 
 fail=0
-for b in "${BENCHES[@]}"; do
-  bin="$BUILD_DIR/bench/$b"
+for entry in "${BENCHES[@]}"; do
+  read -r -a argv <<< "$entry"
+  bin="$BUILD_DIR/bench/${argv[0]}"
+  args=("${argv[@]:1}")
+  b="${entry// --/_}"
+  b="${b//=/-}"
   if [[ ! -x "$bin" ]]; then
     echo "check_golden: missing binary $bin (build first)" >&2
     exit 2
@@ -67,7 +83,7 @@ for b in "${BENCHES[@]}"; do
       echo "check_golden: refusing --update with THREADS=$THREADS (goldens are recorded at 1 thread)" >&2
       exit 2
     fi
-    "$bin" > "$GOLDEN_DIR/$b.txt"
+    "$bin" ${args[@]+"${args[@]}"} > "$GOLDEN_DIR/$b.txt"
     echo "updated: $b"
     continue
   fi
@@ -76,7 +92,9 @@ for b in "${BENCHES[@]}"; do
     fail=1
     continue
   fi
-  if diff -u "$GOLDEN_DIR/$b.txt" <("$bin" ${extra_args[@]+"${extra_args[@]}"}) > /tmp/golden_diff_$b; then
+  if diff -u "$GOLDEN_DIR/$b.txt" \
+      <("$bin" ${args[@]+"${args[@]}"} ${extra_args[@]+"${extra_args[@]}"}) \
+      > /tmp/golden_diff_$b; then
     echo "ok: $b"
   else
     echo "GOLDEN MISMATCH: $b" >&2
