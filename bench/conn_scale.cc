@@ -44,6 +44,7 @@
 #include "hw/platform.h"
 #include "net/stack.h"
 #include "net/wire.h"
+#include "serving.h"
 #include "sim/event.h"
 #include "sim/executor.h"
 #include "sim/task.h"
@@ -66,17 +67,6 @@ constexpr int kClientStacks = 8;
 constexpr Cycles kConnectTimeout = 6'000'000;
 constexpr Cycles kResponseDeadline = 8'000'000;
 constexpr int kMaxInflight = 256;
-
-// External load generators: their stacks cost nothing on the simulated
-// machine (the server pays full freight for every frame, including attack
-// frames).
-net::StackCosts FreeCosts() {
-  net::StackCosts c;
-  c.per_packet_in = 0;
-  c.per_packet_out = 0;
-  c.per_byte_checksum = 0;
-  return c;
-}
 
 struct Sizes {
   int holders = 100'000;        // clean-sustain concurrent connections
@@ -122,10 +112,13 @@ struct Cluster {
     server_lc.max_half_open = 64;
     server = std::make_unique<net::NetStack>(m, kServerCore, kServerIp, kServerMac);
     server->SetLifecycle(server_lc);
+    // External load generators: their stacks cost nothing on the simulated
+    // machine (the server pays full freight for every frame, including
+    // attack frames).
     for (int i = 0; i < kClientStacks; ++i) {
       net::Ipv4Addr ip = net::MakeIp(10, 0, 1, static_cast<std::uint8_t>(1 + i));
       net::MacAddr mac{2, 0, 0, 1, 0, static_cast<std::uint8_t>(1 + i)};
-      auto st = std::make_unique<net::NetStack>(m, kClientCore, ip, mac, FreeCosts());
+      auto st = std::make_unique<net::NetStack>(m, kClientCore, ip, mac, bench::FreeCosts());
       if (lifecycle_clients) {
         net::TcpLifecycle lc;
         lc.enabled = true;
@@ -139,7 +132,7 @@ struct Cluster {
     {
       net::Ipv4Addr ip = net::MakeIp(10, 0, 2, 1);
       net::MacAddr mac{2, 0, 0, 2, 0, 1};
-      attacker = std::make_unique<net::NetStack>(m, kAttackCore, ip, mac, FreeCosts());
+      attacker = std::make_unique<net::NetStack>(m, kAttackCore, ip, mac, bench::FreeCosts());
       net::TcpLifecycle lc;
       lc.enabled = true;
       lc.time_wait = 200'000;

@@ -3,41 +3,24 @@
 // operations are pipelined.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "bench_util.h"
 #include "fault/fault.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
-#include "kernel/cpu_driver.h"
 #include "monitor/monitor.h"
+#include "serving.h"
 #include "sim/executor.h"
 #include "sim/stats.h"
-#include "skb/skb.h"
 
 namespace mk {
 namespace {
 
-using kernel::CpuDriver;
+using bench::System;
 using monitor::Protocol;
 using sim::Cycles;
 using sim::Task;
-
-struct System {
-  System() : machine(exec, hw::Amd8x4()), drivers(CpuDriver::BootAll(machine)),
-             skb(machine), sys(machine, skb, drivers) {
-    skb.PopulateFromHardware();
-    exec.Spawn(skb.MeasureUrpcLatencies());
-    exec.Run();
-    sys.Boot();
-  }
-  sim::Executor exec;
-  hw::Machine machine;
-  std::vector<std::unique_ptr<CpuDriver>> drivers;
-  skb::Skb skb;
-  monitor::MonitorSystem sys;
-};
 
 Task<> SingleOps(System& s, std::vector<caps::CapId> roots, int ncores,
                  sim::RunningStat& stat) {
@@ -54,7 +37,7 @@ Task<> SingleOps(System& s, std::vector<caps::CapId> roots, int ncores,
 }
 
 double MeasureSingle(int ncores) {
-  System s;
+  System s(hw::Amd8x4());
   std::vector<caps::CapId> roots;
   for (int i = 0; i < 8; ++i) {
     roots.push_back(s.sys.InstallRootCap(static_cast<std::uint64_t>(i) << 24, 1 << 24));
@@ -77,7 +60,7 @@ Task<> PipelinedWorker(System& s, caps::CapId root, int ncores, int* remaining) 
 // Issues `ops` retypes of distinct caps concurrently from core 0 and reports
 // the amortized per-operation cost.
 double MeasurePipelined(int ncores) {
-  System s;
+  System s(hw::Amd8x4());
   const int kOps = 16;
   std::vector<caps::CapId> roots;
   for (int i = 0; i < kOps; ++i) {
@@ -125,7 +108,7 @@ KillCoreRun MeasureKillOneCore(bool print_activation_table) {
   inj.Install();
   KillCoreRun out;
   {
-    System s;
+    System s(hw::Amd8x4());
     std::vector<caps::CapId> roots;
     for (int i = 0; i < 4; ++i) {
       roots.push_back(s.sys.InstallRootCap(static_cast<std::uint64_t>(i) << 24, 1 << 24));

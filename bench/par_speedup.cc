@@ -41,6 +41,7 @@
 #include "net/crosswire.h"
 #include "net/nic.h"
 #include "net/stack.h"
+#include "serving.h"
 #include "sim/executor.h"
 #include "sim/parallel.h"
 #include "skb/skb.h"
@@ -67,14 +68,6 @@ constexpr Cycles kDriverFrameCost = 1400;
 // for the ring, so epochs are 10k cycles wide.
 constexpr Cycles kGossipWireLatency = 10'000;
 
-net::StackCosts FreeCosts() {
-  net::StackCosts c;
-  c.per_packet_in = 0;
-  c.per_packet_out = 0;
-  c.per_byte_checksum = 0;
-  return c;
-}
-
 std::uint64_t DigestMix(std::uint64_t h, std::uint64_t v) {
   // FNV-1a over the value's bytes, folded 64 bits at a time.
   h ^= v;
@@ -100,7 +93,7 @@ struct ServeWorld {
   ServeWorld(sim::Executor& exec, int domain)
       : machine(exec, hw::Amd2x2()),
         server(machine, kServerCore, kServerIp, kServerMac, net::StackCosts{}),
-        client(machine, kServicesCore, kClientIp, kClientMac, FreeCosts()),
+        client(machine, kServicesCore, kClientIp, kClientMac, bench::FreeCosts()),
         gossip_nic(machine, GossipConfig()),
         http(machine, server, 80, {}),
         domain_id(domain) {

@@ -27,7 +27,6 @@
 //   --quick           2 machines of 4 shards on 4x4 AMD, lighter load (CI)
 //   --machines=N      rack size (sweep ceiling / kill+chaos rack size)
 //   --threads=N       host threads for the parallel engine
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +46,7 @@
 #include "net/nic.h"
 #include "net/stack.h"
 #include "recover/config.h"
+#include "serving.h"
 #include "sim/executor.h"
 #include "sim/parallel.h"
 #include "sim/random.h"
@@ -59,7 +59,6 @@ using net::Packet;
 using sim::Cycles;
 using sim::Task;
 
-constexpr Cycles kDriverFrameCost = 1400;
 // Client stack core; RX drivers own 0..kClientNicQueues-1.
 constexpr int kClientCore = cluster::ClusterTopology::kClientNicQueues;
 constexpr Cycles kKillOffset = 1'500'000;
@@ -77,18 +76,16 @@ constexpr Cycles kBucket = 500'000;
 // with headroom for the +1/(N-1) surviving-machine load after a kill. The
 // attempt timeout sits far above the healthy p99 so clients never abandon
 // requests a live server is still working on.
-struct Mix {
-  Cycles interval_per_shard = 384'000;
-  Cycles attempt_timeout = 6'000'000;
-  Cycles request_deadline = 20'000'000;
-};
+constexpr bench::Mix kRackMix{.interval_per_shard = 384'000,
+                              .attempt_timeout = 6'000'000,
+                              .request_deadline = 20'000'000};
 
 struct RackConfig {
   int machines = 4;
   int shards = 8;  // serving shards per backend machine
   int rps = 100;   // requests per shard
   int threads = 1;
-  Mix mix;
+  bench::Mix mix = kRackMix;
   hw::PlatformSpec backend_spec = hw::Amd8x4();
 };
 
@@ -107,203 +104,12 @@ RackConfig MakeConfig(bool quick, int machines, int threads) {
   return cfg;
 }
 
-net::StackCosts FreeCosts() {
-  net::StackCosts c;
-  c.per_packet_in = 0;
-  c.per_packet_out = 0;
-  c.per_byte_checksum = 0;
-  return c;
-}
-
-struct LoadStats {
-  explicit LoadStats(sim::Executor& exec) : all_done(exec) {}
-  int launched = 0;
-  int completed = 0;
-  int shed = 0;
-  int retries = 0;
-  int fail_connect = 0;
-  int fail_rst = 0;
-  int fail_503 = 0;
-  int fail_other = 0;
-  int outstanding = 0;
-  bool launching_done = false;
-  std::vector<Cycles> latencies;
-  std::vector<Cycles> completions;
-  sim::Event all_done;
-};
-
-// Committed-work rule (same as sec54_failover): a request counts only when
-// the client holds the entire 200 response.
-bool FullOkResponse(const std::string& resp) {
-  if (resp.rfind("HTTP/1.0 200", 0) != 0) {
-    return false;
-  }
-  const std::size_t hdr_end = resp.find("\r\n\r\n");
-  if (hdr_end == std::string::npos) {
-    return false;
-  }
-  const std::size_t cl = resp.find("Content-Length: ");
-  if (cl == std::string::npos || cl > hdr_end) {
-    return false;
-  }
-  const std::size_t len = std::strtoul(resp.c_str() + cl + 16, nullptr, 10);
-  return resp.size() - (hdr_end + 4) >= len;
-}
-
-// One open-loop request against the VIP, with client-side retry. After a
-// machine kill the retry path is the rack-scale half of flow adoption: the
-// retransmitted segment (or retried SYN) is re-steered by the balancer onto
-// a survivor, which RSTs the orphaned flow / accepts the fresh handshake.
-Task<> OneRequest(sim::Executor& exec, net::NetStack& client, const Mix& mix,
-                  LoadStats& st) {
-  const Cycles start = exec.now();
-  const Cycles deadline = start + mix.request_deadline;
-  ++st.outstanding;
-  bool ok = false;
-  bool first_attempt = true;
-  Cycles backoff = 100'000;
-  while (!ok && exec.now() < deadline) {
-    if (!first_attempt) {
-      ++st.retries;
-      co_await exec.Delay(std::min(backoff, deadline - exec.now()));
-      backoff = std::min<Cycles>(backoff * 2, 400'000);
-      if (exec.now() >= deadline) {
-        break;
-      }
-    }
-    first_attempt = false;
-    const Cycles attempt_deadline =
-        std::min(deadline, exec.now() + mix.attempt_timeout);
-    net::NetStack::TcpConn* conn =
-        co_await client.TcpConnect(Topo::kVip, 80, attempt_deadline - exec.now());
-    if (conn == nullptr) {
-      ++st.fail_connect;
-      continue;
-    }
-    co_await client.TcpSend(*conn, "GET /index.html HTTP/1.0\r\n\r\n");
-    std::string resp;
-    while (true) {
-      while (!conn->rx.empty()) {
-        resp.push_back(static_cast<char>(conn->rx.front()));
-        conn->rx.pop_front();
-      }
-      if (conn->peer_closed && FullOkResponse(resp)) {
-        ok = true;
-        break;
-      }
-      if (conn->peer_closed) {
-        if (resp.empty()) {
-          ++st.fail_rst;
-        } else if (resp.rfind("HTTP/1.0 503", 0) == 0) {
-          ++st.fail_503;
-        } else {
-          ++st.fail_other;
-        }
-        break;
-      }
-      const Cycles now = exec.now();
-      if (now >= attempt_deadline) {
-        ++st.fail_other;
-        break;
-      }
-      co_await conn->readable.WaitTimeout(attempt_deadline - now);
-    }
-    co_await client.TcpClose(*conn);
-  }
-  if (ok) {
-    ++st.completed;
-    st.latencies.push_back(exec.now() - start);
-    st.completions.push_back(exec.now());
-  } else {
-    ++st.shed;
-  }
-  --st.outstanding;
-  if (st.launching_done && st.outstanding == 0) {
-    st.all_done.Signal();
-  }
-}
-
-Task<> Generator(sim::Executor& exec, net::NetStack& client, int total,
-                 Cycles interval, const Mix& mix, LoadStats& st) {
-  for (int i = 0; i < total; ++i) {
-    ++st.launched;
-    exec.Spawn(OneRequest(exec, client, mix, st));
-    co_await exec.Delay(interval);
-  }
-  st.launching_done = true;
-  if (st.outstanding == 0) {
-    st.all_done.Signal();
-  }
-}
-
-// Client-side RX driver: drains one client-NIC queue into the client stack.
-// The client machine is never killed, so the loop is unconditional; it
-// quiesces by parking on the RX interrupt.
-Task<> ClientRxLoop(hw::Machine& m, net::SimNic& nic, net::NetStack& stack,
-                    int queue, int core) {
-  for (;;) {
-    if (nic.RxReady(queue)) {
-      nic.SetInterruptsEnabled(queue, false);
-      auto frame = co_await nic.DriverRxPop(core, queue);
-      if (frame) {
-        co_await m.Compute(core, kDriverFrameCost);
-        co_await stack.Input(std::move(*frame));
-      }
-      continue;
-    }
-    nic.SetInterruptsEnabled(queue, true);
-    if (!nic.RxReady(queue)) {
-      co_await nic.rx_irq(queue).Wait();
-      co_await m.Trap(core);
-    }
-  }
-}
-
-// Backend shard driver, fail-stop aware. A machine-scoped halt spec
-// (HaltMachine) matches every core of this domain, so the driver dies on its
-// next wakeup — and frames the balancer steers here before the view change
-// commits guarantee that wakeup arrives. Unlike sec54_failover's version
-// this parks on a plain Wait (no timeout): a driver on a dead machine is
-// simply abandoned, which is exactly how a fail-stop machine behaves.
-Task<> ShardDriver(hw::Machine& m, net::SimNic& nic, net::NetStack& stack,
-                   int queue, int core) {
-  for (;;) {
-    if (fault::Injector* inj = fault::Injector::active();
-        inj != nullptr && inj->CoreHalted(core, m.exec().now())) {
-      co_return;
-    }
-    if (nic.RxReady(queue)) {
-      nic.SetInterruptsEnabled(queue, false);
-      auto frame = co_await nic.DriverRxPop(core, queue);
-      if (frame) {
-        co_await m.Compute(core, kDriverFrameCost);
-        co_await stack.Input(std::move(*frame));
-      }
-      continue;
-    }
-    nic.SetInterruptsEnabled(queue, true);
-    if (!nic.RxReady(queue)) {
-      co_await nic.rx_irq(queue).Wait();
-      co_await m.Trap(core);
-    }
-  }
-}
-
 struct RackOutput {
   Cycles final_now = 0;
   std::uint64_t events = 0;
   std::uint64_t cross_messages = 0;
   std::uint64_t digest = 0;
-  int launched = 0;
-  int completed = 0;
-  int shed = 0;
-  int retries = 0;
-  int fail_connect = 0;
-  int fail_rst = 0;
-  int fail_503 = 0;
-  int fail_other = 0;
-  std::vector<Cycles> latencies;
-  std::vector<Cycles> completions;  // absolute (t0 == 0: no boot phase)
+  bench::Ledger load;  // completions absolute (t0 == 0: no boot phase)
   std::uint64_t view_changes = 0;
   std::uint64_t epoch = 1;
   Cycles first_view_change_at = 0;  // 0 = none committed
@@ -326,14 +132,7 @@ struct RackOutput {
 
 RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
                    bool print_activations) {
-  // Same RTO reasoning as sec54_failover: the retransmit timer must sit
-  // above the worst frame-to-ACK latency a loaded survivor exhibits — here
-  // that latency additionally includes four switch-port crossings. Consulted
-  // only while an injector is installed, so the golden sweep is oblivious.
-  recover::RecoveryConfig rcfg;
-  rcfg.tcp_rto = 1'000'000;
-  rcfg.tcp_max_retx = 4;
-  recover::ScopedRecoveryConfig scoped_rcfg(rcfg);
+  recover::ScopedRecoveryConfig scoped_rcfg(bench::ServingRecoveryConfig());
 
   Topo::Options topts;
   topts.backends = cfg.machines;
@@ -358,24 +157,31 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
   const Cycles horizon =
       static_cast<Cycles>(total) * interval + cfg.mix.request_deadline + 10'000'000;
 
-  // Client: one stack (the load generator) fed by one RX driver loop per
-  // client-NIC queue.
+  // Client: one stack (the load generator) fed by one RX service loop per
+  // client-NIC queue. The client machine is never killed; its loops quiesce
+  // by parking on the RX interrupt.
   net::NetStack client(topo.client_machine(), kClientCore, Topo::kClientIp,
-                       Topo::ClientMac(), FreeCosts());
+                       Topo::ClientMac(), bench::FreeCosts());
   client.AddArp(Topo::kVip, Topo::BalancerMac());
   net::SimNic& cnic = topo.client_nic();
   client.SetOutput([&cnic](Packet p) -> Task<> {
     (void)co_await cnic.DriverTxPush(kClientCore, std::move(p), 0);
   });
   for (int q = 0; q < Topo::kClientNicQueues; ++q) {
-    cexec.Spawn(ClientRxLoop(topo.client_machine(), cnic, client, q, q));
+    cexec.Spawn(cnic.ServeRx(q, q, bench::kDriverFrameCost, [&client](Packet p) {
+      return client.Input(std::move(p));
+    }));
   }
 
   // Backends: every shard stack binds the VIP (direct server return; the
   // stack demuxes inbound by destination IP, so shards share it) plus its
   // machine's MAC, and pre-arms RST-for-unknown — the arming is
   // injector-gated in the stack, so golden runs never send one, and there is
-  // no way to arm it at view-change time from the balancer's domain.
+  // no way to arm it at view-change time from the balancer's domain. Shard
+  // drivers park on a plain wait (no stop flag): under a machine-scoped halt
+  // (HaltMachine) a driver dies on its next wakeup — frames the balancer
+  // steers there before the view change commits guarantee one — exactly as
+  // a fail-stop machine's driver would.
   std::vector<std::unique_ptr<net::NetStack>> stacks;
   std::vector<std::unique_ptr<apps::HttpServer>> servers;
   for (int b = 0; b < cfg.machines; ++b) {
@@ -387,31 +193,28 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
       auto stack = std::make_unique<net::NetStack>(bm, core, Topo::kVip,
                                                    Topo::BackendMac(b));
       stack->AddArp(Topo::kClientIp, Topo::ClientMac());
-      stack->SetOutput([&bm, &bnic, core, s](Packet p) -> Task<> {
-        co_await bm.Compute(core, kDriverFrameCost);
-        (void)co_await bnic.DriverTxPush(core, std::move(p), s);
-      });
       stack->SetSendRstForUnknown(true);
       auto server = std::make_unique<apps::HttpServer>(bm, *stack, 80, nullptr,
                                                        /*request_cost=*/60000);
       server->SetAdmission({/*workers=*/8, /*max_pending=*/32,
                             /*queue_deadline=*/5'000'000});
       bexec.Spawn(server->Serve());
-      bexec.Spawn(ShardDriver(bm, bnic, *stack, s, core));
+      bexec.Spawn(bench::AttachShard(bm, bnic, s, *stack));
       stacks.push_back(std::move(stack));
       servers.push_back(std::move(server));
     }
   }
 
   Cycles first_view_change_at = 0;
-  topo.membership().Subscribe([&](const cluster::ClusterView&, int) {
+  topo.membership().Subscribe([&](const recover::View&, int) {
     if (first_view_change_at == 0) {
       first_view_change_at = eng.domain(Topo::kBalancerDomain).now();
     }
   });
 
-  LoadStats st(cexec);
-  cexec.Spawn(Generator(cexec, client, total, interval, cfg.mix, st));
+  bench::LoadStats st(cexec);
+  cexec.Spawn(bench::Generator(cexec, client, Topo::kVip, total, interval, cfg.mix,
+                               st, bench::StaticPage()));
   topo.Start(horizon);
   eng.Run();
 
@@ -419,16 +222,7 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
   out.final_now = eng.max_now();
   out.events = eng.events_dispatched();
   out.cross_messages = eng.cross_messages();
-  out.launched = st.launched;
-  out.completed = st.completed;
-  out.shed = st.shed;
-  out.retries = st.retries;
-  out.fail_connect = st.fail_connect;
-  out.fail_rst = st.fail_rst;
-  out.fail_503 = st.fail_503;
-  out.fail_other = st.fail_other;
-  out.latencies = std::move(st.latencies);
-  out.completions = std::move(st.completions);
+  out.load = std::move(st);
   out.view_changes = topo.membership().view_changes();
   out.epoch = topo.membership().view().epoch;
   out.first_view_change_at = first_view_change_at;
@@ -465,83 +259,16 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
     mix64(eng.domain(d).now());
     mix64(eng.domain(d).events_dispatched());
   }
-  mix64(static_cast<std::uint64_t>(out.completed));
-  mix64(static_cast<std::uint64_t>(out.shed));
-  mix64(static_cast<std::uint64_t>(out.retries));
+  mix64(static_cast<std::uint64_t>(out.load.completed));
+  mix64(static_cast<std::uint64_t>(out.load.shed));
+  mix64(static_cast<std::uint64_t>(out.load.retries));
   mix64(out.cross_messages);
   mix64(out.steered);
   mix64(out.heartbeats);
-  for (Cycles c : out.latencies) {
+  for (Cycles c : out.load.latencies) {
     mix64(c);
   }
   out.digest = h;
-
-  if (std::getenv("RACK_DEBUG") != nullptr) {
-    std::printf("[debug] fail causes: connect=%d rst=%d 503=%d other=%d\n",
-                st.fail_connect, st.fail_rst, st.fail_503, st.fail_other);
-    std::printf("[debug] membership: views=%llu first_death_at=%llu hb=%llu "
-                "stale=%llu live=%d/%d\n",
-                static_cast<unsigned long long>(out.view_changes),
-                static_cast<unsigned long long>(out.first_view_change_at),
-                static_cast<unsigned long long>(out.heartbeats),
-                static_cast<unsigned long long>(out.stale_beats),
-                topo.membership().view().NumLive(), topo.backends());
-    std::printf("[debug] client nic: ");
-    for (int q = 0; q < cnic.num_queues(); ++q) {
-      const auto& qs = cnic.queue_stats(q);
-      std::printf("q%d rx=%llu drop=%llu txfull=%llu  ", q,
-                  static_cast<unsigned long long>(qs.rx_frames),
-                  static_cast<unsigned long long>(qs.rx_drops()),
-                  static_cast<unsigned long long>(qs.tx_ring_full));
-    }
-    std::printf("| client stack drops=%llu retx=%llu\n",
-                static_cast<unsigned long long>(client.drops()),
-                static_cast<unsigned long long>(client.tcp_retransmits()));
-    std::printf("[debug] balancer nic: ");
-    for (int q = 0; q < topo.balancer_nic().num_queues(); ++q) {
-      const auto& qs = topo.balancer_nic().queue_stats(q);
-      std::printf("q%d rx=%llu drop=%llu txfull=%llu  ", q,
-                  static_cast<unsigned long long>(qs.rx_frames),
-                  static_cast<unsigned long long>(qs.rx_drops()),
-                  static_cast<unsigned long long>(qs.tx_ring_full));
-    }
-    std::printf("\n");
-    for (int b = 0; b < cfg.machines; ++b) {
-      std::printf("[debug] backend %d nic:", b);
-      std::uint64_t rx = 0, drop = 0;
-      for (int q = 0; q < topo.backend_nic(b).num_queues(); ++q) {
-        const auto& qs = topo.backend_nic(b).queue_stats(q);
-        rx += qs.rx_frames;
-        drop += qs.rx_drops();
-      }
-      std::printf(" rx=%llu drop=%llu |", static_cast<unsigned long long>(rx),
-                  static_cast<unsigned long long>(drop));
-      for (int s = 0; s < cfg.shards; ++s) {
-        const std::size_t i = static_cast<std::size_t>(b * cfg.shards + s);
-        std::printf(" s%d served=%llu qf=%llu dl=%llu nl=%llu", s,
-                    static_cast<unsigned long long>(servers[i]->requests_served()),
-                    static_cast<unsigned long long>(servers[i]->shed_queue_full()),
-                    static_cast<unsigned long long>(servers[i]->shed_deadline()),
-                    static_cast<unsigned long long>(stacks[i]->drops_no_listener()));
-      }
-      std::printf("\n");
-    }
-    std::printf("[debug] switch port nics:");
-    for (int p = 0; p < topo.fabric().num_ports(); ++p) {
-      const auto& pn = topo.fabric().port_nic(p);
-      std::uint64_t rx = 0, drop = 0, txfull = 0;
-      for (int q = 0; q < pn.num_queues(); ++q) {
-        rx += pn.queue_stats(q).rx_frames;
-        drop += pn.queue_stats(q).rx_drops();
-        txfull += pn.queue_stats(q).tx_ring_full;
-      }
-      std::printf(" p%d rx=%llu drop=%llu txfull=%llu", p,
-                  static_cast<unsigned long long>(rx),
-                  static_cast<unsigned long long>(drop),
-                  static_cast<unsigned long long>(txfull));
-    }
-    std::printf("\n");
-  }
 
   if (inj != nullptr) {
     if (print_activations) {
@@ -556,89 +283,17 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
 // ---------------------------------------------------------------------------
 // Reporting
 
-std::vector<int> Bucketize(const RackOutput& r, Cycles window) {
-  std::vector<int> buckets(static_cast<std::size_t>(window / kBucket), 0);
-  for (Cycles c : r.completions) {
-    const std::size_t b = static_cast<std::size_t>(c / kBucket);
-    if (b < buckets.size()) {
-      ++buckets[b];
-    }
-  }
-  return buckets;
-}
-
-void PrintBuckets(const std::vector<int>& buckets) {
-  std::printf("completions per %.1fM-cycle bucket:\n",
-              static_cast<double>(kBucket) / 1e6);
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    std::printf("%4d%s", buckets[b], (b + 1) % 10 == 0 ? "\n" : " ");
-  }
-  if (buckets.size() % 10 != 0) {
-    std::printf("\n");
-  }
-}
-
-// Same mean-based recovery rule as sec54_failover, but the sustained-mean
-// threshold is the (N-1)/N share the surviving machines can at best carry if
-// the re-steered load saturated them (they do not saturate at this bench's
-// offered load, so recovery in practice returns to ~the full rate).
-struct Recovery {
-  double prekill = 0;
-  double threshold = 0;
-  bool recovered = false;
-  Cycles window = 0;
-};
-
-Recovery AnalyzeRecovery(const std::vector<int>& buckets, Cycles kill_at,
-                         double frac) {
-  Recovery r;
-  const std::size_t kill_bucket = static_cast<std::size_t>(kill_at / kBucket);
-  const std::size_t last = buckets.empty() ? 0 : buckets.size() - 1;
-  if (kill_bucket < 2 || kill_bucket >= last) {
-    return r;
-  }
-  for (std::size_t b = 1; b < kill_bucket; ++b) {
-    r.prekill += buckets[b];
-  }
-  r.prekill /= static_cast<double>(kill_bucket - 1);
-  r.threshold = r.prekill * frac;
-  for (std::size_t b = kill_bucket; b < last; ++b) {
-    double sum = 0;
-    bool hole = false;
-    for (std::size_t b2 = b; b2 < last; ++b2) {
-      sum += buckets[b2];
-      if (buckets[b2] < r.prekill / 2.0) {
-        hole = true;
-      }
-    }
-    if (!hole && sum / static_cast<double>(last - b) >= r.threshold) {
-      r.recovered = true;
-      r.window = static_cast<Cycles>(b + 1) * kBucket - kill_at;
-      return r;
-    }
-  }
-  return r;
-}
-
 bool SameRun(const RackOutput& a, const RackOutput& b) {
   return a.digest == b.digest && a.final_now == b.final_now &&
-         a.events == b.events && a.completed == b.completed &&
-         a.shed == b.shed && a.retries == b.retries &&
-         a.latencies == b.latencies && a.view_changes == b.view_changes &&
-         a.rsts_sent == b.rsts_sent && a.steered == b.steered;
-}
-
-Cycles Percentile(std::vector<Cycles> v, int p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  return v[(v.size() - 1) * static_cast<std::size_t>(p) / 100];
+         a.events == b.events && a.load == b.load &&
+         a.view_changes == b.view_changes && a.rsts_sent == b.rsts_sent &&
+         a.steered == b.steered;
 }
 
 void PrintCounters(const RackOutput& r) {
   std::printf("%-26s %d launched, %d completed, %d shed, %d retries\n",
-              "requests:", r.launched, r.completed, r.shed, r.retries);
+              "requests:", r.load.launched, r.load.completed, r.load.shed,
+              r.load.retries);
   std::printf("%-26s %llu committed (epoch %llu), first at %llu\n",
               "view changes:", static_cast<unsigned long long>(r.view_changes),
               static_cast<unsigned long long>(r.epoch),
@@ -688,7 +343,7 @@ int RunSweep(bench::TraceSession& session, bool quick, int max_machines,
     const Cycles window =
         static_cast<Cycles>(cfg.rps) * cfg.mix.interval_per_shard;
     const double rate =
-        static_cast<double>(r.completed) * 1e6 / static_cast<double>(window);
+        static_cast<double>(r.load.completed) * 1e6 / static_cast<double>(window);
     if (n == 1) {
       base_rate = rate;
     }
@@ -697,9 +352,12 @@ int RunSweep(bench::TraceSession& session, bool quick, int max_machines,
       last_speedup = speedup;
     }
     std::printf("%9d %9d %9d %6d %8d %10.2f %7.2fx %9llu %9llu  %016llx\n", n,
-                r.launched, r.completed, r.shed, r.retries, rate, speedup,
-                static_cast<unsigned long long>(Percentile(r.latencies, 50) / 1000),
-                static_cast<unsigned long long>(Percentile(r.latencies, 99) / 1000),
+                r.load.launched, r.load.completed, r.load.shed, r.load.retries,
+                rate, speedup,
+                static_cast<unsigned long long>(
+                    bench::Percentile(r.load.latencies, 0.50) / 1000),
+                static_cast<unsigned long long>(
+                    bench::Percentile(r.load.latencies, 0.99) / 1000),
                 static_cast<unsigned long long>(r.digest));
     std::printf("          fabric fwd=%llu drop=%llu | balancer steered=%llu "
                 "resteer=%llu drop=%llu | hb=%llu | client retx=%llu\n",
@@ -714,8 +372,8 @@ int RunSweep(bench::TraceSession& session, bool quick, int max_machines,
                 static_cast<unsigned long long>(r.client_retx));
     // Zero unexplained drops: every launched request completed, nothing
     // shed, no recovery machinery touched, no frame lost anywhere.
-    const bool clean = r.completed == r.launched && r.shed == 0 &&
-                       r.retries == 0 && r.view_changes == 0 &&
+    const bool clean = r.load.completed == r.load.launched && r.load.shed == 0 &&
+                       r.load.retries == 0 && r.view_changes == 0 &&
                        r.resteered == 0 && r.rsts_sent == 0 &&
                        r.fabric_unknown_drops == 0 && r.fabric_tx_full == 0 &&
                        r.no_backend_drops == 0 && r.balancer_tx_full == 0 &&
@@ -760,27 +418,26 @@ int RunKill(bench::TraceSession& session, bool quick, int machines, int threads,
   const RackOutput b = RunRack(cfg, &plan, false);
 
   const Cycles window = static_cast<Cycles>(cfg.rps) * cfg.mix.interval_per_shard;
-  const std::vector<int> buckets = Bucketize(a, window);
-  PrintBuckets(buckets);
+  const std::vector<int> buckets =
+      bench::Bucketize(a.load.completions, 0, window, kBucket);
+  bench::PrintBuckets(buckets, kBucket);
   PrintCounters(a);
   std::printf("%-26s connect=%d rst=%d 503=%d other=%d\n", "attempt failures:",
-              a.fail_connect, a.fail_rst, a.fail_503, a.fail_other);
+              a.load.fail_connect, a.load.fail_rst, a.load.fail_503,
+              a.load.fail_other);
 
+  // Same mean-based recovery rule as sec54_failover, but the sustained-mean
+  // threshold is the (N-1)/N share the surviving machines can at best carry
+  // if the re-steered load saturated them (they do not saturate at this
+  // bench's offered load, so recovery in practice returns to ~the full rate).
   const double frac = static_cast<double>(machines - 1) /
                       static_cast<double>(machines);
-  const Recovery rec = AnalyzeRecovery(buckets, kKillOffset, frac);
-  std::printf("%-26s %.1f/bucket pre-kill mean, threshold %.1f (>= %d/%d of it)\n",
-              "recovery target:", rec.prekill, rec.threshold, machines - 1,
-              machines);
-  if (rec.recovered) {
-    std::printf("%-26s sustained mean >= %.1f/bucket within %llu cycles of the kill\n",
-                "recovery window:", rec.threshold,
-                static_cast<unsigned long long>(rec.window));
-  } else {
-    std::printf("%-26s NEVER RECOVERED\n", "recovery window:");
-  }
+  const bench::Recovery rec =
+      bench::AnalyzeRecovery(buckets, kBucket, kKillOffset, frac);
+  bench::PrintRecovery(rec, ">= " + std::to_string(machines - 1) + "/" +
+                                std::to_string(machines) + " of it");
 
-  const bool no_loss = a.completed + a.shed == a.launched;
+  const bool no_loss = a.load.Balanced();
   const bool deterministic = SameRun(a, b);
   std::printf("%-26s %s\n", "committed-work ledger:",
               no_loss ? "completed + shed == launched" : "REQUESTS LOST");
@@ -848,8 +505,8 @@ int RunChaos(bench::TraceSession& session, bool quick, int machines,
     const char* name;
     bool ok;
   } checks[] = {
-      {"ledger balances", r.completed + r.shed == r.launched},
-      {"majority served", r.completed * 2 >= r.launched},
+      {"ledger balances", r.load.Balanced()},
+      {"majority served", r.load.completed * 2 >= r.load.launched},
       {"kill became a view change", r.view_changes == 1 && r.epoch == 2},
       {"survivor heartbeats accepted", r.heartbeats > 0},
       {"dead machine's flows re-steered", r.resteered > 0},

@@ -19,7 +19,6 @@
 //   --kill-db[=K]     halt shard K's DB-replica core at t0+1M (web+SQL mix)
 //   --chaos-seed=N    1-2 seeded random core kills (web+SQL mix), invariants
 //   --quick           4x4 machine, 4 shards, shorter run (CI soak)
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,21 +33,18 @@
 #include "fault/fault.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
-#include "kernel/cpu_driver.h"
 #include "monitor/monitor.h"
 #include "net/nic.h"
 #include "net/stack.h"
 #include "recover/config.h"
 #include "recover/recover.h"
+#include "serving.h"
 #include "sim/executor.h"
 #include "sim/random.h"
-#include "skb/skb.h"
-#include "urpc/channel.h"
 
 namespace mk {
 namespace {
 
-using kernel::CpuDriver;
 using net::Packet;
 using sim::Cycles;
 using sim::Task;
@@ -58,12 +54,12 @@ constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
 const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
 const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
 
-constexpr Cycles kDriverFrameCost = 1400;
 constexpr int kDbItems = 30000;
 constexpr Cycles kKillOffset = 1'000'000;  // default kill time, after t0
 
-// Throughput bucket width for the dip/recovery timeline.
+// Throughput bucket width for the dip/recovery timeline, from serving start.
 constexpr Cycles kBucket = 500'000;
+constexpr const char* kSinceT0 = " (t0 = serving start)";
 
 // One scheduled fail-stop kill, relative to serving start (t0).
 struct Kill {
@@ -85,263 +81,26 @@ struct Kill {
 //    working on and retry them, which snowballs into a self-inflicted
 //    metastable collapse with zero faults injected. Post-kill recovery does
 //    NOT ride this timeout — orphaned flows die fast via retransmit → RST.
-struct Mix {
+struct Mix : bench::Mix {
   bool use_db = false;
-  Cycles interval_per_shard = 192'000;
-  Cycles attempt_timeout = 6'000'000;
-  Cycles request_deadline = 20'000'000;
 };
 
-Mix StaticMix() { return Mix{}; }
-Mix DbMix() {
-  Mix m;
-  m.use_db = true;
-  m.interval_per_shard = 1'920'000;
-  m.attempt_timeout = 6'000'000;
-  m.request_deadline = 20'000'000;
-  return m;
-}
-
-net::StackCosts FreeCosts() {
-  net::StackCosts c;
-  c.per_packet_in = 0;
-  c.per_packet_out = 0;
-  c.per_byte_checksum = 0;
-  return c;
-}
-
-// Full machine boot: CPU drivers, SKB (populated + measured), monitors. The
-// serving stack needs the monitors because failure detection and the
-// membership view change run on them.
-struct System {
-  explicit System(const hw::PlatformSpec& spec)
-      : machine(exec, spec), drivers(CpuDriver::BootAll(machine)), skb(machine),
-        sys(machine, skb, drivers) {
-    skb.PopulateFromHardware();
-    exec.Spawn(skb.MeasureUrpcLatencies());
-    exec.Run();
-    sys.Boot();
-  }
-  sim::Executor exec;
-  hw::Machine machine;
-  std::vector<std::unique_ptr<CpuDriver>> drivers;
-  skb::Skb skb;
-  monitor::MonitorSystem sys;
-};
-
-struct LoadStats {
-  explicit LoadStats(sim::Executor& exec) : all_done(exec) {}
-  int launched = 0;
-  int completed = 0;
-  int shed = 0;      // requests that never got a full 200 by their deadline
-  int retries = 0;   // extra connection attempts (RSTs, timeouts, 503s)
-  // Attempt-failure causes (sum >= retries: the final failed attempt of a
-  // shed request is counted here but doesn't produce a retry).
-  int fail_connect = 0;  // handshake never completed (SYN into a dead queue)
-  int fail_rst = 0;      // peer reset mid-flow (orphaned-flow adoption)
-  int fail_503 = 0;      // admission shed by an overloaded survivor
-  int fail_other = 0;    // truncation or attempt timeout
-  int outstanding = 0;
-  bool launching_done = false;
-  bool finished = false;
-  std::vector<Cycles> latencies;
-  std::vector<Cycles> completions;  // absolute completion times
-  sim::Event all_done;
-};
-
-// Committed-work rule: a request counts as completed only when the client
-// holds the entire 200 response (status line + full Content-Length body). An
-// RST, a 503 shed, or a truncated stream is an attempt failure, never a
-// completion — so a "completed" count can't hide lost work.
-bool FullOkResponse(const std::string& resp) {
-  if (resp.rfind("HTTP/1.0 200", 0) != 0) {
-    return false;
-  }
-  const std::size_t hdr_end = resp.find("\r\n\r\n");
-  if (hdr_end == std::string::npos) {
-    return false;
-  }
-  const std::size_t cl = resp.find("Content-Length: ");
-  if (cl == std::string::npos || cl > hdr_end) {
-    return false;
-  }
-  const std::size_t len = std::strtoul(resp.c_str() + cl + 16, nullptr, 10);
-  return resp.size() - (hdr_end + 4) >= len;
-}
-
-// One HTTP request, open loop, with client-side retry: each attempt is a
-// fresh connection with a bounded handshake and response wait; an attempt cut
-// short (RST from a survivor, 503 shed, attempt timeout) is retried until the
-// request deadline. This is the SYN-retry half of flow adoption: the retry's
-// SYN hashes to the re-steered queue and a survivor accepts it.
-Task<> OneRequest(sim::Executor& exec, net::NetStack& client, std::string target,
-                  const Mix& mix, LoadStats& st) {
-  const Cycles start = exec.now();
-  const Cycles deadline = start + mix.request_deadline;
-  ++st.outstanding;
-  bool ok = false;
-  bool first_attempt = true;
-  Cycles backoff = 100'000;
-  while (!ok && exec.now() < deadline) {
-    if (!first_attempt) {
-      ++st.retries;
-      // Back off before re-trying: immediate retries of shed (503) attempts
-      // amplify a transient overload into a sustained one.
-      co_await exec.Delay(std::min(backoff, deadline - exec.now()));
-      backoff = std::min<Cycles>(backoff * 2, 400'000);
-      if (exec.now() >= deadline) {
-        break;
-      }
-    }
-    first_attempt = false;
-    const Cycles attempt_deadline =
-        std::min(deadline, exec.now() + mix.attempt_timeout);
-    net::NetStack::TcpConn* conn =
-        co_await client.TcpConnect(kServerIp, 80, attempt_deadline - exec.now());
-    if (conn == nullptr) {
-      ++st.fail_connect;
-      continue;
-    }
-    co_await client.TcpSend(*conn, "GET " + target + " HTTP/1.0\r\n\r\n");
-    std::string resp;
-    while (true) {
-      while (!conn->rx.empty()) {
-        resp.push_back(static_cast<char>(conn->rx.front()));
-        conn->rx.pop_front();
-      }
-      if (conn->peer_closed && FullOkResponse(resp)) {
-        ok = true;
-        break;
-      }
-      if (conn->peer_closed) {
-        if (resp.empty()) {
-          ++st.fail_rst;
-        } else if (resp.rfind("HTTP/1.0 503", 0) == 0) {
-          ++st.fail_503;
-        } else {
-          ++st.fail_other;
-        }
-        break;  // RST, shed, or truncation: retry
-      }
-      const Cycles now = exec.now();
-      if (now >= attempt_deadline) {
-        ++st.fail_other;
-        break;
-      }
-      co_await conn->readable.WaitTimeout(attempt_deadline - now);
-    }
-    co_await client.TcpClose(*conn);
-  }
-  if (ok) {
-    ++st.completed;
-    st.latencies.push_back(exec.now() - start);
-    st.completions.push_back(exec.now());
-  } else {
-    ++st.shed;
-  }
-  --st.outstanding;
-  if (st.launching_done && st.outstanding == 0) {
-    st.finished = true;
-    st.all_done.Signal();
-  }
-}
-
-Task<> Generator(sim::Executor& exec, net::NetStack& client, int total,
-                 Cycles interval, const Mix& mix, LoadStats& st,
-                 std::uint64_t seed) {
-  sim::Rng prng(seed);
-  for (int i = 0; i < total; ++i) {
-    std::string target = "/index.html";
-    if (mix.use_db) {
-      std::string sql = apps::TpcwQuery(static_cast<int>(prng.Below(kDbItems)));
-      for (char& ch : sql) {
-        if (ch == ' ') {
-          ch = '+';
-        }
-      }
-      target = "/query?sql=" + sql;
-    }
-    ++st.launched;
-    exec.Spawn(OneRequest(exec, client, std::move(target), mix, st));
-    co_await exec.Delay(interval);
-  }
-  st.launching_done = true;
-  if (st.outstanding == 0) {
-    st.finished = true;
-    st.all_done.Signal();
-  }
-}
-
-// Per-shard driver loop, fail-stop aware: a driver on a halted core abandons
-// its queue (frames already DMA'd into the ring stay there, exactly like a
-// real NIC whose servicing core died).
-Task<> ShardDriver(hw::Machine& m, net::SimNic& nic, net::NetStack& stack,
-                   int queue, int core, const bool* stop) {
-  while (!*stop) {
-    if (fault::Injector* inj = fault::Injector::active();
-        inj != nullptr && inj->CoreHalted(core, m.exec().now())) {
-      co_return;  // the driver dies with its core
-    }
-    if (nic.RxReady(queue)) {
-      nic.SetInterruptsEnabled(queue, false);
-      auto frame = co_await nic.DriverRxPop(core, queue);
-      if (frame) {
-        co_await m.Compute(core, kDriverFrameCost);
-        co_await stack.Input(std::move(*frame));
-      }
-      continue;
-    }
-    nic.SetInterruptsEnabled(queue, true);
-    if (!nic.RxReady(queue)) {
-      if (co_await nic.rx_irq(queue).WaitTimeout(20000) && !*stop) {
-        co_await m.Trap(core);
-      }
-    }
-  }
-}
-
-Task<> WireSink(net::SimNic& nic, net::NetStack& client, const bool* stop) {
-  while (!*stop) {
-    Packet p;
-    while (nic.WirePop(&p)) {
-      co_await client.Input(std::move(p));
-    }
-    if (!*stop) {
-      co_await nic.wire_out_ready().Wait();
-    }
-  }
-}
-
-Task<> Supervisor(monitor::MonitorSystem& sys, net::SimNic& nic, LoadStats& st,
-                  bool* stop, apps::DbReplicaCluster* cluster) {
-  while (!st.finished) {
-    co_await st.all_done.Wait();
-  }
-  *stop = true;
-  nic.wire_out_ready().Signal();
-  if (cluster != nullptr) {
-    co_await cluster->Shutdown();
-  }
-  sys.Shutdown();
-}
+const Mix kStaticMix{{.interval_per_shard = 192'000,
+                      .attempt_timeout = 6'000'000,
+                      .request_deadline = 20'000'000},
+                     /*use_db=*/false};
+const Mix kDbMix{{.interval_per_shard = 1'920'000,
+                  .attempt_timeout = 6'000'000,
+                  .request_deadline = 20'000'000},
+                 /*use_db=*/true};
 
 struct RunOutput {
-  Cycles t0 = 0;           // serving start (after boot)
+  Cycles t0 = 0;  // serving start (after boot)
   Cycles final_now = 0;
   std::uint64_t events = 0;
-  int launched = 0;
-  int completed = 0;
-  int shed = 0;
-  int retries = 0;
-  std::vector<Cycles> latencies;
-  std::vector<Cycles> completions;  // offsets from t0
+  bench::Ledger load;
   std::uint64_t view_changes = 0;
   std::uint64_t epoch = 1;
-  Cycles first_view_change_at = 0;  // offset from t0; 0 = none committed
-  int fail_connect = 0;
-  int fail_rst = 0;
-  int fail_503 = 0;
-  int fail_other = 0;
   int reta_rewritten = 0;
   std::uint64_t adopted = 0;
   std::uint64_t rsts_sent = 0;
@@ -358,23 +117,8 @@ struct RunOutput {
 RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
                      const std::vector<Kill>& kills, int requests_per_shard,
                      bool print_activations) {
-  // The TCP retransmit timeout must sit above the worst frame-to-ACK latency
-  // a loaded survivor exhibits, or timers fire on delayed-but-not-lost
-  // segments: every spurious resend adds load, which adds latency, which
-  // fires more timers — congestion collapse with zero frames dropped. The
-  // stock 200k RTO is tuned for lightly loaded link tests; this workload
-  // queues several hundred k cycles of stack work on a post-kill survivor.
-  // (Consulted only while the injector is installed, so the no-kill baseline
-  // is oblivious.)
-  recover::RecoveryConfig rcfg;
-  rcfg.tcp_rto = 1'000'000;
-  // With the 1M base RTO, the stock 8-round doubling backoff would keep a
-  // dead-peer connection's timer alive for ~511M cycles of idle sim time
-  // after the workload drains. Recovery needs exactly one round (the first
-  // resend lands on a survivor and draws the RST), so four is generous.
-  rcfg.tcp_max_retx = 4;
-  recover::ScopedRecoveryConfig scoped_rcfg(rcfg);
-  System s(spec);
+  recover::ScopedRecoveryConfig scoped_rcfg(bench::ServingRecoveryConfig());
+  bench::System s(spec);
   sim::Executor& exec = s.exec;
   hw::Machine& m = s.machine;
   const int client_core = spec.num_cores() - 1;
@@ -427,7 +171,7 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
   }
   net::SimNic nic(m, cfg);
 
-  net::NetStack client(m, client_core, kClientIp, kClientMac, FreeCosts());
+  net::NetStack client(m, client_core, kClientIp, kClientMac, bench::FreeCosts());
   client.AddArp(kServerIp, kServerMac);
   client.SetOutput(
       [&nic](Packet p) -> Task<> { co_await nic.InjectFromWire(std::move(p)); });
@@ -446,10 +190,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
     const int core = placements[static_cast<std::size_t>(i)].web_core;
     auto stack = std::make_unique<net::NetStack>(m, core, kServerIp, kServerMac);
     stack->AddArp(kClientIp, kClientMac);
-    stack->SetOutput([&m, &nic, core, i](Packet p) -> Task<> {
-      co_await m.Compute(core, kDriverFrameCost);
-      co_await nic.DriverTxPush(core, std::move(p), i);
-    });
     apps::HttpServer::DbQueryFn query_fn;
     if (mix.use_db) {
       apps::DbReplicaCluster* cl = cluster.get();
@@ -466,24 +206,20 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
     servers.back()->SetAdmission({/*workers=*/8, /*max_pending=*/32,
                                   /*queue_deadline=*/5'000'000});
     exec.Spawn(servers.back()->Serve());
-    exec.Spawn(ShardDriver(m, nic, *stack, i, core, &stop));
+    exec.Spawn(bench::AttachShard(m, nic, i, *stack, &stop));
     if (mix.use_db) {
       exec.Spawn(cluster->Serve(i));
     }
     stacks.push_back(std::move(stack));
   }
-  exec.Spawn(WireSink(nic, client, &stop));
+  exec.Spawn(bench::WireSink(nic, client, &stop));
 
   // The failover chain: the membership service publishes each committed view
   // change and the serving stack reacts.
   recover::MembershipService membership(s.sys);
   int reta_rewritten = 0;
-  Cycles first_view_change_at = 0;
   membership.Subscribe(
       [&](const recover::View& view, int dead_core) -> Task<> {
-        if (first_view_change_at == 0) {
-          first_view_change_at = exec.now() - t0;
-        }
         // A dead web core: move its RX queue's RETA slots onto the surviving
         // shards and arm RST-for-unknown on them so adopted flows reset
         // immediately instead of waiting out client timeouts.
@@ -521,32 +257,27 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
         }
       });
 
-  LoadStats st(exec);
+  bench::LoadStats st(exec);
   const int total = requests_per_shard * shards;
   const Cycles interval = mix.interval_per_shard / static_cast<Cycles>(shards);
-  exec.Spawn(Generator(exec, client, total, interval, mix, st, /*seed=*/42));
-  exec.Spawn(Supervisor(s.sys, nic, st, &stop, cluster.get()));
+  exec.Spawn(bench::Generator(
+      exec, client, kServerIp, total, interval, mix, st,
+      mix.use_db ? bench::TpcwBrowse(kDbItems) : bench::StaticPage()));
+  exec.Spawn(bench::Supervisor(st, nic, &stop, [&]() -> Task<> {
+    if (cluster != nullptr) {
+      co_await cluster->Shutdown();
+    }
+    s.sys.Shutdown();
+  }));
   exec.Run();
 
   RunOutput out;
   out.t0 = t0;
   out.final_now = exec.now();
   out.events = exec.events_dispatched();
-  out.launched = st.launched;
-  out.completed = st.completed;
-  out.shed = st.shed;
-  out.retries = st.retries;
-  out.latencies = std::move(st.latencies);
-  for (Cycles c : st.completions) {
-    out.completions.push_back(c - t0);
-  }
+  out.load = std::move(st);
   out.view_changes = membership.view_changes_committed();
   out.epoch = membership.view().epoch;
-  out.first_view_change_at = first_view_change_at;
-  out.fail_connect = st.fail_connect;
-  out.fail_rst = st.fail_rst;
-  out.fail_503 = st.fail_503;
-  out.fail_other = st.fail_other;
   out.reta_rewritten = reta_rewritten;
   for (int q = 0; q < nic.num_queues(); ++q) {
     out.adopted += nic.queue_stats(q).rx_adopted;
@@ -573,37 +304,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
       out.monitors_quiesced = false;
     }
   }
-  if (std::getenv("FAILOVER_DEBUG") != nullptr) {
-    std::printf("[debug] view change at t0+%llu\n",
-                static_cast<unsigned long long>(first_view_change_at));
-    std::printf("[debug] fail causes: connect=%d rst=%d 503=%d other=%d\n",
-                st.fail_connect, st.fail_rst, st.fail_503, st.fail_other);
-    for (int q = 0; q < nic.num_queues(); ++q) {
-      const auto& qs = nic.queue_stats(q);
-      std::printf("[debug] q%d: rx=%llu drops=%llu adopted=%llu | served=%llu "
-                  "shed_qf=%llu shed_dl=%llu | no_listener=%llu rsts=%llu "
-                  "retx=%llu\n",
-                  q, static_cast<unsigned long long>(qs.rx_frames),
-                  static_cast<unsigned long long>(qs.rx_drops()),
-                  static_cast<unsigned long long>(qs.rx_adopted),
-                  static_cast<unsigned long long>(
-                      servers[static_cast<std::size_t>(q)]->requests_served()),
-                  static_cast<unsigned long long>(
-                      servers[static_cast<std::size_t>(q)]->shed_queue_full()),
-                  static_cast<unsigned long long>(
-                      servers[static_cast<std::size_t>(q)]->shed_deadline()),
-                  static_cast<unsigned long long>(
-                      stacks[static_cast<std::size_t>(q)]->drops_no_listener()),
-                  static_cast<unsigned long long>(
-                      stacks[static_cast<std::size_t>(q)]->tcp_rsts_sent()),
-                  static_cast<unsigned long long>(
-                      stacks[static_cast<std::size_t>(q)]->tcp_retransmits()));
-    }
-    std::printf("[debug] client: retx=%llu rsts_rcvd=%llu drops=%llu\n",
-                static_cast<unsigned long long>(client.tcp_retransmits()),
-                static_cast<unsigned long long>(client.tcp_rsts_received()),
-                static_cast<unsigned long long>(client.drops()));
-  }
   if (inj != nullptr) {
     if (print_activations) {
       inj->PrintActivationTable();
@@ -617,83 +317,16 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
 // ---------------------------------------------------------------------------
 // Reporting
 
-std::vector<int> Bucketize(const RunOutput& r, Cycles window) {
-  std::vector<int> buckets(static_cast<std::size_t>(window / kBucket), 0);
-  for (Cycles c : r.completions) {
-    const std::size_t b = static_cast<std::size_t>(c / kBucket);
-    if (b < buckets.size()) {
-      ++buckets[b];
-    }
-  }
-  return buckets;
-}
-
-void PrintBuckets(const std::vector<int>& buckets) {
-  std::printf("completions per %.1fM-cycle bucket (t0 = serving start):\n",
-              static_cast<double>(kBucket) / 1e6);
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    std::printf("%4d%s", buckets[b], (b + 1) % 10 == 0 ? "\n" : " ");
-  }
-  if (buckets.size() % 10 != 0) {
-    std::printf("\n");
-  }
-}
-
-// Recovery analysis for a single web-core kill at `kill_at`. Individual
-// 0.5M-cycle buckets carry Poisson-scale jitter at these rates, so the
-// comparison is mean-based: pre-kill rate is the mean over all full buckets
-// before the kill (skipping the warm-up bucket), and the system has recovered
-// at the first bucket from which the remaining run sustains a mean >= 7/8 of
-// it with no bucket falling below half (a hole that deep is an outage, not
-// noise). The final bucket is excluded — it is truncated at run end.
-struct Recovery {
-  double prekill = 0;
-  double threshold = 0;
-  bool recovered = false;
-  Cycles window = 0;  // kill -> end of the first bucket of sustained recovery
-};
-
-Recovery AnalyzeRecovery(const std::vector<int>& buckets, Cycles kill_at) {
-  Recovery r;
-  const std::size_t kill_bucket = static_cast<std::size_t>(kill_at / kBucket);
-  const std::size_t last = buckets.empty() ? 0 : buckets.size() - 1;
-  if (kill_bucket < 2 || kill_bucket >= last) {
-    return r;
-  }
-  for (std::size_t b = 1; b < kill_bucket; ++b) {
-    r.prekill += buckets[b];
-  }
-  r.prekill /= static_cast<double>(kill_bucket - 1);
-  r.threshold = r.prekill * 7.0 / 8.0;
-  for (std::size_t b = kill_bucket; b < last; ++b) {
-    double sum = 0;
-    bool hole = false;
-    for (std::size_t b2 = b; b2 < last; ++b2) {
-      sum += buckets[b2];
-      if (buckets[b2] < r.prekill / 2.0) {
-        hole = true;
-      }
-    }
-    if (!hole && sum / static_cast<double>(last - b) >= r.threshold) {
-      r.recovered = true;
-      r.window = static_cast<Cycles>(b + 1) * kBucket - kill_at;
-      return r;
-    }
-  }
-  return r;
-}
-
 bool SameRun(const RunOutput& a, const RunOutput& b) {
-  return a.final_now == b.final_now && a.events == b.events &&
-         a.completed == b.completed && a.shed == b.shed &&
-         a.retries == b.retries && a.latencies == b.latencies &&
+  return a.final_now == b.final_now && a.events == b.events && a.load == b.load &&
          a.view_changes == b.view_changes && a.adopted == b.adopted &&
          a.rsts_sent == b.rsts_sent && a.db_timeouts == b.db_timeouts;
 }
 
 void PrintCounters(const RunOutput& r, bool use_db) {
   std::printf("%-26s %d launched, %d completed, %d shed, %d retries\n",
-              "requests:", r.launched, r.completed, r.shed, r.retries);
+              "requests:", r.load.launched, r.load.completed, r.load.shed,
+              r.load.retries);
   std::printf("%-26s %llu committed (epoch %llu)\n", "view changes:",
               static_cast<unsigned long long>(r.view_changes),
               static_cast<unsigned long long>(r.epoch));
@@ -723,11 +356,12 @@ int RunNoKill(bench::TraceSession& session, bool quick) {
   const int shards = quick ? 4 : 8;
   const int rps = quick ? 150 : 250;
   RunOutput r = RunServing(quick ? hw::Amd4x4() : hw::Amd8x4(), shards,
-                           StaticMix(), {}, rps, /*print_activations=*/false);
-  const Cycles window = static_cast<Cycles>(rps) * StaticMix().interval_per_shard;
-  PrintBuckets(Bucketize(r, window));
+                           kStaticMix, {}, rps, /*print_activations=*/false);
+  const Cycles window = static_cast<Cycles>(rps) * kStaticMix.interval_per_shard;
+  bench::PrintBuckets(bench::Bucketize(r.load.completions, r.t0, window, kBucket),
+                      kBucket, kSinceT0);
   PrintCounters(r, /*use_db=*/false);
-  const bool ok = r.completed == r.launched && r.shed == 0 &&
+  const bool ok = r.load.completed == r.load.launched && r.load.shed == 0 &&
                   r.view_changes == 0 && r.adopted == 0 && r.rsts_sent == 0;
   std::printf("%-26s %s\n", "clean run:",
               ok ? "all requests served, no recovery machinery touched"
@@ -749,29 +383,23 @@ int RunKillWeb(bench::TraceSession& session, bool quick, int shard) {
                      std::to_string(shards) + " shards");
   const std::vector<Kill> kills = {{/*db=*/false, shard, kKillOffset}};
   session.BeginRun("kill-web-run1");
-  RunOutput a = RunServing(spec, shards, StaticMix(), kills, rps,
+  RunOutput a = RunServing(spec, shards, kStaticMix, kills, rps,
                            /*print_activations=*/true);
   session.BeginRun("kill-web-run2");
-  RunOutput b = RunServing(spec, shards, StaticMix(), kills, rps,
+  RunOutput b = RunServing(spec, shards, kStaticMix, kills, rps,
                            /*print_activations=*/false);
 
-  const Cycles window = static_cast<Cycles>(rps) * StaticMix().interval_per_shard;
-  const std::vector<int> buckets = Bucketize(a, window);
-  PrintBuckets(buckets);
+  const Cycles window = static_cast<Cycles>(rps) * kStaticMix.interval_per_shard;
+  const std::vector<int> buckets =
+      bench::Bucketize(a.load.completions, a.t0, window, kBucket);
+  bench::PrintBuckets(buckets, kBucket, kSinceT0);
   PrintCounters(a, /*use_db=*/false);
 
-  const Recovery rec = AnalyzeRecovery(buckets, kKillOffset);
-  std::printf("%-26s %.1f/bucket pre-kill mean, threshold %.1f (>= 7/8 of it)\n",
-              "recovery target:", rec.prekill, rec.threshold);
-  if (rec.recovered) {
-    std::printf("%-26s sustained mean >= %.1f/bucket within %llu cycles of the kill\n",
-                "recovery window:", rec.threshold,
-                static_cast<unsigned long long>(rec.window));
-  } else {
-    std::printf("%-26s NEVER RECOVERED\n", "recovery window:");
-  }
+  const bench::Recovery rec =
+      bench::AnalyzeRecovery(buckets, kBucket, kKillOffset, 7.0 / 8.0);
+  bench::PrintRecovery(rec, ">= 7/8 of it");
 
-  const bool no_loss = a.completed + a.shed == a.launched;
+  const bool no_loss = a.load.Balanced();
   const bool deterministic = SameRun(a, b);
   std::printf("%-26s %s\n", "committed-work ledger:",
               no_loss ? "completed + shed == launched" : "REQUESTS LOST");
@@ -803,13 +431,13 @@ int RunKillDb(bench::TraceSession& session, bool quick, int shard) {
                      std::to_string(shards) + " shards, web+SQL mix");
   const std::vector<Kill> kills = {{/*db=*/true, shard, kKillOffset}};
   session.BeginRun("kill-db-run1");
-  RunOutput a = RunServing(spec, shards, DbMix(), kills, rps,
+  RunOutput a = RunServing(spec, shards, kDbMix, kills, rps,
                            /*print_activations=*/true);
   session.BeginRun("kill-db-run2");
-  RunOutput b = RunServing(spec, shards, DbMix(), kills, rps,
+  RunOutput b = RunServing(spec, shards, kDbMix, kills, rps,
                            /*print_activations=*/false);
   PrintCounters(a, /*use_db=*/true);
-  const bool no_loss = a.completed + a.shed == a.launched;
+  const bool no_loss = a.load.Balanced();
   const bool deterministic = SameRun(a, b);
   std::printf("%-26s %s\n", "committed-work ledger:",
               no_loss ? "completed + shed == launched" : "REQUESTS LOST");
@@ -822,7 +450,7 @@ int RunKillDb(bench::TraceSession& session, bool quick, int shard) {
   // The dip here is bounded by db_rpc_timeout, and the replacement replica
   // must end up serving: redirects home, nothing left dead, no request lost.
   const bool ok = no_loss && deterministic && a.view_changes == 1 &&
-                  a.db_respawns == 1 && a.db_all_home && a.shed == 0 &&
+                  a.db_respawns == 1 && a.db_all_home && a.load.shed == 0 &&
                   a.specs_activated && a.replicas_consistent;
   std::printf("%-26s %s\n", "verdict:", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
@@ -864,7 +492,7 @@ int RunChaos(bench::TraceSession& session, bool quick, std::uint64_t seed) {
               quick ? "--quick " : "", static_cast<unsigned long long>(seed));
 
   session.BeginRun("chaos");
-  RunOutput r = RunServing(spec, shards, DbMix(), kills, rps,
+  RunOutput r = RunServing(spec, shards, kDbMix, kills, rps,
                            /*print_activations=*/true);
   PrintCounters(r, /*use_db=*/true);
 
@@ -880,8 +508,8 @@ int RunChaos(bench::TraceSession& session, bool quick, std::uint64_t seed) {
     const char* name;
     bool ok;
   } checks[] = {
-      {"ledger balances", r.completed + r.shed == r.launched},
-      {"majority served", r.completed * 2 >= r.launched},
+      {"ledger balances", r.load.Balanced()},
+      {"majority served", r.load.completed * 2 >= r.load.launched},
       {"all kills became view changes",
        r.view_changes == static_cast<std::uint64_t>(n_kills) &&
            r.epoch == 1 + static_cast<std::uint64_t>(n_kills)},

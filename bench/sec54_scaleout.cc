@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "net/nic.h"
 #include "net/packet_channel.h"
 #include "net/stack.h"
+#include "serving.h"
 #include "sim/executor.h"
 #include "sim/random.h"
 #include "urpc/channel.h"
@@ -43,150 +45,12 @@ constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
 const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
 const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
 
-// Per-frame driver work on the serving core (same figure as the webserver
-// bench's dedicated driver core; here each shard drives its own queue).
-constexpr Cycles kDriverFrameCost = 1400;
-
 // Open-loop discipline: a request not finished by this deadline is shed and
 // counted, never waited on — offered load stays independent of service rate.
+// One attempt spans the whole deadline, so the client never retries.
 constexpr Cycles kRequestDeadline = 5'000'000;
 
 constexpr int kDbItems = 30000;
-
-// The external client cluster: its stack costs nothing on the simulated
-// machine (it stands in for httperf boxes on the other end of the wire).
-net::StackCosts FreeCosts() {
-  net::StackCosts c;
-  c.per_packet_in = 0;
-  c.per_packet_out = 0;
-  c.per_byte_checksum = 0;
-  return c;
-}
-
-struct LoadStats {
-  explicit LoadStats(sim::Executor& exec) : all_done(exec) {}
-  int launched = 0;
-  int completed = 0;
-  int shed = 0;  // connect timeouts + response deadline misses
-  int outstanding = 0;
-  bool launching_done = false;
-  bool finished = false;
-  std::vector<Cycles> latencies;
-  sim::Event all_done;
-};
-
-// One HTTP request, open loop: bounded connect, bounded response wait.
-Task<> OneRequest(sim::Executor& exec, net::NetStack& client, std::string target,
-                  LoadStats& st) {
-  const Cycles start = exec.now();
-  const Cycles deadline = start + kRequestDeadline;
-  ++st.outstanding;
-  net::NetStack::TcpConn* conn =
-      co_await client.TcpConnect(kServerIp, 80, kRequestDeadline);
-  bool ok = false;
-  if (conn != nullptr) {
-    co_await client.TcpSend(*conn, "GET " + target + " HTTP/1.0\r\n\r\n");
-    while (true) {
-      conn->rx.clear();  // consume whatever response bytes arrived
-      if (conn->peer_closed) {
-        ok = true;
-        break;
-      }
-      Cycles now = exec.now();
-      if (now >= deadline) {
-        break;
-      }
-      co_await conn->readable.WaitTimeout(deadline - now);
-    }
-    co_await client.TcpClose(*conn);
-  }
-  if (ok) {
-    ++st.completed;
-    st.latencies.push_back(exec.now() - start);
-  } else {
-    ++st.shed;
-  }
-  --st.outstanding;
-  if (st.launching_done && st.outstanding == 0) {
-    st.finished = true;
-    st.all_done.Signal();
-  }
-}
-
-// Fires `total` requests at a fixed global interval; RSS spreads the flows
-// (one ephemeral source port each) across the shards' queues.
-Task<> Generator(sim::Executor& exec, net::NetStack& client, int total,
-                 Cycles interval, bool use_db, LoadStats& st, std::uint64_t seed) {
-  sim::Rng prng(seed);
-  for (int i = 0; i < total; ++i) {
-    std::string target = "/index.html";
-    if (use_db) {
-      std::string sql = apps::TpcwQuery(static_cast<int>(prng.Below(kDbItems)));
-      for (char& ch : sql) {
-        if (ch == ' ') {
-          ch = '+';  // URL-encode spaces
-        }
-      }
-      target = "/query?sql=" + sql;
-    }
-    ++st.launched;
-    exec.Spawn(OneRequest(exec, client, std::move(target), st));
-    co_await exec.Delay(interval);
-  }
-  st.launching_done = true;
-  if (st.outstanding == 0) {
-    st.finished = true;
-    st.all_done.Signal();
-  }
-}
-
-// Per-shard e1000-style driver loop: poll the shard's RX queue while busy,
-// re-enable its interrupt and block when idle (trap charged on a real wake).
-Task<> ShardDriver(hw::Machine& m, net::SimNic& nic, net::NetStack& stack,
-                   int queue, int core, const bool* stop) {
-  while (!*stop) {
-    if (nic.RxReady(queue)) {
-      nic.SetInterruptsEnabled(queue, false);
-      auto frame = co_await nic.DriverRxPop(core, queue);
-      if (frame) {
-        co_await m.Compute(core, kDriverFrameCost);
-        co_await stack.Input(std::move(*frame));
-      }
-      continue;
-    }
-    nic.SetInterruptsEnabled(queue, true);
-    if (!nic.RxReady(queue)) {
-      if (co_await nic.rx_irq(queue).WaitTimeout(20000) && !*stop) {
-        co_await m.Trap(core);
-      }
-    }
-  }
-}
-
-// Drains transmitted frames off the wire into the client cluster's stack.
-Task<> WireSink(net::SimNic& nic, net::NetStack& client, const bool* stop) {
-  while (!*stop) {
-    Packet p;
-    while (nic.WirePop(&p)) {
-      co_await client.Input(std::move(p));
-    }
-    if (!*stop) {
-      co_await nic.wire_out_ready().Wait();
-    }
-  }
-}
-
-Task<> Supervisor(net::SimNic& nic, LoadStats& st, bool* stop,
-                  apps::DbReplicaCluster* cluster) {
-  while (!st.finished) {
-    co_await st.all_done.Wait();
-  }
-  *stop = true;
-  nic.wire_out_ready().Signal();  // unblock the sink
-  if (cluster != nullptr) {
-    co_await cluster->Shutdown();
-  }
-}
 
 struct PointResult {
   double offered_per_sec = 0;
@@ -221,7 +85,7 @@ PointResult RunPoint(const hw::PlatformSpec& spec, int shards, bool use_db,
   }
   net::SimNic nic(m, cfg);
 
-  net::NetStack client(m, client_core, kClientIp, kClientMac, FreeCosts());
+  net::NetStack client(m, client_core, kClientIp, kClientMac, bench::FreeCosts());
   client.AddArp(kServerIp, kServerMac);
   client.SetOutput(
       [&nic](Packet p) -> Task<> { co_await nic.InjectFromWire(std::move(p)); });
@@ -240,10 +104,6 @@ PointResult RunPoint(const hw::PlatformSpec& spec, int shards, bool use_db,
     const int core = placements[static_cast<std::size_t>(s)].web_core;
     auto stack = std::make_unique<net::NetStack>(m, core, kServerIp, kServerMac);
     stack->AddArp(kClientIp, kClientMac);
-    stack->SetOutput([&m, &nic, core, s](Packet p) -> Task<> {
-      co_await m.Compute(core, kDriverFrameCost);
-      co_await nic.DriverTxPush(core, std::move(p), s);
-    });
     apps::HttpServer::DbQueryFn query_fn;
     if (use_db) {
       apps::DbReplicaCluster* cl = cluster.get();
@@ -254,19 +114,30 @@ PointResult RunPoint(const hw::PlatformSpec& spec, int shards, bool use_db,
     servers.push_back(
         std::make_unique<apps::HttpServer>(m, *stack, 80, std::move(query_fn)));
     exec.Spawn(servers.back()->Serve());
-    exec.Spawn(ShardDriver(m, nic, *stack, s, core, &stop));
+    exec.Spawn(bench::AttachShard(m, nic, s, *stack, &stop));
     if (use_db) {
       exec.Spawn(cluster->Serve(s));
     }
     stacks.push_back(std::move(stack));
   }
-  exec.Spawn(WireSink(nic, client, &stop));
+  exec.Spawn(bench::WireSink(nic, client, &stop));
 
-  LoadStats st(exec);
+  // Fires `total` requests at a fixed global interval; RSS spreads the flows
+  // (one ephemeral source port each) across the shards' queues.
+  bench::LoadStats st(exec);
   const int total = requests_per_shard * shards;
   const Cycles interval = interval_per_shard / static_cast<Cycles>(shards);
-  exec.Spawn(Generator(exec, client, total, interval, use_db, st, /*seed=*/42));
-  exec.Spawn(Supervisor(nic, st, &stop, cluster.get()));
+  const bench::Mix mix{.interval_per_shard = interval_per_shard,
+                       .attempt_timeout = kRequestDeadline,
+                       .request_deadline = kRequestDeadline};
+  exec.Spawn(bench::Generator(
+      exec, client, kServerIp, total, interval, mix, st,
+      use_db ? bench::TpcwBrowse(kDbItems) : bench::StaticPage()));
+  std::function<Task<>()> shutdown;
+  if (cluster != nullptr) {
+    shutdown = [&cluster] { return cluster->Shutdown(); };
+  }
+  exec.Spawn(bench::Supervisor(st, nic, &stop, std::move(shutdown)));
   exec.Run();
 
   PointResult out;
@@ -276,16 +147,9 @@ PointResult RunPoint(const hw::PlatformSpec& spec, int shards, bool use_db,
   out.offered_per_sec = total / window_sec;
   out.achieved_per_sec = st.completed / window_sec;
   out.shed = st.shed;
-  std::sort(st.latencies.begin(), st.latencies.end());
-  auto pct = [&](double p) -> double {
-    if (st.latencies.empty()) {
-      return 0;
-    }
-    std::size_t i = static_cast<std::size_t>(p * (st.latencies.size() - 1));
-    return static_cast<double>(st.latencies[i]) / (spec.clock_ghz * 1e3);  // us
-  };
-  out.p50_us = pct(0.50);
-  out.p99_us = pct(0.99);
+  auto us = [&](Cycles c) { return static_cast<double>(c) / (spec.clock_ghz * 1e3); };
+  out.p50_us = us(bench::Percentile(st.latencies, 0.50));
+  out.p99_us = us(bench::Percentile(st.latencies, 0.99));
   for (int q = 0; q < nic.num_queues(); ++q) {
     out.rx_frames.push_back(nic.queue_stats(q).rx_frames);
     out.rx_drops.push_back(nic.queue_stats(q).rx_drops());
@@ -346,7 +210,7 @@ double RunStaticScenario() {
   hw::Machine m(exec, hw::Amd2x2());
 
   net::NetStack server(m, kServerCore, kServerIp, kServerMac, net::StackCosts{});
-  net::NetStack client(m, kServicesCore, kClientIp, kClientMac, FreeCosts());
+  net::NetStack client(m, kServicesCore, kClientIp, kClientMac, bench::FreeCosts());
   server.AddArp(kClientIp, kClientMac);
   client.AddArp(kServerIp, kServerMac);
 

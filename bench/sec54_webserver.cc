@@ -20,6 +20,7 @@
 #include "hw/platform.h"
 #include "net/packet_channel.h"
 #include "net/stack.h"
+#include "serving.h"
 #include "sim/executor.h"
 #include "sim/random.h"
 #include "urpc/channel.h"
@@ -39,16 +40,6 @@ constexpr net::Ipv4Addr kServerIp = net::MakeIp(10, 0, 0, 1);
 constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
 const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
 const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
-
-// The external client cluster (17 Linux boxes running httperf): its stack
-// costs nothing on the simulated machine.
-net::StackCosts FreeCosts() {
-  net::StackCosts c;
-  c.per_packet_in = 0;
-  c.per_packet_out = 0;
-  c.per_byte_checksum = 0;
-  return c;
-}
 
 struct DbService {
   DbService(hw::Machine& m, int items)
@@ -117,7 +108,7 @@ double RunScenario(Scenario sc) {
     server_costs.per_byte_checksum = 1.0; // checksum + user/kernel copy
   }
   net::NetStack server(m, kServerCore, kServerIp, kServerMac, server_costs);
-  net::NetStack client(m, kServicesCore, kClientIp, kClientMac, FreeCosts());
+  net::NetStack client(m, kServicesCore, kClientIp, kClientMac, bench::FreeCosts());
   server.AddArp(kClientIp, kClientMac);
   client.AddArp(kServerIp, kServerMac);
 

@@ -44,20 +44,18 @@
 #include "fs/wal.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
-#include "kernel/cpu_driver.h"
 #include "monitor/monitor.h"
 #include "net/nic.h"
 #include "net/stack.h"
 #include "recover/config.h"
 #include "recover/recover.h"
+#include "serving.h"
 #include "sim/executor.h"
 #include "sim/random.h"
-#include "skb/skb.h"
 
 namespace mk {
 namespace {
 
-using kernel::CpuDriver;
 using net::Packet;
 using sim::Cycles;
 using sim::Task;
@@ -67,7 +65,6 @@ constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
 const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
 const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
 
-constexpr Cycles kDriverFrameCost = 1400;
 // Smaller catalog than sec54 (8k items, ~200k-cycle browse scan) so the
 // leader core has headroom for the write path on top of the read mix.
 constexpr int kDbItems = 8000;
@@ -97,244 +94,53 @@ struct ExtraFaults {
 // costs ~205k cycles; at 400k/shard and 80% browse the leader runs ~45%
 // utilized including the write path), leaving recovery headroom: a promoted
 // follower must absorb the backlog the outage queued.
-struct Mix {
-  Cycles interval_per_shard = 400'000;
-  Cycles attempt_timeout = 8'000'000;
-  Cycles request_deadline = 30'000'000;
-};
+constexpr bench::Mix kStoreMix{.interval_per_shard = 400'000,
+                               .attempt_timeout = 8'000'000,
+                               .request_deadline = 30'000'000};
 
-net::StackCosts FreeCosts() {
-  net::StackCosts c;
-  c.per_packet_in = 0;
-  c.per_packet_out = 0;
-  c.per_byte_checksum = 0;
-  return c;
-}
-
-struct System {
-  explicit System(const hw::PlatformSpec& spec)
-      : machine(exec, spec), drivers(CpuDriver::BootAll(machine)), skb(machine),
-        sys(machine, skb, drivers) {
-    skb.PopulateFromHardware();
-    exec.Spawn(skb.MeasureUrpcLatencies());
-    exec.Run();
-    sys.Boot();
-  }
-  sim::Executor exec;
-  hw::Machine machine;
-  std::vector<std::unique_ptr<CpuDriver>> drivers;
-  skb::Skb skb;
-  monitor::MonitorSystem sys;
-};
-
-struct LoadStats {
-  explicit LoadStats(sim::Executor& exec, int shards)
+// The buy leg's ledger, kept by the request source: launches per owning
+// shard when a buy is made, acks when its response arrives.
+struct Buys {
+  explicit Buys(int shards)
       : acked_per_shard(static_cast<std::size_t>(shards), 0),
-        buys_per_shard(static_cast<std::size_t>(shards), 0), all_done(exec) {}
+        per_shard(static_cast<std::size_t>(shards), 0) {}
+  std::uint64_t next_wid = 0;
   int launched = 0;
-  int completed = 0;
-  int shed = 0;
-  int retries = 0;
-  int buys_launched = 0;
-  int buys_acked = 0;   // body was "ok <lsn>" or "dup"
-  int buys_errored = 0; // HTTP 200 but the store reported an error
+  int acked = 0;    // body was "ok <lsn>" or "dup"
+  int errored = 0;  // HTTP 200 but the store reported an error
   std::vector<int> acked_per_shard;
-  std::vector<int> buys_per_shard;
-  int outstanding = 0;
-  bool launching_done = false;
-  bool finished = false;
-  std::vector<Cycles> latencies;
-  std::vector<Cycles> completions;
-  sim::Event all_done;
+  std::vector<int> per_shard;
 };
 
-bool FullOkResponse(const std::string& resp) {
-  if (resp.rfind("HTTP/1.0 200", 0) != 0) {
-    return false;
-  }
-  const std::size_t hdr_end = resp.find("\r\n\r\n");
-  if (hdr_end == std::string::npos) {
-    return false;
-  }
-  const std::size_t cl = resp.find("Content-Length: ");
-  if (cl == std::string::npos || cl > hdr_end) {
-    return false;
-  }
-  const std::size_t len = std::strtoul(resp.c_str() + cl + 16, nullptr, 10);
-  return resp.size() - (hdr_end + 4) >= len;
-}
-
-std::string ResponseBody(const std::string& resp) {
-  const std::size_t hdr_end = resp.find("\r\n\r\n");
-  return hdr_end == std::string::npos ? std::string() : resp.substr(hdr_end + 4);
-}
-
-// One HTTP request, open loop, client-side retry on RST/timeout/truncation.
-// A retried buy re-sends the same URL — the same wid — which is what makes
-// the end-to-end path exactly-once: the store answers "dup" for a write that
-// committed before its ack was lost.
-Task<> OneRequest(sim::Executor& exec, net::NetStack& client, std::string target,
-                  bool is_buy, int owner_shard, const Mix& mix, LoadStats& st) {
-  const Cycles start = exec.now();
-  const Cycles deadline = start + mix.request_deadline;
-  ++st.outstanding;
-  bool ok = false;
-  std::string body;
-  bool first_attempt = true;
-  Cycles backoff = 100'000;
-  while (!ok && exec.now() < deadline) {
-    if (!first_attempt) {
-      ++st.retries;
-      co_await exec.Delay(std::min(backoff, deadline - exec.now()));
-      backoff = std::min<Cycles>(backoff * 2, 400'000);
-      if (exec.now() >= deadline) {
-        break;
-      }
+// The browse-buy mix: 80% browse (the TPC-W item-detail SELECT), 20% buy
+// (an INSERT routed by client write id). A retried buy re-sends the same URL
+// — the same wid — which is what makes the end-to-end path exactly-once: the
+// store answers "dup" for a write that committed before its ack was lost.
+bench::RequestSource BrowseBuy(int shards, Buys& buys) {
+  return [shards, &buys, browse = bench::TpcwBrowse(kDbItems)](sim::Rng& prng) {
+    if (prng.Below(5) != 0) {
+      return browse(prng);
     }
-    first_attempt = false;
-    const Cycles attempt_deadline =
-        std::min(deadline, exec.now() + mix.attempt_timeout);
-    net::NetStack::TcpConn* conn =
-        co_await client.TcpConnect(kServerIp, 80, attempt_deadline - exec.now());
-    if (conn == nullptr) {
-      continue;
-    }
-    co_await client.TcpSend(*conn, "GET " + target + " HTTP/1.0\r\n\r\n");
-    std::string resp;
-    while (true) {
-      while (!conn->rx.empty()) {
-        resp.push_back(static_cast<char>(conn->rx.front()));
-        conn->rx.pop_front();
-      }
-      if (conn->peer_closed && FullOkResponse(resp)) {
-        ok = true;
-        body = ResponseBody(resp);
-        break;
-      }
-      if (conn->peer_closed) {
-        break;  // RST, shed, or truncation: retry
-      }
-      const Cycles now = exec.now();
-      if (now >= attempt_deadline) {
-        break;
-      }
-      co_await conn->readable.WaitTimeout(attempt_deadline - now);
-    }
-    co_await client.TcpClose(*conn);
-  }
-  if (ok) {
-    ++st.completed;
-    st.latencies.push_back(exec.now() - start);
-    st.completions.push_back(exec.now());
-    if (is_buy) {
-      if (body.rfind("ok ", 0) == 0 || body == "dup") {
-        ++st.buys_acked;
-        ++st.acked_per_shard[static_cast<std::size_t>(owner_shard)];
-      } else {
-        ++st.buys_errored;
-      }
-    }
-  } else {
-    ++st.shed;
-  }
-  --st.outstanding;
-  if (st.launching_done && st.outstanding == 0) {
-    st.finished = true;
-    st.all_done.Signal();
-  }
-}
-
-Task<> Generator(sim::Executor& exec, net::NetStack& client, int total,
-                 Cycles interval, int shards, const Mix& mix, LoadStats& st,
-                 std::uint64_t seed) {
-  sim::Rng prng(seed);
-  std::uint64_t next_wid = 0;
-  for (int i = 0; i < total; ++i) {
-    const bool buy = prng.Below(5) == 0;  // 20% buys
-    std::string target;
-    int owner = -1;
-    if (buy) {
-      const std::uint64_t wid = ++next_wid;
-      const int item = static_cast<int>(prng.Below(kDbItems));
-      const int qty = 1 + static_cast<int>(prng.Below(5));
-      owner = static_cast<int>(wid % static_cast<std::uint64_t>(shards));
-      std::string sql = "INSERT INTO orders VALUES (" + std::to_string(wid) +
-                        ", " + std::to_string(item) + ", " + std::to_string(qty) +
-                        ")";
-      for (char& ch : sql) {
-        if (ch == ' ') {
-          ch = '+';
-        }
-      }
-      target = "/buy?wid=" + std::to_string(wid) + "&sql=" + sql;
-      ++st.buys_launched;
-      ++st.buys_per_shard[static_cast<std::size_t>(owner)];
-    } else {
-      std::string sql = apps::TpcwQuery(static_cast<int>(prng.Below(kDbItems)));
-      for (char& ch : sql) {
-        if (ch == ' ') {
-          ch = '+';
-        }
-      }
-      target = "/query?sql=" + sql;
-    }
-    ++st.launched;
-    exec.Spawn(OneRequest(exec, client, std::move(target), buy, owner, mix, st));
-    co_await exec.Delay(interval);
-  }
-  st.launching_done = true;
-  if (st.outstanding == 0) {
-    st.finished = true;
-    st.all_done.Signal();
-  }
-}
-
-Task<> ShardDriver(hw::Machine& m, net::SimNic& nic, net::NetStack& stack,
-                   int queue, int core, const bool* stop) {
-  while (!*stop) {
-    if (fault::Injector* inj = fault::Injector::active();
-        inj != nullptr && inj->CoreHalted(core, m.exec().now())) {
-      co_return;
-    }
-    if (nic.RxReady(queue)) {
-      nic.SetInterruptsEnabled(queue, false);
-      auto frame = co_await nic.DriverRxPop(core, queue);
-      if (frame) {
-        co_await m.Compute(core, kDriverFrameCost);
-        co_await stack.Input(std::move(*frame));
-      }
-      continue;
-    }
-    nic.SetInterruptsEnabled(queue, true);
-    if (!nic.RxReady(queue)) {
-      if (co_await nic.rx_irq(queue).WaitTimeout(20000) && !*stop) {
-        co_await m.Trap(core);
-      }
-    }
-  }
-}
-
-Task<> WireSink(net::SimNic& nic, net::NetStack& client, const bool* stop) {
-  while (!*stop) {
-    Packet p;
-    while (nic.WirePop(&p)) {
-      co_await client.Input(std::move(p));
-    }
-    if (!*stop) {
-      co_await nic.wire_out_ready().Wait();
-    }
-  }
-}
-
-Task<> Supervisor(monitor::MonitorSystem& sys, net::SimNic& nic, LoadStats& st,
-                  bool* stop, apps::ReplicatedStore& store) {
-  while (!st.finished) {
-    co_await st.all_done.Wait();
-  }
-  *stop = true;
-  nic.wire_out_ready().Signal();
-  co_await store.Shutdown();
-  sys.Shutdown();
+    const std::uint64_t wid = ++buys.next_wid;
+    const int item = static_cast<int>(prng.Below(kDbItems));
+    const int qty = 1 + static_cast<int>(prng.Below(5));
+    const int owner = static_cast<int>(wid % static_cast<std::uint64_t>(shards));
+    ++buys.launched;
+    ++buys.per_shard[static_cast<std::size_t>(owner)];
+    const std::string sql = "INSERT INTO orders VALUES (" + std::to_string(wid) +
+                            ", " + std::to_string(item) + ", " +
+                            std::to_string(qty) + ")";
+    return bench::Request{
+        "/buy?wid=" + std::to_string(wid) + "&sql=" + bench::FormEncode(sql),
+        [&buys, owner](const std::string& body) {
+          if (body.rfind("ok ", 0) == 0 || body == "dup") {
+            ++buys.acked;
+            ++buys.acked_per_shard[static_cast<std::size_t>(owner)];
+          } else {
+            ++buys.errored;
+          }
+        }};
+  };
 }
 
 struct ShardLedger {
@@ -349,15 +155,10 @@ struct RunOutput {
   Cycles t0 = 0;
   Cycles final_now = 0;
   std::uint64_t events = 0;
-  int launched = 0;
-  int completed = 0;
-  int shed = 0;
-  int retries = 0;
+  bench::Ledger load;
   int buys_launched = 0;
   int buys_acked = 0;
   int buys_errored = 0;
-  std::vector<Cycles> latencies;
-  std::vector<Cycles> completions;  // offsets from t0
   std::vector<ShardLedger> ledger;
   std::uint64_t view_changes = 0;
   std::uint64_t epoch = 1;
@@ -376,17 +177,11 @@ struct RunOutput {
   bool specs_activated = true;
 };
 
-RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
+RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const bench::Mix& mix,
                      const std::vector<Kill>& kills, const ExtraFaults* extra,
                      int requests_per_shard, bool print_activations) {
-  recover::RecoveryConfig rcfg;
-  // Same post-kill congestion rationale as sec54_failover: the RTO must sit
-  // above a loaded survivor's frame-to-ACK latency, and the backoff must not
-  // idle for hundreds of M cycles after the workload drains.
-  rcfg.tcp_rto = 1'000'000;
-  rcfg.tcp_max_retx = 4;
-  recover::ScopedRecoveryConfig scoped_rcfg(rcfg);
-  System s(spec);
+  recover::ScopedRecoveryConfig scoped_rcfg(bench::ServingRecoveryConfig());
+  bench::System s(spec);
   sim::Executor& exec = s.exec;
   hw::Machine& m = s.machine;
   const int client_core = spec.num_cores() - 1;
@@ -447,7 +242,7 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
   }
   net::SimNic nic(m, cfg);
 
-  net::NetStack client(m, client_core, kClientIp, kClientMac, FreeCosts());
+  net::NetStack client(m, client_core, kClientIp, kClientMac, bench::FreeCosts());
   client.AddArp(kServerIp, kServerMac);
   client.SetOutput(
       [&nic](Packet p) -> Task<> { co_await nic.InjectFromWire(std::move(p)); });
@@ -459,10 +254,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
     const int core = placements[static_cast<std::size_t>(i)].web_core;
     auto stack = std::make_unique<net::NetStack>(m, core, kServerIp, kServerMac);
     stack->AddArp(kClientIp, kClientMac);
-    stack->SetOutput([&m, &nic, core, i](Packet p) -> Task<> {
-      co_await m.Compute(core, kDriverFrameCost);
-      co_await nic.DriverTxPush(core, std::move(p), i);
-    });
     // Browse: leader-local read on this web core's own shard. Buy: routed by
     // wid to its partition's group — the owner web core's channels carry it,
     // standing in for an intra-fleet forward to the partition home.
@@ -480,10 +271,10 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
     servers.back()->SetAdmission({/*workers=*/8, /*max_pending=*/32,
                                   /*queue_deadline=*/5'000'000});
     exec.Spawn(servers.back()->Serve());
-    exec.Spawn(ShardDriver(m, nic, *stack, i, core, &stop));
+    exec.Spawn(bench::AttachShard(m, nic, i, *stack, &stop));
     stacks.push_back(std::move(stack));
   }
-  exec.Spawn(WireSink(nic, client, &stop));
+  exec.Spawn(bench::WireSink(nic, client, &stop));
 
   recover::MembershipService membership(s.sys);
   Cycles first_view_change_at = 0;
@@ -495,32 +286,30 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
         co_await store.HandleViewChange(view, dead_core);
       });
 
-  LoadStats st(exec, shards);
+  bench::LoadStats st(exec);
+  Buys buys(shards);
   const int total = requests_per_shard * shards;
   const Cycles interval = mix.interval_per_shard / static_cast<Cycles>(shards);
-  exec.Spawn(Generator(exec, client, total, interval, shards, mix, st, /*seed=*/42));
-  exec.Spawn(Supervisor(s.sys, nic, st, &stop, store));
+  exec.Spawn(bench::Generator(exec, client, kServerIp, total, interval, mix, st,
+                              BrowseBuy(shards, buys)));
+  exec.Spawn(bench::Supervisor(st, nic, &stop, [&]() -> Task<> {
+    co_await store.Shutdown();
+    s.sys.Shutdown();
+  }));
   exec.Run();
 
   RunOutput out;
   out.t0 = t0;
   out.final_now = exec.now();
   out.events = exec.events_dispatched();
-  out.launched = st.launched;
-  out.completed = st.completed;
-  out.shed = st.shed;
-  out.retries = st.retries;
-  out.buys_launched = st.buys_launched;
-  out.buys_acked = st.buys_acked;
-  out.buys_errored = st.buys_errored;
-  out.latencies = std::move(st.latencies);
-  for (Cycles c : st.completions) {
-    out.completions.push_back(c - t0);
-  }
+  out.load = std::move(st);
+  out.buys_launched = buys.launched;
+  out.buys_acked = buys.acked;
+  out.buys_errored = buys.errored;
   for (int i = 0; i < shards; ++i) {
     ShardLedger lg;
-    lg.acked = st.acked_per_shard[static_cast<std::size_t>(i)];
-    lg.buys = st.buys_per_shard[static_cast<std::size_t>(i)];
+    lg.acked = buys.acked_per_shard[static_cast<std::size_t>(i)];
+    lg.buys = buys.per_shard[static_cast<std::size_t>(i)];
     const int leader = store.leader_slot(i);
     lg.leader_rows = store.replica_table_rows(i, leader, "ORDERS");
     lg.leader_wids = store.replica_distinct_wids(i, leader);
@@ -568,70 +357,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
 // ---------------------------------------------------------------------------
 // Reporting
 
-std::vector<int> Bucketize(const RunOutput& r, Cycles window) {
-  std::vector<int> buckets(static_cast<std::size_t>(window / kBucket), 0);
-  for (Cycles c : r.completions) {
-    const std::size_t b = static_cast<std::size_t>(c / kBucket);
-    if (b < buckets.size()) {
-      ++buckets[b];
-    }
-  }
-  return buckets;
-}
-
-void PrintBuckets(const std::vector<int>& buckets) {
-  std::printf("completions per %.1fM-cycle bucket (t0 = serving start):\n",
-              static_cast<double>(kBucket) / 1e6);
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    std::printf("%4d%s", buckets[b], (b + 1) % 10 == 0 ? "\n" : " ");
-  }
-  if (buckets.size() % 10 != 0) {
-    std::printf("\n");
-  }
-}
-
-// Same mean-based recovery rule as sec54_failover: recovered at the first
-// bucket from which the remaining run sustains >= 7/8 of the pre-kill mean
-// with no bucket below half of it. 7/8 is stricter than the (N-1)/N floor a
-// 1-of-4 (or 1-of-2) replica loss must clear — and a promoted follower
-// restores the full N/N, so the bench holds it to more than survival.
-struct Recovery {
-  double prekill = 0;
-  double threshold = 0;
-  bool recovered = false;
-  Cycles window = 0;
-};
-
-Recovery AnalyzeRecovery(const std::vector<int>& buckets, Cycles kill_at) {
-  Recovery r;
-  const std::size_t kill_bucket = static_cast<std::size_t>(kill_at / kBucket);
-  const std::size_t last = buckets.empty() ? 0 : buckets.size() - 1;
-  if (kill_bucket < 2 || kill_bucket >= last) {
-    return r;
-  }
-  for (std::size_t b = 1; b < kill_bucket; ++b) {
-    r.prekill += buckets[b];
-  }
-  r.prekill /= static_cast<double>(kill_bucket - 1);
-  r.threshold = r.prekill * 7.0 / 8.0;
-  for (std::size_t b = kill_bucket; b < last; ++b) {
-    double sum = 0;
-    bool hole = false;
-    for (std::size_t b2 = b; b2 < last; ++b2) {
-      sum += buckets[b2];
-      if (buckets[b2] < r.prekill / 2.0) {
-        hole = true;
-      }
-    }
-    if (!hole && sum / static_cast<double>(last - b) >= r.threshold) {
-      r.recovered = true;
-      r.window = static_cast<Cycles>(b + 1) * kBucket - kill_at;
-      return r;
-    }
-  }
-  return r;
-}
-
 bool SameRun(const RunOutput& a, const RunOutput& b) {
   if (a.ledger.size() != b.ledger.size()) {
     return false;
@@ -643,15 +368,15 @@ bool SameRun(const RunOutput& a, const RunOutput& b) {
       return false;
     }
   }
-  return a.final_now == b.final_now && a.events == b.events &&
-         a.completed == b.completed && a.shed == b.shed &&
-         a.retries == b.retries && a.latencies == b.latencies &&
+  return a.final_now == b.final_now && a.events == b.events && a.load == b.load &&
          a.buys_acked == b.buys_acked && a.view_changes == b.view_changes &&
          a.promotions == b.promotions && a.respawns == b.respawns &&
          a.rpc_timeouts == b.rpc_timeouts && a.truncated == b.truncated;
 }
 
-Cycles Percentile(std::vector<Cycles> v, double p) {
+// Nearest-index percentile. bench::Percentile takes the floor index instead;
+// switching this bench to it moves its p99 column.
+Cycles NearestPercentile(std::vector<Cycles> v, double p) {
   if (v.empty()) {
     return 0;
   }
@@ -694,22 +419,23 @@ bool CheckLedger(const RunOutput& r, bool exact, bool print) {
 
 void PrintCounters(const RunOutput& r) {
   std::printf("%-26s %d launched, %d completed, %d shed, %d retries\n",
-              "requests:", r.launched, r.completed, r.shed, r.retries);
+              "requests:", r.load.launched, r.load.completed, r.load.shed,
+              r.load.retries);
   std::printf("%-26s %d launched, %d acked, %d store-errored\n",
               "buys:", r.buys_launched, r.buys_acked, r.buys_errored);
   std::printf("%-26s mean %.0f, p99 %llu cycles\n", "latency:",
-              r.latencies.empty()
+              r.load.latencies.empty()
                   ? 0.0
                   : static_cast<double>(
                         [&] {
                           Cycles s = 0;
-                          for (Cycles c : r.latencies) {
+                          for (Cycles c : r.load.latencies) {
                             s += c;
                           }
                           return s;
                         }()) /
-                        static_cast<double>(r.latencies.size()),
-              static_cast<unsigned long long>(Percentile(r.latencies, 0.99)));
+                        static_cast<double>(r.load.latencies.size()),
+              static_cast<unsigned long long>(NearestPercentile(r.load.latencies, 0.99)));
   std::printf("%-26s %llu shipped, %llu stale dropped, %llu truncated, "
               "%llu fenced, %llu WAL redeliveries\n",
               "replication:", static_cast<unsigned long long>(r.shipped),
@@ -746,17 +472,17 @@ int RunSweep(bench::TraceSession& session, bool quick) {
   bool ok = true;
   for (int shards : sweep) {
     session.BeginRun("sweep-" + std::to_string(shards));
-    RunOutput r = RunServing(spec, shards, Mix{}, {}, nullptr, rps,
+    RunOutput r = RunServing(spec, shards, kStoreMix, {}, nullptr, rps,
                              /*print_activations=*/false);
     const double span = static_cast<double>(r.final_now - r.t0);
     table.AddRow(shards,
-                 {static_cast<double>(r.completed),
+                 {static_cast<double>(r.load.completed),
                   static_cast<double>(r.buys_acked),
-                  static_cast<double>(r.completed) / (span / 1e6),
-                  static_cast<double>(Percentile(r.latencies, 0.99)) / 1e3});
+                  static_cast<double>(r.load.completed) / (span / 1e6),
+                  static_cast<double>(NearestPercentile(r.load.latencies, 0.99)) / 1e3});
     // Clean-run rules: every request served, the ledger exact, and none of
     // the recovery machinery so much as breathed.
-    const bool clean = r.completed == r.launched && r.shed == 0 &&
+    const bool clean = r.load.completed == r.load.launched && r.load.shed == 0 &&
                        r.buys_errored == 0 && r.view_changes == 0 &&
                        r.promotions == 0 && r.respawns == 0 &&
                        r.rpc_timeouts == 0 && r.wal_redeliveries == 0 &&
@@ -792,34 +518,31 @@ int RunKillLeader(bench::TraceSession& session, bool quick, int shard) {
                      std::to_string(shards) + " shards");
   const std::vector<Kill> kills = {{shard, /*slot=*/0, kKillOffset}};
   session.BeginRun("kill-leader-run1");
-  RunOutput a = RunServing(spec, shards, Mix{}, kills, nullptr, rps,
+  RunOutput a = RunServing(spec, shards, kStoreMix, kills, nullptr, rps,
                            /*print_activations=*/true);
   session.BeginRun("kill-leader-run2");
-  RunOutput b = RunServing(spec, shards, Mix{}, kills, nullptr, rps,
+  RunOutput b = RunServing(spec, shards, kStoreMix, kills, nullptr, rps,
                            /*print_activations=*/false);
 
-  const Cycles window = static_cast<Cycles>(rps) * Mix{}.interval_per_shard;
-  const std::vector<int> buckets = Bucketize(a, window);
-  PrintBuckets(buckets);
+  const Cycles window = static_cast<Cycles>(rps) * kStoreMix.interval_per_shard;
+  const std::vector<int> buckets =
+      bench::Bucketize(a.load.completions, a.t0, window, kBucket);
+  bench::PrintBuckets(buckets, kBucket, " (t0 = serving start)");
   PrintCounters(a);
   const bool ledger_ok = CheckLedger(a, /*exact=*/false, /*print=*/true);
 
-  const Recovery rec = AnalyzeRecovery(buckets, kKillOffset);
-  std::printf("%-26s %.1f/bucket pre-kill mean, threshold %.1f (>= 7/8, above "
-              "the %d/%d survivor floor)\n",
-              "recovery target:", rec.prekill, rec.threshold, shards - 1, shards);
-  if (rec.recovered) {
-    std::printf("%-26s sustained mean >= %.1f/bucket within %llu cycles of the "
-                "kill\n",
-                "recovery window:", rec.threshold,
-                static_cast<unsigned long long>(rec.window));
-  } else {
-    std::printf("%-26s NEVER RECOVERED\n", "recovery window:");
-  }
+  // Same mean-based recovery rule as sec54_failover. 7/8 is stricter than
+  // the (N-1)/N floor a 1-of-4 (or 1-of-2) replica loss must clear — and a
+  // promoted follower restores the full N/N, so the bench holds it to more
+  // than survival.
+  const bench::Recovery rec =
+      bench::AnalyzeRecovery(buckets, kBucket, kKillOffset, 7.0 / 8.0);
+  bench::PrintRecovery(rec, ">= 7/8, above the " + std::to_string(shards - 1) +
+                                "/" + std::to_string(shards) + " survivor floor");
   std::printf("%-26s first view change committed at t0+%llu\n", "detection:",
               static_cast<unsigned long long>(a.first_view_change_at));
 
-  const bool no_loss = a.completed + a.shed == a.launched;
+  const bool no_loss = a.load.Balanced();
   const bool deterministic = SameRun(a, b);
   std::printf("%-26s %s\n", "committed-work ledger:",
               no_loss ? "completed + shed == launched" : "REQUESTS LOST");
@@ -888,7 +611,7 @@ int RunChaos(bench::TraceSession& session, bool quick, std::uint64_t seed) {
               quick ? "--quick " : "", static_cast<unsigned long long>(seed));
 
   session.BeginRun("chaos");
-  RunOutput r = RunServing(spec, shards, Mix{}, kills, &extra, rps,
+  RunOutput r = RunServing(spec, shards, kStoreMix, kills, &extra, rps,
                            /*print_activations=*/true);
   PrintCounters(r);
   const bool ledger_ok = CheckLedger(r, /*exact=*/false, /*print=*/true);
@@ -897,8 +620,8 @@ int RunChaos(bench::TraceSession& session, bool quick, std::uint64_t seed) {
     const char* name;
     bool ok;
   } checks[] = {
-      {"request ledger balances", r.completed + r.shed == r.launched},
-      {"majority served", r.completed * 2 >= r.launched},
+      {"request ledger balances", r.load.Balanced()},
+      {"majority served", r.load.completed * 2 >= r.load.launched},
       {"write ledger exact-once", ledger_ok},
       {"all kills became view changes",
        r.view_changes == static_cast<std::uint64_t>(n_kills) &&

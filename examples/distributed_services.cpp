@@ -43,9 +43,9 @@ std::vector<std::uint8_t> Bytes(const std::string& s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
-Task<> Demo(sim::Executor& exec, hw::Machine& machine, skb::Skb& skb,
-            monitor::MonitorSystem& sys, idc::NameService& names,
-            idc::Service<TimeReq, TimeResp>& clock_svc, fs::ReplicatedFs& rfs) {
+Task<> Demo(hw::Machine& machine, skb::Skb& skb, monitor::MonitorSystem& sys,
+            idc::NameService& names, idc::Service<TimeReq, TimeResp>& clock_svc,
+            fs::ReplicatedFs& rfs) {
   // --- Datalog over the SKB ---
   skb::Datalog dl(skb.facts());
   dl.AddRuleText("conn(X, Y) :- link(X, Y).");
@@ -106,7 +106,7 @@ int main() {
       });
   fs::ReplicatedFs rfs(sys);
   exec.Spawn(clock_svc.Serve());
-  exec.Spawn(Demo(exec, machine, skb, sys, names, clock_svc, rfs));
+  exec.Spawn(Demo(machine, skb, sys, names, clock_svc, rfs));
   exec.Run();
   std::printf("done at simulated time %llu cycles\n",
               static_cast<unsigned long long>(exec.now()));

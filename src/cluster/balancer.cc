@@ -14,7 +14,7 @@ L4Balancer::L4Balancer(hw::Machine& machine, net::SimNic& nic,
       opts_(opts) {}
 
 int L4Balancer::PickAmong(const net::FlowTuple& t, bool live_only) const {
-  const ClusterView& v = membership_.view();
+  const recover::View& v = membership_.view();
   int best = -1;
   std::uint32_t best_w = 0;
   for (int b = 0; b < static_cast<int>(macs_.size()); ++b) {
@@ -38,22 +38,10 @@ int L4Balancer::PickBackend(const net::FlowTuple& t) const {
 }
 
 sim::Task<> L4Balancer::Drive(int core, int queue) {
-  for (;;) {
-    if (nic_.RxReady(queue)) {
-      nic_.SetInterruptsEnabled(queue, false);
-      auto frame = co_await nic_.DriverRxPop(core, queue);
-      if (frame) {
-        co_await machine_.Compute(core, opts_.frame_cost);
-        co_await HandleFrame(std::move(*frame), core, queue);
-      }
-      continue;
-    }
-    nic_.SetInterruptsEnabled(queue, true);
-    if (!nic_.RxReady(queue)) {
-      co_await nic_.rx_irq(queue).Wait();
-      co_await machine_.Trap(core);
-    }
-  }
+  return nic_.ServeRx(core, queue, opts_.frame_cost,
+                      [this, core, queue](net::Packet frame) {
+                        return HandleFrame(std::move(frame), core, queue);
+                      });
 }
 
 sim::Task<> L4Balancer::HandleFrame(net::Packet frame, int core, int queue) {

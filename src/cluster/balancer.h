@@ -55,7 +55,8 @@ class L4Balancer {
   // Where non-VIP frames go (the management stack carrying heartbeats).
   void SetMgmtStack(net::NetStack* stack) { mgmt_ = stack; }
 
-  // Per-queue drive loop: pop, steer, push. Spawn one per NIC queue on that
+  // Per-queue drive loop: the NIC's RX service loop (net::SimNic::ServeRx)
+  // with steering as its per-frame work. Spawn one per NIC queue on that
   // queue's IRQ core; parks on the RX interrupt when idle.
   sim::Task<> Drive(int core, int queue);
 

@@ -51,28 +51,11 @@ void DcFabric::Start() {
   for (auto& port : ports_) {
     port->wire->Start();
     for (int q = 0; q < port->sw_nic->num_queues(); ++q) {
-      machine_.exec().Spawn(ForwardLoop(*port, q));
-    }
-  }
-}
-
-sim::Task<> DcFabric::ForwardLoop(Port& port, int queue) {
-  net::SimNic& nic = *port.sw_nic;
-  const int core = port.cores[static_cast<std::size_t>(queue)];
-  for (;;) {
-    if (nic.RxReady(queue)) {
-      nic.SetInterruptsEnabled(queue, false);
-      auto frame = co_await nic.DriverRxPop(core, queue);
-      if (frame) {
-        co_await machine_.Compute(core, forward_cost_);
-        co_await Forward(std::move(*frame), core, queue);
-      }
-      continue;
-    }
-    nic.SetInterruptsEnabled(queue, true);
-    if (!nic.RxReady(queue)) {
-      co_await nic.rx_irq(queue).Wait();
-      co_await machine_.Trap(core);
+      const int core = port->cores[static_cast<std::size_t>(q)];
+      machine_.exec().Spawn(port->sw_nic->ServeRx(
+          core, q, forward_cost_, [this, core, q](net::Packet frame) {
+            return Forward(std::move(frame), core, q);
+          }));
     }
   }
 }

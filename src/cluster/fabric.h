@@ -74,9 +74,10 @@ class DcFabric {
   // through `port`.
   void AddRoute(const net::MacAddr& mac, int port);
 
-  // Spawns the cross-wires and one store-and-forward loop per (port, queue).
-  // Call before ParallelEngine::Run(); the loops quiesce by parking on their
-  // queue's RX interrupt.
+  // Spawns the cross-wires and one store-and-forward loop per (port, queue):
+  // the port NIC's RX service loop (net::SimNic::ServeRx) with forwarding as
+  // its per-frame work. Call before ParallelEngine::Run(); the loops quiesce
+  // by parking on their queue's RX interrupt.
   void Start();
 
   int num_ports() const { return static_cast<int>(ports_.size()); }
@@ -98,7 +99,6 @@ class DcFabric {
     std::unique_ptr<net::CrossWire> wire;
   };
 
-  sim::Task<> ForwardLoop(Port& port, int queue);
   sim::Task<> Forward(net::Packet frame, int ingress_core, int ingress_queue);
 
   sim::ParallelEngine& engine_;

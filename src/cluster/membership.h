@@ -30,25 +30,11 @@
 
 #include "hw/machine.h"
 #include "net/stack.h"
+#include "recover/view.h"
 #include "sim/task.h"
 #include "sim/types.h"
 
 namespace mk::cluster {
-
-// Epoch-numbered backend-machine liveness map (the cross-machine analogue of
-// recover::View, indexed by backend id rather than core).
-struct ClusterView {
-  std::uint64_t epoch = 1;
-  std::vector<bool> live;
-
-  int NumLive() const {
-    int n = 0;
-    for (bool b : live) {
-      n += b ? 1 : 0;
-    }
-    return n;
-  }
-};
 
 // 16-byte wire format: id, incarnation (u32 LE), then seq (u64 LE).
 std::vector<std::uint8_t> EncodeHeartbeat(std::uint32_t id,
@@ -68,8 +54,9 @@ class ClusterMembership {
   };
 
   // Called once per committed view change, in subscription order, from the
-  // sweep task (synchronous: steering-table updates are plain state).
-  using Subscriber = std::function<void(const ClusterView& view, int dead_backend)>;
+  // sweep task (synchronous: steering-table updates are plain state). The
+  // view's `live` is indexed by backend id.
+  using Subscriber = std::function<void(const recover::View& view, int dead_backend)>;
 
   // `stack` is the balancer machine's management NetStack; both service loops
   // run on `machine`'s executor (the balancer domain).
@@ -89,7 +76,7 @@ class ClusterMembership {
   void OnHeartbeat(std::uint32_t id, std::uint32_t incarnation, std::uint64_t seq,
                    sim::Cycles now);
 
-  const ClusterView& view() const { return view_; }
+  const recover::View& view() const { return view_; }
   std::uint64_t heartbeats_accepted() const { return accepted_; }
   std::uint64_t stale_dropped() const { return stale_dropped_; }
   std::uint64_t view_changes() const { return view_.epoch - 1; }
@@ -108,7 +95,7 @@ class ClusterMembership {
   hw::Machine& machine_;
   net::NetStack& stack_;
   Options opts_;
-  ClusterView view_;
+  recover::View view_;
   std::vector<Backend> backends_;
   std::vector<Subscriber> subscribers_;
   std::uint64_t accepted_ = 0;

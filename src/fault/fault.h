@@ -182,12 +182,15 @@ class Injector {
   void Uninstall();
   static Injector* active();
 
-  // True if `core` has fail-stop halted by `now`. Pure predicate (halts are
-  // permanent, never counted), so recovery code can poll it freely.
+  // True if `core` has fail-stop halted by `now`. Halts are permanent and
+  // the query schedules nothing, so recovery code can poll it freely — but
+  // each true answer adds one activation to the matching spec, and the
+  // coverage tables print that count.
   bool CoreHalted(int core, sim::Cycles now) const;
   // True if every core of engine domain `machine` is fail-stop halted by
-  // `now` (i.e. a HaltMachine spec for that domain is armed). Pure predicate,
-  // like CoreHalted; callable from any domain's thread.
+  // `now` (i.e. a HaltMachine spec for that domain is armed). Like
+  // CoreHalted, each true answer adds one activation; callable from any
+  // domain's thread.
   bool MachineHalted(int machine, sim::Cycles now) const;
   // True if any core is scheduled to halt at some point in the plan.
   bool AnyHaltPlanned() const;

@@ -226,6 +226,35 @@ Task<std::optional<Packet>> SimNic::DriverRxPop(int core, int queue) {
   co_return frame;
 }
 
+Task<> SimNic::ServeRx(int core, int queue, Cycles frame_cost, RxHandler handler,
+                       const bool* stop) {
+  while (stop == nullptr || !*stop) {
+    if (fault::Injector* inj = fault::Injector::active();
+        inj != nullptr && inj->CoreHalted(core, machine_.exec().now())) {
+      co_return;  // the driver dies with its core
+    }
+    if (RxReady(queue)) {
+      SetInterruptsEnabled(queue, false);
+      auto frame = co_await DriverRxPop(core, queue);
+      if (frame) {
+        co_await machine_.Compute(core, frame_cost);
+        co_await handler(std::move(*frame));
+      }
+      continue;
+    }
+    SetInterruptsEnabled(queue, true);
+    if (RxReady(queue)) {
+      continue;
+    }
+    if (stop == nullptr) {
+      co_await rx_irq(queue).Wait();
+      co_await machine_.Trap(core);
+    } else if (co_await rx_irq(queue).WaitTimeout(kRxPollPeriod) && !*stop) {
+      co_await machine_.Trap(core);
+    }
+  }
+}
+
 Task<bool> SimNic::DriverTxPush(int core, Packet frame, int queue) {
   Queue& q = *queues_[static_cast<std::size_t>(queue)];
   if (q.tx_on_wire >= static_cast<std::uint64_t>(config_.tx_descs)) {

@@ -27,24 +27,10 @@
 #include <vector>
 
 #include "monitor/monitor.h"
+#include "recover/view.h"
 #include "sim/task.h"
 
 namespace mk::recover {
-
-// An epoch-numbered core-liveness map. Epochs advance by one per committed
-// view change; `live[c]` is whether core c was in the view when it committed.
-struct View {
-  std::uint64_t epoch = 1;
-  std::vector<bool> live;
-
-  int NumLive() const {
-    int n = 0;
-    for (bool b : live) {
-      n += b ? 1 : 0;
-    }
-    return n;
-  }
-};
 
 class MembershipService {
  public:

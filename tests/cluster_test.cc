@@ -218,7 +218,7 @@ TEST(ClusterMembershipTest, FencesStaleSeqAndDeadIncarnations) {
   // Let backend 1 die (no beats at all); subscribers see exactly one change.
   int deaths = 0;
   int dead_id = -1;
-  m.Subscribe([&](const cluster::ClusterView& v, int dead) {
+  m.Subscribe([&](const recover::View& v, int dead) {
     ++deaths;
     dead_id = dead;
     EXPECT_EQ(v.NumLive(), 1);

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "baseline/shared_netstack.h"
+#include "fault/fault.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "net/nic.h"
@@ -606,6 +608,119 @@ TEST(Nic, MultiQueueReplayIsBitIdentical) {
     return sig;
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- The RX service loop (SimNic::ServeRx) ---
+
+constexpr int kRxCore = 2;
+
+// Handler for the RX loop tests: records when each frame was handled.
+Task<> RecordFrame(sim::Executor& exec, std::vector<Cycles>* handled) {
+  handled->push_back(exec.now());
+  co_return;
+}
+
+// Runs the loop on queue 0 and records when it returned.
+Task<> ServeAndRecordReturn(sim::Executor& exec, SimNic& nic, Cycles frame_cost,
+                            std::vector<Cycles>* handled, const bool* stop,
+                            Cycles* returned_at) {
+  co_await nic.ServeRx(kRxCore, 0, frame_cost,
+                       [&exec, handled](Packet) { return RecordFrame(exec, handled); },
+                       stop);
+  *returned_at = exec.now();
+}
+
+Task<> InjectBurstAt(sim::Executor& exec, SimNic& nic, Cycles at, int frames) {
+  co_await exec.Delay(at - exec.now());
+  for (int i = 0; i < frames; ++i) {
+    co_await nic.InjectFromWire(TestFrame(64));
+  }
+}
+
+TEST(NicRxLoop, DrainsABurstWhilePollingWithOneTrapPerIrqWake) {
+  NicFixture f;
+  SimNic nic(f.machine, SimNic::Config{});
+  // Burst A sits in the ring before the loop starts: drained by polling, no
+  // interrupt, no trap.
+  f.exec.Spawn(InjectBurstAt(f.exec, nic, 0, 4));
+  f.exec.Run();
+  ASSERT_TRUE(nic.RxReady());
+  std::vector<Cycles> handled;
+  Cycles returned_at = 0;
+  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 50'000, &handled, nullptr,
+                                    &returned_at));
+  // Burst B lands on the parked loop: its first frame's interrupt wakes the
+  // loop (one trap), and the rest arrive while that frame's 50k-cycle cost is
+  // charged, so polling drains them with the interrupt still masked.
+  f.exec.Spawn(InjectBurstAt(f.exec, nic, 1'000'000, 4));
+  f.exec.Run();
+  EXPECT_EQ(handled.size(), 8u);
+  EXPECT_FALSE(nic.RxReady());
+  EXPECT_EQ(f.machine.counters().core(kRxCore).traps, 1u);
+  EXPECT_EQ(returned_at, 0u) << "the loop runs for the whole simulation";
+}
+
+TEST(NicRxLoop, ParksWithoutAStopFlagAndTheExecutorDrains) {
+  NicFixture f;
+  SimNic nic(f.machine, SimNic::Config{});
+  std::vector<Cycles> handled;
+  Cycles returned_at = 0;
+  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 100, &handled, nullptr,
+                                    &returned_at));
+  f.exec.Spawn(InjectBurstAt(f.exec, nic, 300'000, 1));
+  f.exec.Run();
+  ASSERT_EQ(handled.size(), 1u);
+  // A parked loop schedules nothing: the run ends the moment the frame is
+  // handled, not at some later poll.
+  EXPECT_EQ(f.exec.now(), handled.back());
+  EXPECT_EQ(f.machine.counters().core(kRxCore).traps, 1u);
+  EXPECT_EQ(returned_at, 0u);
+}
+
+TEST(NicRxLoop, StopFlagEndsThePollWithinOnePeriod) {
+  NicFixture f;
+  SimNic nic(f.machine, SimNic::Config{});
+  std::vector<Cycles> handled;
+  Cycles returned_at = 0;
+  bool stop = false;
+  Cycles stopped_at = 0;
+  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 100, &handled, &stop,
+                                    &returned_at));
+  f.exec.Spawn(InjectBurstAt(f.exec, nic, 30'000, 1));
+  f.exec.Spawn([](sim::Executor& exec, bool& flag, Cycles& at) -> Task<> {
+    co_await exec.Delay(111'111);
+    flag = true;
+    at = exec.now();
+  }(f.exec, stop, stopped_at));
+  f.exec.Run();
+  EXPECT_EQ(handled.size(), 1u);
+  EXPECT_GE(returned_at, stopped_at);
+  EXPECT_LE(returned_at, stopped_at + SimNic::kRxPollPeriod);
+  // Idle poll timeouts charge no trap; only the frame's interrupt wake does.
+  EXPECT_EQ(f.machine.counters().core(kRxCore).traps, 1u);
+}
+
+TEST(NicRxLoop, ReturnsOnceItsCoreHalts) {
+  NicFixture f;
+  SimNic nic(f.machine, SimNic::Config{});
+  fault::FaultPlan plan;
+  plan.HaltCore(kRxCore, 500'000);
+  fault::Injector inj(plan);
+  inj.Install();
+  std::vector<Cycles> handled;
+  Cycles returned_at = 0;
+  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 100, &handled, nullptr,
+                                    &returned_at));
+  f.exec.Spawn(InjectBurstAt(f.exec, nic, 100'000, 1));
+  // After the halt, the next frame's interrupt wakes the loop, which finds
+  // its core dead and returns, leaving the frame in the ring.
+  f.exec.Spawn(InjectBurstAt(f.exec, nic, 1'000'000, 1));
+  f.exec.Run();
+  inj.Uninstall();
+  EXPECT_EQ(handled.size(), 1u);
+  EXPECT_GE(returned_at, 1'000'000u);
+  EXPECT_TRUE(nic.RxReady());
+  EXPECT_EQ(inj.activations(0), 1u);
 }
 
 // --- Malformed-frame fuzz: the parse path must reject, count, and not crash ---

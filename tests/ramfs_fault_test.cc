@@ -134,7 +134,9 @@ TEST(RamfsFault, MutationsAfterExclusionKeepSurvivorsConsistent) {
     auto a15 = co_await fx.fs.Read(15, "/a");
     EXPECT_TRUE(a0.has_value());
     EXPECT_TRUE(a15.has_value());
-    if (a0.has_value() && a15.has_value()) EXPECT_EQ(*a0, *a15);
+    if (a0.has_value() && a15.has_value()) {
+      EXPECT_EQ(*a0, *a15);
+    }
     fx.sys.Shutdown();
   }(f));
   f.exec.Run();
