@@ -2,6 +2,8 @@
 // traffic accounting, TLBs, IPIs.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "hw/topology.h"
@@ -397,6 +399,13 @@ struct UrpcLatencyCase {
   int receiver;
   Cycles paper_latency;  // Table 2
 };
+
+// Prints the case as text. gtest would print the bytes of `platform`, a
+// pointer that moves every run, into the name each test is listed under.
+void PrintTo(const UrpcLatencyCase& c, std::ostream* os) {
+  *os << c.platform << " core " << c.sender << " to " << c.receiver << ": "
+      << c.paper_latency << " cycles";
+}
 
 class CoherenceCalibration : public ::testing::TestWithParam<UrpcLatencyCase> {};
 

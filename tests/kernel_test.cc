@@ -1,6 +1,8 @@
 // Tests for the CPU driver: LRPC paths, endpoints, blocked-task wakeup.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "kernel/cpu_driver.h"
@@ -51,6 +53,12 @@ struct LrpcCase {
   const char* platform;
   Cycles paper;
 };
+
+// Prints the case as text. gtest would print the bytes of `platform`, a
+// pointer that moves every run, into the name each test is listed under.
+void PrintTo(const LrpcCase& c, std::ostream* os) {
+  *os << c.platform << ": " << c.paper << " cycles";
+}
 
 class LrpcCalibration : public ::testing::TestWithParam<LrpcCase> {};
 
