@@ -182,6 +182,37 @@ void BM_CoherenceTransactions(benchmark::State& state) {
 }
 BENCHMARK(BM_CoherenceTransactions);
 
+Task<> ReadRing(hw::Machine& m, int core, sim::Addr ring, int buffers) {
+  for (int b = 0; b < buffers; ++b) {
+    co_await m.mem().Read(core, ring + static_cast<sim::Addr>(b) * 2048, 1536);
+  }
+}
+
+// Every line read here is touched for the first time, so this prices the
+// coherence model's line-directory insert (BM_CoherenceTransactions only ever
+// hits one line). A fresh Amd8x4 per iteration; the first core of each node
+// reads a 1.5 KB frame from each buffer of a ring of 2 KB buffers homed on
+// its node. Items are lines.
+void BM_CoherenceFirstTouch(benchmark::State& state) {
+  constexpr int kBuffers = 256;
+  constexpr std::uint64_t kLinesPerBuffer = 2048 / sim::kCacheLineBytes;
+  constexpr std::int64_t kLinesPerFrame = 1536 / sim::kCacheLineBytes;
+  std::int64_t lines = 0;
+  for (auto _ : state) {
+    sim::Executor exec;
+    hw::Machine m(exec, hw::Amd8x4());
+    const hw::Topology& topo = m.topo();
+    for (int node = 0; node < topo.num_packages(); ++node) {
+      sim::Addr ring = m.mem().AllocLines(node, kBuffers * kLinesPerBuffer);
+      exec.Spawn(ReadRing(m, node * topo.cores_per_package(), ring, kBuffers));
+      lines += kBuffers * kLinesPerFrame;
+    }
+    exec.Run();
+  }
+  state.SetItemsProcessed(lines);
+}
+BENCHMARK(BM_CoherenceFirstTouch);
+
 Task<> Stream(urpc::Channel& ch, int n) {
   for (int i = 0; i < n; ++i) {
     co_await ch.SendPosted(urpc::Message{});

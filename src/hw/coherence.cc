@@ -1,5 +1,6 @@
 #include "hw/coherence.h"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -15,7 +16,69 @@ constexpr std::uint64_t Bit(int core) { return std::uint64_t{1} << core; }
 constexpr Addr kNodeRegionBase = 0x1000'0000;
 constexpr Addr kNodeRegionSize = Addr{1} << 40;
 
+// Line directory: slot keys are line-aligned, so an unaligned key marks an
+// empty slot. A table starts at 64 slots (eight groups of eight lines).
+constexpr Addr kEmptyKey = ~Addr{0};
+constexpr std::size_t kGroupLines = 8;
+constexpr std::size_t kMinSlots = 64;
+// Fibonacci hashing of the group number: consecutive groups, and the same
+// offset in different nodes' regions, spread over the whole table.
+constexpr std::uint64_t kGroupMul = 0x9E37'79B9'7F4A'7C15;
+
 }  // namespace
+
+template <typename V>
+std::size_t CoherentMemory::LineTable<V>::Probe(Addr line_addr) const {
+  const Addr line = line_addr / sim::kCacheLineBytes;
+  const std::size_t group = static_cast<std::size_t>(((line / kGroupLines) * kGroupMul) >>
+                                                     group_shift_);
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = group * kGroupLines + static_cast<std::size_t>(line % kGroupLines);
+  while (slots_[i].key != line_addr && slots_[i].key != kEmptyKey) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+template <typename V>
+const V* CoherentMemory::LineTable<V>::Find(Addr line_addr) const {
+  if (slots_.empty()) {
+    return nullptr;
+  }
+  const Slot& s = slots_[Probe(line_addr)];
+  return s.key == line_addr ? &s.value : nullptr;
+}
+
+template <typename V>
+std::pair<V*, bool> CoherentMemory::LineTable<V>::FindOrInsert(Addr line_addr) {
+  std::size_t i = 0;
+  if (!slots_.empty()) {
+    i = Probe(line_addr);
+    if (slots_[i].key == line_addr) {
+      return {&slots_[i].value, false};
+    }
+  }
+  if (4 * (used_ + 1) > 3 * slots_.size()) {
+    Grow();
+    i = Probe(line_addr);
+  }
+  slots_[i].key = line_addr;
+  ++used_;
+  return {&slots_[i].value, true};
+}
+
+template <typename V>
+void CoherentMemory::LineTable<V>::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  const std::size_t size = old.empty() ? kMinSlots : 2 * old.size();
+  slots_.assign(size, Slot{kEmptyKey, V{}});
+  group_shift_ = 64 - std::countr_zero(size / kGroupLines);
+  for (const Slot& s : old) {
+    if (s.key != kEmptyKey) {
+      slots_[Probe(s.key)] = s;
+    }
+  }
+}
 
 CoherentMemory::CoherentMemory(sim::Executor& exec, const PlatformSpec& spec,
                                const Topology& topo, PerfCounters& counters)
@@ -48,37 +111,38 @@ int CoherentMemory::HomeNode(Addr addr) const {
 }
 
 CoherentMemory::Line& CoherentMemory::LineAt(Addr line_addr) {
-  auto [it, inserted] = lines_.try_emplace(line_addr);
+  auto [line, inserted] = lines_.FindOrInsert(line_addr);
   if (inserted) {
-    it->second.home = HomeNode(line_addr);
+    line->home = HomeNode(line_addr);
   }
-  return it->second;
-}
-
-const CoherentMemory::Line* CoherentMemory::FindLine(Addr line_addr) const {
-  auto it = lines_.find(line_addr);
-  return it == lines_.end() ? nullptr : &it->second;
+  return *line;
 }
 
 bool CoherentMemory::HasLine(int core, Addr addr) const {
-  const Line* l = FindLine(sim::LineBase(addr));
+  const Line* l = lines_.Find(sim::LineBase(addr));
   return l != nullptr && (l->sharers & Bit(core)) != 0;
 }
 
+// The directory never erases: a purged line keeps its slot (and its home and
+// cache-to-cache reservation) with no copies, which reads the same as a line
+// never touched.
 void CoherentMemory::Purge(Addr addr, std::uint64_t bytes) {
   Addr first = sim::LineBase(addr);
   for (std::uint64_t i = 0; i < sim::LinesCovering(addr, bytes); ++i) {
-    lines_.erase(first + i * sim::kCacheLineBytes);
+    if (Line* l = lines_.Find(first + i * sim::kCacheLineBytes)) {
+      l->sharers = 0;
+      l->owner = -1;
+    }
   }
 }
 
 int CoherentMemory::OwnerOf(Addr addr) const {
-  const Line* l = FindLine(sim::LineBase(addr));
+  const Line* l = lines_.Find(sim::LineBase(addr));
   return l ? l->owner : -1;
 }
 
 std::uint64_t CoherentMemory::SharersOf(Addr addr) const {
-  const Line* l = FindLine(sim::LineBase(addr));
+  const Line* l = lines_.Find(sim::LineBase(addr));
   return l ? l->sharers : 0;
 }
 
@@ -133,7 +197,10 @@ Cycles CoherentMemory::ContentionDelay(Addr line_addr, int core, int src_core, i
     // one at a time (the Figure 6 broadcast pathology). Ownership-migrating
     // writes instead pipeline through successive owners' caches, so their
     // serialization point is the home-node ordering below.
-    reserve(c2c_line_[line_addr], c.c2c_occupancy);
+    Cycles& busy_until = *c2c_busy_until_.FindOrInsert(line_addr).first;
+    const Cycles start = busy_until > now ? busy_until : now;
+    busy_until = start + c.c2c_occupancy;
+    wait = start - now;  // the transaction's first reservation
   }
   if (is_write || src_core < 0) {
     // Writes order at the home node; memory fetches occupy its controller.

@@ -21,8 +21,9 @@
 #ifndef MK_HW_COHERENCE_H_
 #define MK_HW_COHERENCE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hw/counters.h"
@@ -85,8 +86,39 @@ class CoherentMemory {
     int home = 0;               // home package (NUMA node)
   };
 
+  // Open-addressed map from a line address to a value held inline in its
+  // slot (see DESIGN.md, "Line directory"). Linear probing; the eight lines
+  // of one 512-byte group start probing at eight adjacent slots. Storage is
+  // allocated at the first insert and doubles at 3/4 load. Entries are never
+  // erased.
+  template <typename V>
+  class LineTable {
+   public:
+    const V* Find(Addr line_addr) const;
+    V* Find(Addr line_addr) {
+      return const_cast<V*>(std::as_const(*this).Find(line_addr));
+    }
+    // Returns the value for `line_addr` and whether this call inserted it
+    // (value-initialized).
+    std::pair<V*, bool> FindOrInsert(Addr line_addr);
+
+   private:
+    struct Slot {
+      Addr key;
+      V value;
+    };
+    static_assert(sizeof(Slot) == sizeof(Addr) + sizeof(V), "slot must not pad");
+    // Index of the slot holding `line_addr`, or of the empty slot where its
+    // probe ends. Requires allocated storage.
+    std::size_t Probe(Addr line_addr) const;
+    void Grow();
+
+    std::vector<Slot> slots_;  // empty until the first insert, then a power of two
+    std::size_t used_ = 0;
+    int group_shift_ = 64;  // 64 - log2(slots_.size() / 8)
+  };
+
   Line& LineAt(Addr line_addr);
-  const Line* FindLine(Addr line_addr) const;
 
   // Latency of a single-line transaction for `core` obtaining data from
   // `src_core` (cache-to-cache) or from memory when src_core < 0.
@@ -110,13 +142,11 @@ class CoherentMemory {
   const PlatformSpec& spec_;
   const Topology& topo_;
   PerfCounters& counters_;
-  std::unordered_map<Addr, Line> lines_;
-  std::unordered_map<Addr, int> region_home_;  // alloc base -> home (coarse)
-  std::vector<sim::FifoResource> home_ctrl_;        // per package
-  std::unordered_map<Addr, sim::FifoResource> c2c_line_;  // per hot line
-  sim::FifoResource bus_;                      // FSB only
-  Addr next_alloc_ = 0x1000'0000;
-  std::vector<Addr> node_cursor_;              // per-node allocation cursors
+  LineTable<Line> lines_;
+  std::vector<sim::FifoResource> home_ctrl_;  // per package
+  LineTable<Cycles> c2c_busy_until_;          // per hot line: supplier busy until
+  sim::FifoResource bus_;                     // FSB only
+  std::vector<Addr> node_cursor_;             // per-node allocation cursors
 };
 
 }  // namespace mk::hw

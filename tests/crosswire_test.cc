@@ -91,6 +91,12 @@ struct TwoMachineWorld {
     wire = std::make_unique<net::CrossWire>(*engine, 0, a->nic, 1, b->nic,
                                             kLatency);
   }
+  // The pumps stay parked on their NICs after a run drains; stop them and
+  // let them exit, so no task is left suspended at teardown.
+  ~TwoMachineWorld() {
+    wire->Stop();
+    engine->Run();
+  }
 
   std::unique_ptr<sim::ParallelEngine> engine;
   std::unique_ptr<WireHost> a;

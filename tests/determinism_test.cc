@@ -330,9 +330,15 @@ ScaleoutRunResult RunMultiQueueServingWorkload() {
   };
   Harness h(machine, nic, kSrvIp, kSrvMac, kCliIp, kCliMac);
 
-  // Echo servers: read one chunk, send it back, close.
-  auto serve = [](net::NetStack& stack, net::NetStack::Listener& l) -> Task<> {
-    for (;;) {
+  // Echo servers: read one chunk, send it back, close. They exit once the
+  // client is done, so no task is left parked when the executor drains.
+  auto serve = [](Harness& hh, net::NetStack& stack,
+                  net::NetStack::Listener& l) -> Task<> {
+    while (!hh.stop) {
+      if (l.accepted.empty()) {
+        co_await l.ready.Wait();
+        continue;
+      }
       net::NetStack::TcpConn* conn = co_await l.Accept();
       auto chunk = co_await conn->Read();
       if (!chunk.empty()) {
@@ -341,8 +347,10 @@ ScaleoutRunResult RunMultiQueueServingWorkload() {
       co_await stack.TcpClose(*conn);
     }
   };
-  exec.Spawn(serve(h.web0, h.web0.TcpListen(80)));
-  exec.Spawn(serve(h.web1, h.web1.TcpListen(80)));
+  net::NetStack::Listener& listen0 = h.web0.TcpListen(80);
+  net::NetStack::Listener& listen1 = h.web1.TcpListen(80);
+  exec.Spawn(serve(h, h.web0, listen0));
+  exec.Spawn(serve(h, h.web1, listen1));
 
   // Per-queue drivers, the bench's mask/poll/unmask loop.
   auto driver = [](hw::Machine& m, Harness& hh, net::NetStack& stack, int core,
@@ -366,12 +374,16 @@ ScaleoutRunResult RunMultiQueueServingWorkload() {
   exec.Spawn(driver(machine, h, h.web0, 0, 0));
   exec.Spawn(driver(machine, h, h.web1, 4, 1));
 
-  // Wire sink: NIC TX -> client stack.
+  // Wire sink: NIC TX -> client stack. It re-checks the stop flag right
+  // before parking: the client may set it while the sink is inside Input.
   exec.Spawn([](Harness& hh) -> Task<> {
-    while (!hh.stop) {
+    for (;;) {
       net::Packet p;
       while (hh.nic.WirePop(&p)) {
         co_await hh.client.Input(std::move(p));
+      }
+      if (hh.stop) {
+        co_return;
       }
       co_await hh.nic.wire_out_ready().Wait();
     }
@@ -379,7 +391,8 @@ ScaleoutRunResult RunMultiQueueServingWorkload() {
 
   // Client: sequential echo requests; ephemeral ports walk the RSS space.
   ScaleoutRunResult r;
-  exec.Spawn([](Harness& hh, ScaleoutRunResult& out) -> Task<> {
+  exec.Spawn([](Harness& hh, net::NetStack::Listener& l0, net::NetStack::Listener& l1,
+                ScaleoutRunResult& out) -> Task<> {
     for (int i = 0; i < 12; ++i) {
       net::NetStack::TcpConn* conn = co_await hh.client.TcpConnect(kSrvIp, 80);
       std::vector<std::uint8_t> ping(64, static_cast<std::uint8_t>(i));
@@ -399,7 +412,9 @@ ScaleoutRunResult RunMultiQueueServingWorkload() {
     }
     hh.stop = true;
     hh.nic.wire_out_ready().Signal();
-  }(h, r));
+    l0.ready.Signal();
+    l1.ready.Signal();
+  }(h, listen0, listen1, r));
 
   exec.Run();
   r.final_now = exec.now();
