@@ -4,7 +4,8 @@
 // run, the per-shard NIC attachment, the completion timeline and its
 // recovery-window analyzer, and the booted system (monitors included) that
 // the failover benches and fig8_twopc run on. Client behaviour changes here,
-// once, for every serving bench.
+// once, for every serving bench. It also holds sec54_webserver's
+// single-machine web server, which sec54_scaleout's crosscheck re-runs.
 #ifndef MK_BENCH_SERVING_H_
 #define MK_BENCH_SERVING_H_
 
@@ -146,6 +147,22 @@ Task<> WireSink(net::SimNic& nic, net::NetStack& client, const bool* stop);
 // (replica groups, monitors) if given.
 Task<> Supervisor(LoadStats& st, net::SimNic& nic, bool* stop,
                   std::function<Task<>()> shutdown = nullptr);
+
+// --- Section 5.4's web server (sec54_webserver) ---
+
+// The paper's 2x2-core AMD web server: the client cluster's stack on the
+// services core 0, the database on core 1, the e1000 driver on core 2 and
+// the web server on core 3, with no NIC model (each frame pays driver work
+// on core 2). Eight closed-loop clients each open one connection per
+// request. `linux_mode` charges lighttpd/Linux's kernel crossings and copies
+// instead of Barrelfish's user-space path; `use_db` fetches TPC-W SELECTs
+// from a one-placement DbReplicaCluster instead of the static page.
+struct WebScenario {
+  bool linux_mode = false;
+  bool use_db = false;
+};
+// Runs one scenario; returns requests per simulated second.
+double RunWebServer(WebScenario sc);
 
 // The `p` quantile (0..1) of `v`: the sample at index floor(p * (n - 1)).
 Cycles Percentile(std::vector<Cycles> v, double p);

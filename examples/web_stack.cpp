@@ -3,21 +3,20 @@
 // Boots the 2x2-core AMD machine with the paper's placement — e1000 driver
 // on core 2, web server on core 3, database on core 1 — all user-space
 // processes connected by URPC, and issues HTTP requests (static page and a
-// TPC-W-style SQL query) from a simulated client.
+// TPC-W-style SQL query) from a simulated client. The database process is a
+// one-placement apps::DbReplicaCluster, the same one sec54_webserver runs.
 //
 // Build & run:  ./build/examples/web_stack
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "apps/db.h"
+#include "apps/dbshard.h"
 #include "apps/httpd.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
-#include "net/packet_channel.h"
 #include "net/stack.h"
 #include "sim/executor.h"
-#include "urpc/channel.h"
 
 using namespace mk;
 using net::Packet;
@@ -30,34 +29,6 @@ constexpr net::Ipv4Addr kServerIp = net::MakeIp(10, 0, 0, 1);
 constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 7);
 const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
 const net::MacAddr kClientMac{2, 0, 0, 0, 0, 7};
-
-Task<> DbServer(hw::Machine& m, apps::Database& db, urpc::Channel& queries,
-                net::PacketChannel& replies, int expected) {
-  for (int q = 0; q < expected; ++q) {
-    std::string sql;
-    while (true) {
-      urpc::Message msg = co_await queries.Recv();
-      sql.append(reinterpret_cast<const char*>(msg.bytes.data()), msg.len);
-      if (msg.tag == 1) {
-        break;
-      }
-    }
-    auto result = db.Query(sql);
-    std::string rendered;
-    if (std::holds_alternative<apps::Database::ResultSet>(result)) {
-      auto& rs = std::get<apps::Database::ResultSet>(result);
-      co_await m.Compute(1, 5000 + rs.rows_scanned * 25);
-      for (const auto& row : rs.rows) {
-        for (const auto& v : row) {
-          rendered += apps::DbValueToString(v) + "|";
-        }
-      }
-    } else {
-      rendered = "error: " + std::get<apps::DbError>(result).message;
-    }
-    co_await replies.Send(Packet(rendered.begin(), rendered.end()));
-  }
-}
 
 Task<> Client(sim::Executor& exec, net::NetStack& stack, std::string target) {
   Cycles t0 = exec.now();
@@ -78,7 +49,8 @@ Task<> Client(sim::Executor& exec, net::NetStack& stack, std::string target) {
               static_cast<unsigned long long>(exec.now() - t0));
   std::size_t body_at = response.find("\r\n\r\n");
   if (target.rfind("/query", 0) == 0 && body_at != std::string::npos) {
-    std::printf("    rows: %s\n", response.substr(body_at + 4, 60).c_str());
+    std::string rows = response.substr(body_at + 4, 60);
+    std::printf("    rows: %s\n", rows.substr(0, rows.find('\n')).c_str());
   }
 }
 
@@ -104,27 +76,15 @@ int main() {
     co_await server.Input(std::move(p));
   });
 
-  apps::Database db;
-  apps::PopulateTpcw(&db, 2000);
-  urpc::Channel queries(machine, 3, 1);
-  net::PacketChannel replies(machine, 1, 3, net::PacketChannel::Options{});
-  exec.Spawn(DbServer(machine, db, queries, replies, 1));
+  // The database process on core 1, queried by the web server on core 3.
+  apps::Database source;
+  apps::PopulateTpcw(&source, 2000);
+  apps::DbReplicaCluster db(machine, source, {{3, 1}});
+  exec.Spawn(db.Serve(0));
 
-  apps::HttpServer http(machine, server, 80,
-                        [&queries, &replies](std::string sql) -> Task<std::string> {
-                          for (std::size_t off = 0; off < sql.size();
-                               off += urpc::Message::kPayloadBytes) {
-                            urpc::Message msg;
-                            msg.tag =
-                                off + urpc::Message::kPayloadBytes >= sql.size() ? 1 : 2;
-                            msg.len = static_cast<std::uint32_t>(std::min(
-                                urpc::Message::kPayloadBytes, sql.size() - off));
-                            std::memcpy(msg.bytes.data(), sql.data() + off, msg.len);
-                            co_await queries.Send(msg);
-                          }
-                          Packet reply = co_await replies.Recv();
-                          co_return std::string(reply.begin(), reply.end());
-                        });
+  apps::HttpServer http(machine, server, 80, [&db](std::string sql) {
+    return db.Query(0, std::move(sql));
+  });
   exec.Spawn(http.Serve());
 
   std::string sql = apps::TpcwQuery(42);
@@ -139,6 +99,8 @@ int main() {
   exec.RunUntil(exec.now() + 50'000'000);
   exec.Spawn(Client(exec, client, "/missing"));
   exec.RunUntil(exec.now() + 50'000'000);
+  exec.Spawn(db.Shutdown());
+  exec.Run();
   std::printf("\nserved %llu requests; simulated time %llu cycles\n",
               static_cast<unsigned long long>(http.requests_served()),
               static_cast<unsigned long long>(exec.now()));

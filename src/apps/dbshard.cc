@@ -1,21 +1,14 @@
 #include "apps/dbshard.h"
 
-#include <cstring>
 #include <optional>
 #include <utility>
-#include <variant>
 
+#include "apps/sqlrpc.h"
 #include "fault/fault.h"
 #include "recover/config.h"
 #include "trace/trace.h"
 
 namespace mk::apps {
-namespace {
-
-// Request-channel poison tag (same sentinel sec54_webserver's DbServer uses).
-constexpr std::uint64_t kShutdownTag = 0xdead;
-
-}  // namespace
 
 DbReplicaCluster::DbReplicaCluster(hw::Machine& machine, const Database& source,
                                    std::vector<ShardPlacement> placements)
@@ -35,17 +28,9 @@ DbReplicaCluster::DbReplicaCluster(hw::Machine& machine, const Database& source,
 Task<> DbReplicaCluster::Serve(int shard) {
   Shard& s = *shards_[static_cast<std::size_t>(shard)];
   while (true) {
-    // Reassemble the SQL text from URPC fragments (tag 2 = more, 1 = final).
-    std::string sql;
-    while (true) {
-      urpc::Message msg = co_await s.queries.Recv();
-      if (msg.tag == kShutdownTag) {
-        co_return;
-      }
-      sql.append(reinterpret_cast<const char*>(msg.bytes.data()), msg.len);
-      if (msg.tag == 1) {
-        break;
-      }
+    std::optional<std::string> sql = co_await RecvSql(s.queries);
+    if (!sql.has_value()) {
+      co_return;
     }
     // Fail-stop: a replica on a halted core dies with its request in hand —
     // no reply, no accounting; the client's bounded reply wait recovers.
@@ -54,25 +39,9 @@ Task<> DbReplicaCluster::Serve(int shard) {
         inj != nullptr && inj->CoreHalted(s.placement.db_core, machine_.exec().now())) {
       co_return;
     }
-    auto result = s.db.Query(sql);
-    std::string rendered;
-    std::uint64_t scanned = 0;
-    if (std::holds_alternative<Database::ResultSet>(result)) {
-      auto& rs = std::get<Database::ResultSet>(result);
-      scanned = rs.rows_scanned;
-      for (const auto& row : rs.rows) {
-        for (const auto& v : row) {
-          rendered += DbValueToString(v);
-          rendered += '|';
-        }
-        rendered += '\n';
-      }
-    } else {
-      rendered = "error: " + std::get<DbError>(result).message;
-    }
-    // Parse + per-row scan cost on this shard's own core (the cost model of
-    // the single-DB bench, now paid in parallel across replicas).
-    co_await machine_.Compute(s.placement.db_core, 5000 + scanned * 25);
+    // Parse + per-row scan cost on this shard's own core, paid in parallel
+    // across replicas.
+    std::string rendered = co_await ServeQuery(machine_, s.placement.db_core, s.db, *sql);
     ++s.served;
     co_await s.replies.Send(
         net::Packet(rendered.begin(), rendered.end()));
@@ -99,14 +68,7 @@ Task<std::string> DbReplicaCluster::Query(int shard, std::string sql) {
       continue;
     }
     co_await s.rpc_slot.Acquire();
-    for (std::size_t off = 0; off < sql.size(); off += urpc::Message::kPayloadBytes) {
-      urpc::Message msg;
-      msg.tag = off + urpc::Message::kPayloadBytes >= sql.size() ? 1 : 2;
-      msg.len = static_cast<std::uint32_t>(
-          std::min(urpc::Message::kPayloadBytes, sql.size() - off));
-      std::memcpy(msg.bytes.data(), sql.data() + off, msg.len);
-      co_await s.queries.Send(msg);
-    }
+    co_await SendSql(s.queries, sql);
     if (fault::Injector::active() == nullptr) {
       // Plain runs: unbounded wait, the exact pre-failover reply path.
       net::Packet reply = co_await s.replies.Recv();
@@ -145,9 +107,7 @@ Task<std::string> DbReplicaCluster::Query(int shard, std::string sql) {
 
 Task<> DbReplicaCluster::Shutdown() {
   for (auto& s : shards_) {
-    urpc::Message poison;
-    poison.tag = kShutdownTag;
-    co_await s->queries.Send(poison);
+    co_await SendShutdown(s->queries);
   }
 }
 

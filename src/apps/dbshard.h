@@ -36,7 +36,8 @@ struct ShardPlacement {
 
 // A set of identical read-only Database replicas, one per shard, each served
 // by its own core over a private URPC request channel + PacketChannel reply
-// channel (the same transport pair sec54_webserver's single DbService uses).
+// channel (SQL over URPC, apps/sqlrpc.h). With one placement it is the single
+// database process of sec54_webserver and examples/web_stack.
 class DbReplicaCluster {
  public:
   // Copies `source` once per shard; populate it before constructing.
@@ -49,17 +50,17 @@ class DbReplicaCluster {
   }
 
   // The replica server process for one shard: receives SQL over URPC,
-  // executes it against the local replica, charges the parse + per-row scan
-  // cost on the shard's DB core, replies with rendered rows. Spawn one per
+  // executes it against the local replica, charges its StatementCost on the
+  // shard's DB core, replies with rendered rows (ServeQuery). Spawn one per
   // shard; returns after Shutdown().
   Task<> Serve(int shard);
 
   // Web-side query: runs `sql` on the shard's replica, returns rendered
   // rows. One outstanding RPC per shard (the reply channel carries no
-  // request ids), exactly like the single-DB bench. Under fault injection the
-  // reply wait is bounded (RecoveryConfig::db_rpc_timeout); a timeout marks
-  // the replica dead and the query retries against the redirect target, up to
-  // db_max_attempts distinct replicas.
+  // request ids), as a connection pool of size one would. Under fault
+  // injection the reply wait is bounded (RecoveryConfig::db_rpc_timeout); a
+  // timeout marks the replica dead and the query retries against the
+  // redirect target, up to db_max_attempts distinct replicas.
   Task<std::string> Query(int shard, std::string sql);
 
   // Poisons every shard's request channel; their Serve() loops drain and

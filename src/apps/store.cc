@@ -1,11 +1,9 @@
 #include "apps/store.h"
 
-#include <algorithm>
-#include <cstring>
 #include <optional>
 #include <utility>
-#include <variant>
 
+#include "apps/sqlrpc.h"
 #include "fault/fault.h"
 #include "recover/config.h"
 #include "trace/trace.h"
@@ -13,14 +11,11 @@
 namespace mk::apps {
 namespace {
 
-// Request-channel tags (web -> replica). Same fragment scheme as dbshard:
-// 2 = more SQL bytes, 1 = final fragment; a write is prefixed by a header
-// message carrying the client write id.
-constexpr std::uint64_t kMoreTag = 2;
-constexpr std::uint64_t kFinalTag = 1;
+// Request-channel framing (web -> replica): a header message carrying the
+// client write id, then the statement framed as apps/sqlrpc.h frames it. The
+// follower ack channel carries kAckTag messages.
 constexpr std::uint64_t kReqHdrTag = 4;
 constexpr std::uint64_t kAckTag = 5;
-constexpr std::uint64_t kShutdownTag = 0xdead;
 
 // Every request opens with this header so the reply can be paired with the
 // attempt that is actually waiting: a reply is "<nonce>|<body>", and the web
@@ -63,18 +58,6 @@ bool ParsePayload(const std::string& payload, std::uint64_t* wid, std::string* s
   *wid = v;
   *sql = payload.substr(sp + 1);
   return true;
-}
-
-std::string RenderRows(const Database::ResultSet& rs) {
-  std::string rendered;
-  for (const auto& row : rs.rows) {
-    for (const auto& v : row) {
-      rendered += DbValueToString(v);
-      rendered += '|';
-    }
-    rendered += '\n';
-  }
-  return rendered;
 }
 
 }  // namespace
@@ -138,14 +121,7 @@ Task<std::string> ReplicatedStore::RoundTrip(Group& g, bool is_write, std::uint6
     hdr.wid = wid;
     hdr.is_write = is_write ? 1 : 0;
     co_await r.requests.Send(urpc::Pack(kReqHdrTag, hdr));
-    for (std::size_t off = 0; off < sql.size(); off += urpc::Message::kPayloadBytes) {
-      urpc::Message msg;
-      msg.tag = off + urpc::Message::kPayloadBytes >= sql.size() ? kFinalTag : kMoreTag;
-      msg.len = static_cast<std::uint32_t>(
-          std::min(urpc::Message::kPayloadBytes, sql.size() - off));
-      std::memcpy(msg.bytes.data(), sql.data() + off, msg.len);
-      co_await r.requests.Send(msg);
-    }
+    co_await SendSql(r.requests, sql);
     const std::string want = std::to_string(hdr.nonce) + "|";
     std::string text;
     bool got_reply = false;
@@ -204,26 +180,17 @@ Task<std::string> ReplicatedStore::Execute(int shard, std::uint64_t wid, std::st
 
 Task<> ReplicatedStore::ServeReplica(Group& g, Replica* r) {
   while (true) {
-    WireReqHdr hdr;
-    std::string sql;
-    bool have_hdr = false;
-    while (true) {
-      urpc::Message msg = co_await r->requests.Recv();
-      if (msg.tag == kShutdownTag) {
-        co_return;
-      }
-      if (msg.tag == kReqHdrTag) {
-        hdr = urpc::Unpack<WireReqHdr>(msg);
-        have_hdr = true;
-        continue;
-      }
-      sql.append(reinterpret_cast<const char*>(msg.bytes.data()), msg.len);
-      if (msg.tag == kFinalTag) {
-        break;
-      }
+    urpc::Message first = co_await r->requests.Recv();
+    if (first.tag == kShutdownTag) {
+      co_return;
     }
-    if (!have_hdr) {
+    if (first.tag != kReqHdrTag) {
       continue;  // torn request (protocol bug); never reply to a half-frame
+    }
+    const WireReqHdr hdr = urpc::Unpack<WireReqHdr>(first);
+    std::optional<std::string> sql = co_await RecvSql(r->requests);
+    if (!sql.has_value()) {
+      co_return;
     }
     // Fail-stop: a replica on a halted core dies with the request in hand.
     if (CoreHalted(machine_, r->core)) {
@@ -241,21 +208,12 @@ Task<> ReplicatedStore::ServeReplica(Group& g, Replica* r) {
     }
     std::string reply;
     if (hdr.is_write != 0) {
-      reply = co_await HandleWrite(g, r, hdr.wid, sql);
+      reply = co_await HandleWrite(g, r, hdr.wid, *sql);
       if (reply.empty()) {
         co_return;  // halted mid-write: never ack
       }
     } else {
-      auto result = r->db.Query(sql);
-      std::uint64_t scanned = 0;
-      if (std::holds_alternative<Database::ResultSet>(result)) {
-        auto& rs = std::get<Database::ResultSet>(result);
-        scanned = rs.rows_scanned;
-        reply = RenderRows(rs);
-      } else {
-        reply = "error: " + std::get<DbError>(result).message;
-      }
-      co_await machine_.Compute(r->core, 5000 + scanned * 25);
+      reply = co_await ServeQuery(machine_, r->core, r->db, *sql);
       ++g.reads_served;
     }
     if (CoreHalted(machine_, r->core)) {
@@ -306,7 +264,7 @@ Task<std::string> ReplicatedStore::HandleWrite(Group& g, Replica* r, std::uint64
   if (r->term_seen < term) {
     r->term_seen = term;
   }
-  co_await machine_.Compute(r->core, 5000 + r->db.last_exec_scanned() * 25);
+  co_await machine_.Compute(r->core, StatementCost(r->db.last_exec_scanned()));
   // 3. Ship to every live follower (even catching-up ones: applying shipped
   //    records in lsn order is how they converge). Snapshot the Link set
   //    first: Send can suspend, and a view change during the suspension may
@@ -426,11 +384,11 @@ Task<> ReplicatedStore::ApplyLoop(Group& g, Link* link) {
           break;
         }
         std::uint64_t scanned = ApplyRecord(f, lr);
-        co_await machine_.Compute(f->core, 2500 + scanned * 25);
+        co_await machine_.Compute(f->core, ApplyCost(scanned));
       }
     }
     std::uint64_t scanned = ApplyRecord(f, rec);
-    co_await machine_.Compute(f->core, 2500 + scanned * 25);
+    co_await machine_.Compute(f->core, ApplyCost(scanned));
     // Ack the current applied lsn — also for dups and still-gapped receipts,
     // so the leader's view converges no matter which path delivered the data.
     co_await link->acks.Send(urpc::Pack(kAckTag, f->applied_lsn));
@@ -456,7 +414,7 @@ Task<> ReplicatedStore::CatchUp(Group& g, Replica* r) {
     std::vector<fs::WalRecord> log = co_await g.wal.ReadAll(r->core);
     for (const fs::WalRecord& rec : log) {
       std::uint64_t scanned = ApplyRecord(r, rec);
-      co_await machine_.Compute(r->core, 2500 + scanned * 25);
+      co_await machine_.Compute(r->core, ApplyCost(scanned));
     }
     if (r->applied_lsn >= g.last_lsn || !r->alive) {
       break;
@@ -589,9 +547,7 @@ Task<> ReplicatedStore::Shutdown() {
   for (auto& gp : groups_) {
     Group& g = *gp;
     for (auto& r : g.replicas) {
-      urpc::Message poison;
-      poison.tag = kShutdownTag;
-      co_await r->requests.Send(poison);
+      co_await SendShutdown(r->requests);
     }
     // Index loop, not a range-for: Send suspends, and a view change during
     // the suspension may push_back onto g.links (iterator invalidation).

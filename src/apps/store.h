@@ -34,7 +34,7 @@
 //
 // Reads are served by the leader (leader-local, so they always observe every
 // committed write); the browse side of the TPC-W mix rides the same channel
-// pair dbshard uses.
+// pair, framing, rendering and costs dbshard uses (apps/sqlrpc.h).
 #ifndef MK_APPS_STORE_H_
 #define MK_APPS_STORE_H_
 

@@ -3,6 +3,7 @@
 // exactly once, in order, within the flow-control window, deterministically.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "hw/machine.h"
@@ -28,6 +29,17 @@ struct FuzzCase {
   int receiver;
   int messages;
 };
+
+// Prints the case as text. gtest would print its raw bytes, uninitialised
+// padding included, into the name each test is listed under.
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << ": " << c.messages << " messages, core " << c.sender
+      << " to " << c.receiver << ", " << c.slots << "-slot window"
+      << (c.prefetch ? ", prefetch" : "");
+  if (c.numa_node >= 0) {
+    *os << ", buffer on node " << c.numa_node;
+  }
+}
 
 Task<> FuzzSender(hw::Machine& m, Channel& ch, int count, std::uint64_t seed,
                   std::uint64_t* max_inflight) {

@@ -2,6 +2,7 @@
 // results must be independent of thread count and synchronization flavor.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "apps/mapreduce.h"
@@ -94,6 +95,13 @@ struct InvarianceCase {
   Task<WorkloadResult> (*fn)(OmpRuntime&, WorkloadParams);
   double tolerance;  // relative, for FP reassociation
 };
+
+// Prints the case as text. gtest would print the bytes of `name` and `fn`,
+// pointers that move with every link, into the name each test is listed
+// under.
+void PrintTo(const InvarianceCase& c, std::ostream* os) {
+  *os << c.name << ", relative tolerance " << c.tolerance;
+}
 
 class WorkloadInvariance : public ::testing::TestWithParam<InvarianceCase> {};
 
