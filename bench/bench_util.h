@@ -4,6 +4,9 @@
 #ifndef MK_BENCH_BENCH_UTIL_H_
 #define MK_BENCH_BENCH_UTIL_H_
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +19,24 @@
 #include "trace/trace.h"
 
 namespace mk::bench {
+
+// Parses `text`, the value of the numeric flag `flag` (e.g. "--kill"): all
+// of it must be a base-10 integer in [lo, hi]. Exits 2 naming the flag on
+// anything else (empty, a sign, trailing characters, out of range).
+inline std::uint64_t ParseIntFlag(const char* flag, const char* text,
+                                  std::uint64_t lo, std::uint64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || v < lo || v > hi) {
+    std::fprintf(stderr, "bad %s value '%s' (want %llu..%llu)\n", flag, text,
+                 static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    std::exit(2);
+  }
+  return v;
+}
 
 // --trace=<file> / --trace-categories=<list> / --trace-capacity=<n> flags,
 // shared by every paper bench. A bench constructs a TraceSession from the
@@ -48,7 +69,7 @@ inline TraceFlags ParseTraceFlags(int& argc, char** argv) {
         std::exit(2);
       }
     } else if (std::strncmp(arg, "--trace-capacity=", 17) == 0) {
-      flags.capacity = static_cast<std::size_t>(std::strtoull(arg + 17, nullptr, 10));
+      flags.capacity = ParseIntFlag("--trace-capacity", arg + 17, 1, std::size_t{1} << 24);
     } else {
       argv[out++] = argv[i];
     }
@@ -70,13 +91,7 @@ inline int ParseThreadsFlag(int& argc, char** argv, int def = 1) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--threads=", 10) == 0) {
-      char* end = nullptr;
-      const long v = std::strtol(arg + 10, &end, 10);
-      if (end == arg + 10 || *end != '\0' || v < 1 || v > 1024) {
-        std::fprintf(stderr, "bad --threads value '%s' (want 1..1024)\n", arg + 10);
-        std::exit(2);
-      }
-      threads = static_cast<int>(v);
+      threads = static_cast<int>(ParseIntFlag("--threads", arg + 10, 1, 1024));
     } else {
       argv[out++] = argv[i];
     }
@@ -85,26 +100,20 @@ inline int ParseThreadsFlag(int& argc, char** argv, int def = 1) {
   return threads;
 }
 
-// Consumes --machines=<n> from argv (compacting it): the rack-topology size,
-// parsed uniformly across benches. For rack benches (rack_serving) this is
-// the number of backend machines; par_speedup treats it as an alias for
-// --domains so run scripts can forward one flag everywhere. Single-machine
-// benches accept and ignore any value other than 1 with a warning rather
-// than silently simulating a different topology than asked. Exits with a
-// usage message on a malformed value.
+// Consumes --machines=<n> from argv (compacting it): the rack-topology size.
+// For rack_serving this is the number of backend machines; par_speedup
+// treats it as an alias for --domains so run scripts can forward one flag
+// everywhere. No single-machine bench calls it: most ignore --machines
+// silently, and the ones that check their arguments (sec54_failover,
+// store_readwrite, conn_scale) reject it as unknown. Exits with a usage
+// message on a malformed value.
 inline int ParseMachinesFlag(int& argc, char** argv, int def = 1) {
   int machines = def;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--machines=", 11) == 0) {
-      char* end = nullptr;
-      const long v = std::strtol(arg + 11, &end, 10);
-      if (end == arg + 11 || *end != '\0' || v < 1 || v > 61) {
-        std::fprintf(stderr, "bad --machines value '%s' (want 1..61)\n", arg + 11);
-        std::exit(2);
-      }
-      machines = static_cast<int>(v);
+      machines = static_cast<int>(ParseIntFlag("--machines", arg + 11, 1, 61));
     } else {
       argv[out++] = argv[i];
     }
@@ -207,15 +216,6 @@ class SeriesTable {
 //   kDiurnal — triangle wave approximating a day's ramp-up/ramp-down.
 enum class LoadShape { kSteady, kBursty, kDiurnal };
 
-inline const char* LoadShapeName(LoadShape s) {
-  switch (s) {
-    case LoadShape::kSteady: return "steady";
-    case LoadShape::kBursty: return "bursty";
-    case LoadShape::kDiurnal: return "diurnal";
-  }
-  return "?";
-}
-
 // `pos` and `period` are in any consistent unit (cycles, slots); the result
 // is in [0, 1024] with 1024 = peak rate.
 inline std::uint64_t LoadShapeLevel(LoadShape shape, std::uint64_t pos,
@@ -237,16 +237,6 @@ inline std::uint64_t LoadShapeLevel(LoadShape shape, std::uint64_t pos,
     }
   }
   return 1024;
-}
-
-// Paper-vs-measured comparison rows for tables.
-inline void PrintCompareHeader(const char* label) {
-  std::printf("%-34s %12s %12s %9s\n", label, "paper", "measured", "ratio");
-}
-
-inline void PrintCompareRow(const std::string& name, double paper, double measured) {
-  std::printf("%-34s %12.2f %12.2f %8.2fx\n", name.c_str(), paper, measured,
-              paper > 0 ? measured / paper : 0.0);
 }
 
 }  // namespace mk::bench

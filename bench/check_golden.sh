@@ -13,10 +13,10 @@
 # BUILD_DIR selects the build tree (default: build). Binaries must already be
 # built; this script never compiles.
 #
-# An entry is a bench name optionally followed by its arguments; its golden
-# file is named after both ("sec54_failover --quick --chaos-seed=7" ->
-# bench/golden/sec54_failover_quick_chaos-seed-7.txt). The argument entries
-# pin the fault paths (kills, chaos plans) that the default runs never reach.
+# The entries come from bench/golden_benches.sh. An entry is a bench name
+# optionally followed by its arguments; its golden file is named after both
+# ("sec54_failover --quick --chaos-seed=7" ->
+# bench/golden/sec54_failover_quick_chaos-seed-7.txt).
 #
 # THREADS=<n> appends --threads=<n> to every bench invocation. The goldens
 # are recorded at one host thread; re-running the gate with THREADS=4 proves
@@ -32,34 +32,7 @@ if [[ "$THREADS" != "1" ]]; then
   extra_args+=("--threads=$THREADS")
 fi
 
-BENCHES=(
-  table1_lrpc
-  table2_urpc
-  table3_ipc
-  table4_loopback
-  fig3_shm_vs_msg
-  fig6_shootdown
-  fig7_unmap
-  fig8_twopc
-  fig9_compute
-  sync_scaling
-  sec54_netperf
-  sec54_webserver
-  sec54_scaleout
-  sec54_failover
-  store_readwrite
-  rack_serving
-  polling_model
-  ablation_urpc
-  conn_scale
-  "sec54_failover --quick --kill"
-  "sec54_failover --quick --kill-db"
-  "sec54_failover --quick --chaos-seed=7"
-  "store_readwrite --quick --kill-leader"
-  "store_readwrite --quick --chaos-seed=4"
-  "rack_serving --quick --kill"
-  "rack_serving --quick --chaos-seed=4"
-)
+source bench/golden_benches.sh
 
 update=0
 if [[ "${1:-}" == "--update" ]]; then
@@ -68,7 +41,7 @@ if [[ "${1:-}" == "--update" ]]; then
 fi
 
 fail=0
-for entry in "${BENCHES[@]}"; do
+for entry in "${GOLDEN_BENCHES[@]}"; do
   read -r -a argv <<< "$entry"
   bin="$BUILD_DIR/bench/${argv[0]}"
   args=("${argv[@]:1}")

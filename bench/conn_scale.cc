@@ -29,6 +29,7 @@
 //
 // Deterministic: simulated cycles, seeded RNG, single engine domain — output
 // is byte-identical at any --threads value (the golden gate checks 1 and 4).
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -751,7 +752,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
     } else if (std::strncmp(arg, "--chaos-seed=", 13) == 0) {
-      chaos_seed = std::strtoull(arg + 13, nullptr, 10);
+      chaos_seed = bench::ParseIntFlag("--chaos-seed", arg + 13, 0, UINT64_MAX);
     } else if (std::strncmp(arg, "--attack=", 9) == 0) {
       only = arg + 9;
     } else {

@@ -379,11 +379,12 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--domains=", 10) == 0) {
-      domains = std::atoi(argv[i] + 10);
+      domains = static_cast<int>(
+          bench::ParseIntFlag("--domains", argv[i] + 10, 2, sim::kMaxDomains));
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       // Single-point mode: run only this thread count (plus the 1-thread
       // reference for the digest comparison).
-      const int t = std::atoi(argv[i] + 10);
+      const int t = static_cast<int>(bench::ParseIntFlag("--threads", argv[i] + 10, 1, 1024));
       thread_counts = t == 1 ? std::vector<int>{1} : std::vector<int>{1, t};
     }
   }

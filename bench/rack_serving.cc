@@ -27,8 +27,9 @@
 //   --quick           2 machines of 4 shards on 4x4 AMD, lighter load (CI)
 //   --machines=N      rack size (sweep ceiling / kill+chaos rack size)
 //   --threads=N       host threads for the parallel engine
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -547,10 +548,10 @@ int main(int argc, char** argv) {
       kill = true;
     } else if (std::strncmp(arg, "--kill=", 7) == 0) {
       kill = true;
-      victim = std::atoi(arg + 7);
+      victim = static_cast<int>(bench::ParseIntFlag("--kill", arg + 7, 0, INT_MAX));
     } else if (std::strncmp(arg, "--chaos-seed=", 13) == 0) {
       chaos = true;
-      chaos_seed = std::strtoull(arg + 13, nullptr, 10);
+      chaos_seed = bench::ParseIntFlag("--chaos-seed", arg + 13, 0, UINT64_MAX);
     } else {
       std::fprintf(stderr,
                    "usage: rack_serving [--quick] [--machines=N] [--threads=N] "

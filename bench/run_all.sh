@@ -30,35 +30,19 @@ cmake --build build -j
 OUT=bench_output.txt
 : > "$OUT"
 
-# Deterministic paper benches, in roughly the paper's order.
-BENCHES=(
-  table1_lrpc
-  table2_urpc
-  table3_ipc
-  table4_loopback
-  fig3_shm_vs_msg
-  fig6_shootdown
-  fig7_unmap
-  fig8_twopc
-  fig9_compute
-  sync_scaling
-  sec54_netperf
-  sec54_webserver
-  sec54_scaleout
-  rack_serving
-  polling_model
-  ablation_urpc
-)
+# Deterministic paper benches, in roughly the paper's order, then the
+# fault-mode entries: the golden list.
+source bench/golden_benches.sh
 # Benches that understand --machines=N (rack/topology size); everything else
 # simulates a fixed machine and would reject the flag.
 MACHINES_BENCHES=" rack_serving "
-for b in "${BENCHES[@]}"; do
-  args=()
-  if [[ -n "$MACHINES_PASS" && "$MACHINES_BENCHES" == *" $b "* ]]; then
-    args+=("--machines=$MACHINES_PASS")
+for entry in "${GOLDEN_BENCHES[@]}"; do
+  read -r -a argv <<< "$entry"
+  if [[ -n "$MACHINES_PASS" && "$MACHINES_BENCHES" == *" ${argv[0]} "* ]]; then
+    argv+=("--machines=$MACHINES_PASS")
   fi
-  echo "--- $b" | tee -a "$OUT"
-  ./build/bench/"$b" ${args[@]+"${args[@]}"} | tee -a "$OUT"
+  echo "--- $entry" | tee -a "$OUT"
+  ./build/bench/"${argv[0]}" "${argv[@]:1}" | tee -a "$OUT"
 done
 
 if [[ "${SKIP_MICROBENCH:-0}" != "1" ]]; then

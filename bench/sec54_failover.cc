@@ -19,8 +19,9 @@
 //   --kill-db[=K]     halt shard K's DB-replica core at t0+1M (web+SQL mix)
 //   --chaos-seed=N    1-2 seeded random core kills (web+SQL mix), invariants
 //   --quick           4x4 machine, 4 shards, shorter run (CI soak)
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -28,14 +29,12 @@
 
 #include "apps/db.h"
 #include "apps/dbshard.h"
-#include "apps/httpd.h"
 #include "bench_util.h"
 #include "fault/fault.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "monitor/monitor.h"
 #include "net/nic.h"
-#include "net/stack.h"
 #include "recover/config.h"
 #include "recover/recover.h"
 #include "serving.h"
@@ -45,14 +44,8 @@
 namespace mk {
 namespace {
 
-using net::Packet;
 using sim::Cycles;
 using sim::Task;
-
-constexpr net::Ipv4Addr kServerIp = net::MakeIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
-const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
-const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
 
 constexpr int kDbItems = 30000;
 constexpr Cycles kKillOffset = 1'000'000;  // default kill time, after t0
@@ -121,7 +114,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
   bench::System s(spec);
   sim::Executor& exec = s.exec;
   hw::Machine& m = s.machine;
-  const int client_core = spec.num_cores() - 1;
   const Cycles t0 = exec.now();
 
   // Shard i: web core 4i, DB replica core 4i+1 (same package); core 4i+2 is
@@ -156,8 +148,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
   // ignites.
   cfg.rx_descs = 4096;
   cfg.tx_descs = 4096;
-  cfg.gbps = 10.0;
-  cfg.queues = shards;
   // Fine-grained RETA: 16 slots per queue. At baseline this is steering-
   // identical to the slots==queues identity table ((h % 16q) % q == h % q),
   // but on failover it lets ResteerQueue spread the dead queue's 16 slots
@@ -165,16 +155,7 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
   // share onto one of them — the difference between +1/(N-1) load per
   // survivor and one survivor at 2x, which can never drain.
   cfg.reta_slots = 16 * shards;
-  cfg.irq_latency = spec.cost.ipi_wire;
-  for (const auto& p : placements) {
-    cfg.irq_cores.push_back(p.web_core);
-  }
-  net::SimNic nic(m, cfg);
-
-  net::NetStack client(m, client_core, kClientIp, kClientMac, bench::FreeCosts());
-  client.AddArp(kServerIp, kServerMac);
-  client.SetOutput(
-      [&nic](Packet p) -> Task<> { co_await nic.InjectFromWire(std::move(p)); });
+  bench::Fleet fleet(m, shards, cfg);
 
   apps::Database source;
   std::unique_ptr<apps::DbReplicaCluster> cluster;
@@ -183,36 +164,24 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
     cluster = std::make_unique<apps::DbReplicaCluster>(m, source, placements);
   }
 
-  bool stop = false;
-  std::vector<std::unique_ptr<net::NetStack>> stacks;
-  std::vector<std::unique_ptr<apps::HttpServer>> servers;
   for (int i = 0; i < shards; ++i) {
-    const int core = placements[static_cast<std::size_t>(i)].web_core;
-    auto stack = std::make_unique<net::NetStack>(m, core, kServerIp, kServerMac);
-    stack->AddArp(kClientIp, kClientMac);
-    apps::HttpServer::DbQueryFn query_fn;
+    bench::Shard shard;
     if (mix.use_db) {
-      apps::DbReplicaCluster* cl = cluster.get();
-      query_fn = [cl, i](std::string sql) -> Task<std::string> {
+      shard.query = [cl = cluster.get(), i](std::string sql) -> Task<std::string> {
         co_return co_await cl->Query(i, std::move(sql));
       };
     }
-    servers.push_back(
-        std::make_unique<apps::HttpServer>(m, *stack, 80, std::move(query_fn)));
     // Explicit overload policy: bounded admission queue, 503 on overflow or
     // stale waiters, so a degraded fleet sheds instead of collapsing. The
     // queue deadline sits above the workload's healthy p99 queue wait so it
     // only fires under genuine overload (post-kill), never in the baseline.
-    servers.back()->SetAdmission({/*workers=*/8, /*max_pending=*/32,
-                                  /*queue_deadline=*/5'000'000});
-    exec.Spawn(servers.back()->Serve());
-    exec.Spawn(bench::AttachShard(m, nic, i, *stack, &stop));
+    shard.admission = {/*workers=*/8, /*max_pending=*/32,
+                       /*queue_deadline=*/5'000'000};
+    fleet.AddShard(std::move(shard));
     if (mix.use_db) {
       exec.Spawn(cluster->Serve(i));
     }
-    stacks.push_back(std::move(stack));
   }
-  exec.Spawn(bench::WireSink(nic, client, &stop));
 
   // The failover chain: the membership service publishes each committed view
   // change and the serving stack reacts.
@@ -235,9 +204,9 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
             }
           }
           if (!survivors.empty()) {
-            reta_rewritten += nic.ResteerQueue(i, survivors);
+            reta_rewritten += fleet.nic().ResteerQueue(i, survivors);
             for (int t : survivors) {
-              stacks[static_cast<std::size_t>(t)]->SetSendRstForUnknown(true);
+              fleet.stack(t).SetSendRstForUnknown(true);
             }
           }
         }
@@ -257,37 +226,29 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
         }
       });
 
-  bench::LoadStats st(exec);
-  const int total = requests_per_shard * shards;
-  const Cycles interval = mix.interval_per_shard / static_cast<Cycles>(shards);
-  exec.Spawn(bench::Generator(
-      exec, client, kServerIp, total, interval, mix, st,
-      mix.use_db ? bench::TpcwBrowse(kDbItems) : bench::StaticPage()));
-  exec.Spawn(bench::Supervisor(st, nic, &stop, [&]() -> Task<> {
-    if (cluster != nullptr) {
-      co_await cluster->Shutdown();
-    }
-    s.sys.Shutdown();
-  }));
-  exec.Run();
+  bench::Ledger load = fleet.Run(
+      requests_per_shard, mix,
+      mix.use_db ? bench::TpcwBrowse(kDbItems) : bench::StaticPage(),
+      [&]() -> Task<> {
+        if (cluster != nullptr) {
+          co_await cluster->Shutdown();
+        }
+        s.sys.Shutdown();
+      });
 
   RunOutput out;
   out.t0 = t0;
   out.final_now = exec.now();
   out.events = exec.events_dispatched();
-  out.load = std::move(st);
+  out.load = std::move(load);
   out.view_changes = membership.view_changes_committed();
   out.epoch = membership.view().epoch;
   out.reta_rewritten = reta_rewritten;
-  for (int q = 0; q < nic.num_queues(); ++q) {
-    out.adopted += nic.queue_stats(q).rx_adopted;
-  }
-  for (const auto& stk : stacks) {
-    out.rsts_sent += stk->tcp_rsts_sent();
-  }
-  for (const auto& srv : servers) {
-    out.shed_queue_full += srv->shed_queue_full();
-    out.shed_deadline += srv->shed_deadline();
+  for (int i = 0; i < shards; ++i) {
+    out.adopted += fleet.nic().queue_stats(i).rx_adopted;
+    out.rsts_sent += fleet.stack(i).tcp_rsts_sent();
+    out.shed_queue_full += fleet.server(i).shed_queue_full();
+    out.shed_deadline += fleet.server(i).shed_deadline();
   }
   if (cluster != nullptr) {
     out.db_respawns = cluster->respawns();
@@ -554,15 +515,16 @@ int main(int argc, char** argv) {
       kill = true;
     } else if (std::strncmp(arg, "--kill=", 7) == 0) {
       kill = true;
-      kill_shard = std::atoi(arg + 7);
+      kill_shard = static_cast<int>(bench::ParseIntFlag("--kill", arg + 7, 0, INT_MAX));
     } else if (std::strcmp(arg, "--kill-db") == 0) {
       kill_db = true;
     } else if (std::strncmp(arg, "--kill-db=", 10) == 0) {
       kill_db = true;
-      kill_db_shard = std::atoi(arg + 10);
+      kill_db_shard =
+          static_cast<int>(bench::ParseIntFlag("--kill-db", arg + 10, 0, INT_MAX));
     } else if (std::strncmp(arg, "--chaos-seed=", 13) == 0) {
       chaos = true;
-      chaos_seed = std::strtoull(arg + 13, nullptr, 10);
+      chaos_seed = bench::ParseIntFlag("--chaos-seed", arg + 13, 0, UINT64_MAX);
     } else {
       std::fprintf(stderr,
                    "usage: sec54_failover [--quick] [--kill[=K]] [--kill-db[=K]] "

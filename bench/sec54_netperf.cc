@@ -131,8 +131,8 @@ double RunEcho(double offered_mbps) {
   net::SimNic nic(m, cfg);
   net::NetStack app(m, kAppCore, kServerIp, kServerMac);
   app.AddArp(kClientIp, kClientMac);
-  net::PacketChannel to_app(m, kDriverCore, kAppCore, net::PacketChannel::Options{});
-  net::PacketChannel from_app(m, kAppCore, kDriverCore, net::PacketChannel::Options{});
+  net::PacketChannel to_app(m, kDriverCore, kAppCore);
+  net::PacketChannel from_app(m, kAppCore, kDriverCore);
   app.SetOutput([&from_app](Packet p) -> Task<> { co_await from_app.Send(std::move(p)); });
   const int kFrames = 600;
   int pushed = 0;

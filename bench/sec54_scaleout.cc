@@ -11,7 +11,6 @@
 // read-only database mode (one replica per shard, queried over a private URPC
 // channel) shows the same curve for the web+SQL mix that the single-DB
 // configuration cannot scale past one core.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -21,26 +20,18 @@
 
 #include "apps/db.h"
 #include "apps/dbshard.h"
-#include "apps/httpd.h"
 #include "bench_util.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "net/nic.h"
-#include "net/stack.h"
 #include "serving.h"
 #include "sim/executor.h"
 
 namespace mk {
 namespace {
 
-using net::Packet;
 using sim::Cycles;
 using sim::Task;
-
-constexpr net::Ipv4Addr kServerIp = net::MakeIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
-const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
-const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
 
 // Open-loop discipline: a request not finished by this deadline is shed and
 // counted, never waited on — offered load stays independent of service rate.
@@ -63,80 +54,51 @@ PointResult RunPoint(const hw::PlatformSpec& spec, int shards, bool use_db,
                      int requests_per_shard, Cycles interval_per_shard) {
   sim::Executor exec;
   hw::Machine m(exec, spec);
-  const int client_core = spec.num_cores() - 1;
-
-  // Shard s serves on core 4s; its DB replica (if any) on 4s+1, same package.
-  std::vector<apps::ShardPlacement> placements;
-  for (int s = 0; s < shards; ++s) {
-    placements.push_back({4 * s, 4 * s + 1});
-  }
 
   net::SimNic::Config cfg;
   cfg.rx_descs = 512;
   cfg.tx_descs = 512;
-  cfg.gbps = 10.0;
-  cfg.queues = shards;
-  cfg.irq_latency = spec.cost.ipi_wire;
-  for (const auto& p : placements) {
-    cfg.irq_cores.push_back(p.web_core);
-  }
-  net::SimNic nic(m, cfg);
+  bench::Fleet fleet(m, shards, cfg);
 
-  net::NetStack client(m, client_core, kClientIp, kClientMac, bench::FreeCosts());
-  client.AddArp(kServerIp, kServerMac);
-  client.SetOutput(
-      [&nic](Packet p) -> Task<> { co_await nic.InjectFromWire(std::move(p)); });
-
+  // Shard s serves on core 4s; its DB replica (if any) on 4s+1, same package.
   apps::Database source;
   std::unique_ptr<apps::DbReplicaCluster> cluster;
   if (use_db) {
+    std::vector<apps::ShardPlacement> placements;
+    for (int s = 0; s < shards; ++s) {
+      placements.push_back({4 * s, 4 * s + 1});
+    }
     apps::PopulateTpcw(&source, kDbItems);
     cluster = std::make_unique<apps::DbReplicaCluster>(m, source, placements);
   }
-
-  bool stop = false;
-  std::vector<std::unique_ptr<net::NetStack>> stacks;
-  std::vector<std::unique_ptr<apps::HttpServer>> servers;
   for (int s = 0; s < shards; ++s) {
-    const int core = placements[static_cast<std::size_t>(s)].web_core;
-    auto stack = std::make_unique<net::NetStack>(m, core, kServerIp, kServerMac);
-    stack->AddArp(kClientIp, kClientMac);
-    apps::HttpServer::DbQueryFn query_fn;
+    bench::Shard shard;
     if (use_db) {
-      apps::DbReplicaCluster* cl = cluster.get();
-      query_fn = [cl, s](std::string sql) -> Task<std::string> {
+      shard.query = [cl = cluster.get(), s](std::string sql) -> Task<std::string> {
         co_return co_await cl->Query(s, std::move(sql));
       };
     }
-    servers.push_back(
-        std::make_unique<apps::HttpServer>(m, *stack, 80, std::move(query_fn)));
-    exec.Spawn(servers.back()->Serve());
-    exec.Spawn(bench::AttachShard(m, nic, s, *stack, &stop));
+    fleet.AddShard(std::move(shard));
     if (use_db) {
       exec.Spawn(cluster->Serve(s));
     }
-    stacks.push_back(std::move(stack));
   }
-  exec.Spawn(bench::WireSink(nic, client, &stop));
 
-  // Fires `total` requests at a fixed global interval; RSS spreads the flows
+  // Fires the requests at a fixed global interval; RSS spreads the flows
   // (one ephemeral source port each) across the shards' queues.
-  bench::LoadStats st(exec);
-  const int total = requests_per_shard * shards;
-  const Cycles interval = interval_per_shard / static_cast<Cycles>(shards);
   const bench::Mix mix{.interval_per_shard = interval_per_shard,
                        .attempt_timeout = kRequestDeadline,
                        .request_deadline = kRequestDeadline};
-  exec.Spawn(bench::Generator(
-      exec, client, kServerIp, total, interval, mix, st,
-      use_db ? bench::TpcwBrowse(kDbItems) : bench::StaticPage()));
   std::function<Task<>()> shutdown;
   if (cluster != nullptr) {
     shutdown = [&cluster] { return cluster->Shutdown(); };
   }
-  exec.Spawn(bench::Supervisor(st, nic, &stop, std::move(shutdown)));
-  exec.Run();
+  const bench::Ledger st = fleet.Run(
+      requests_per_shard, mix,
+      use_db ? bench::TpcwBrowse(kDbItems) : bench::StaticPage(), std::move(shutdown));
 
+  const int total = requests_per_shard * shards;
+  const Cycles interval = interval_per_shard / static_cast<Cycles>(shards);
   PointResult out;
   const double window_sec = static_cast<double>(total) *
                             static_cast<double>(interval) /
@@ -147,9 +109,9 @@ PointResult RunPoint(const hw::PlatformSpec& spec, int shards, bool use_db,
   auto us = [&](Cycles c) { return static_cast<double>(c) / (spec.clock_ghz * 1e3); };
   out.p50_us = us(bench::Percentile(st.latencies, 0.50));
   out.p99_us = us(bench::Percentile(st.latencies, 0.99));
-  for (int q = 0; q < nic.num_queues(); ++q) {
-    out.rx_frames.push_back(nic.queue_stats(q).rx_frames);
-    out.rx_drops.push_back(nic.queue_stats(q).rx_drops());
+  for (int q = 0; q < shards; ++q) {
+    out.rx_frames.push_back(fleet.nic().queue_stats(q).rx_frames);
+    out.rx_drops.push_back(fleet.nic().queue_stats(q).rx_drops());
   }
   return out;
 }

@@ -113,6 +113,48 @@ Task<> OneRequest(sim::Executor& exec, net::NetStack& client, net::Ipv4Addr serv
   }
 }
 
+// The fleet's part of the NIC config: one queue per shard on a 10 Gb/s
+// wire, queue i's interrupts on web core 4i.
+net::SimNic::Config FleetNic(const hw::Machine& m, int shards,
+                             net::SimNic::Config cfg) {
+  cfg.gbps = 10.0;
+  cfg.queues = shards;
+  cfg.irq_latency = m.cost().ipi_wire;
+  for (int i = 0; i < shards; ++i) {
+    cfg.irq_cores.push_back(4 * i);
+  }
+  return cfg;
+}
+
+// Drains frames the server NIC transmitted into the client cluster's stack
+// until *stop.
+Task<> WireSink(net::SimNic& nic, net::NetStack& client, const bool* stop) {
+  while (!*stop) {
+    net::Packet p;
+    while (nic.WirePop(&p)) {
+      co_await client.Input(std::move(p));
+    }
+    if (!*stop) {
+      co_await nic.wire_out_ready().Wait();
+    }
+  }
+}
+
+// Ends a run: once every request has completed or been shed, sets *stop
+// (the shards' RX loops and the wire sink return), then awaits `shutdown`
+// if given.
+Task<> Supervisor(LoadStats& st, net::SimNic& nic, bool* stop,
+                  std::function<Task<>()> shutdown) {
+  while (!st.finished) {
+    co_await st.all_done.Wait();
+  }
+  *stop = true;
+  nic.wire_out_ready().Signal();  // unblock the sink
+  if (shutdown) {
+    co_await shutdown();
+  }
+}
+
 }  // namespace
 
 net::StackCosts FreeCosts() {
@@ -197,28 +239,39 @@ Task<> Generator(sim::Executor& exec, net::NetStack& client, net::Ipv4Addr serve
   }
 }
 
-Task<> WireSink(net::SimNic& nic, net::NetStack& client, const bool* stop) {
-  while (!*stop) {
-    net::Packet p;
-    while (nic.WirePop(&p)) {
-      co_await client.Input(std::move(p));
-    }
-    if (!*stop) {
-      co_await nic.wire_out_ready().Wait();
-    }
-  }
+Fleet::Fleet(hw::Machine& m, int shards, net::SimNic::Config nic)
+    : m_(m), nic_(m, FleetNic(m, shards, std::move(nic))),
+      client_(m, m.spec().num_cores() - 1, kClientIp, kClientMac, FreeCosts()) {
+  client_.AddArp(kServerIp, kServerMac);
+  client_.SetOutput(
+      [this](net::Packet p) -> Task<> { co_await nic_.InjectFromWire(std::move(p)); });
 }
 
-Task<> Supervisor(LoadStats& st, net::SimNic& nic, bool* stop,
+void Fleet::AddShard(Shard shard) {
+  const int i = static_cast<int>(stacks_.size());
+  auto stack = std::make_unique<net::NetStack>(m_, 4 * i, kServerIp, kServerMac);
+  stack->AddArp(kClientIp, kClientMac);
+  auto server = std::make_unique<apps::HttpServer>(m_, *stack, 80, std::move(shard.query));
+  server->SetDbExec(std::move(shard.exec));
+  server->SetAdmission(shard.admission);
+  m_.exec().Spawn(server->Serve());
+  m_.exec().Spawn(AttachShard(m_, nic_, i, *stack, &stop_));
+  stacks_.push_back(std::move(stack));
+  servers_.push_back(std::move(server));
+}
+
+Ledger Fleet::Run(int requests_per_shard, const Mix& mix, RequestSource source,
                   std::function<Task<>()> shutdown) {
-  while (!st.finished) {
-    co_await st.all_done.Wait();
-  }
-  *stop = true;
-  nic.wire_out_ready().Signal();  // unblock the sink
-  if (shutdown) {
-    co_await shutdown();
-  }
+  sim::Executor& exec = m_.exec();
+  const int shards = nic_.num_queues();
+  exec.Spawn(WireSink(nic_, client_, &stop_));
+  LoadStats st(exec);
+  exec.Spawn(Generator(exec, client_, kServerIp, requests_per_shard * shards,
+                       mix.interval_per_shard / static_cast<Cycles>(shards), mix, st,
+                       std::move(source)));
+  exec.Spawn(Supervisor(st, nic_, &stop_, std::move(shutdown)));
+  exec.Run();
+  return st;
 }
 
 double RunWebServer(WebScenario sc) {

@@ -1,11 +1,13 @@
 // The serving harness shared by the NIC-serving benches (sec54_scaleout,
 // sec54_failover, store_readwrite, rack_serving): one retrying open-loop
-// HTTP client with an exact ledger, the wire sink and supervisor that end a
-// run, the per-shard NIC attachment, the completion timeline and its
-// recovery-window analyzer, and the booted system (monitors included) that
-// the failover benches and fig8_twopc run on. Client behaviour changes here,
-// once, for every serving bench. It also holds sec54_webserver's
-// single-machine web server, which sec54_scaleout's crosscheck re-runs.
+// HTTP client with an exact ledger, the per-shard NIC attachment, the
+// single-machine serving fleet (NIC, client stack, one stack and HttpServer
+// per shard, and the run that ends once every request is answered), the
+// completion timeline and its recovery-window analyzer, and the booted
+// system (monitors included) that the failover benches and fig8_twopc run
+// on. Client behaviour changes here, once, for every serving bench. It also
+// holds sec54_webserver's single-machine web server, which sec54_scaleout's
+// crosscheck re-runs.
 #ifndef MK_BENCH_SERVING_H_
 #define MK_BENCH_SERVING_H_
 
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/httpd.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "kernel/cpu_driver.h"
@@ -138,15 +141,59 @@ Task<> Generator(sim::Executor& exec, net::NetStack& client, net::Ipv4Addr serve
                  int total, Cycles interval, const Mix& mix, LoadStats& st,
                  RequestSource source);
 
-// Drains frames the server NIC transmitted into the client cluster's stack
-// until *stop.
-Task<> WireSink(net::SimNic& nic, net::NetStack& client, const bool* stop);
+// --- The single-machine serving fleet ---
 
-// Ends a run: once every request has completed or been shed, sets *stop
-// (the shard drivers and the wire sink return), then awaits `shutdown`
-// (replica groups, monitors) if given.
-Task<> Supervisor(LoadStats& st, net::SimNic& nic, bool* stop,
-                  std::function<Task<>()> shutdown = nullptr);
+// One shard's server side: what differs between the benches.
+struct Shard {
+  apps::HttpServer::DbQueryFn query;      // empty: no /query
+  apps::HttpServer::DbExecFn exec;        // empty: no /buy
+  apps::HttpServer::Admission admission;  // default: one handler per connection
+};
+
+// The serving fleet of sec54_scaleout, sec54_failover and store_readwrite: a
+// multi-queue NIC at 10 Gb/s with queue i's interrupts routed to web core
+// 4i, the client cluster's stack on the machine's last core feeding the
+// NIC's wire, and per shard a NetStack plus HttpServer on core 4i attached
+// to queue i in the polling form. Every stack shares one server IP and MAC.
+class Fleet {
+ public:
+  // Builds the NIC from `nic` (the caller picks ring depth and RETA size;
+  // queue count, line rate and IRQ routing are the fleet's) and the client.
+  // Ring depth stays the caller's: sec54_scaleout's curve is measured on
+  // 512-descriptor rings, and 4096 (the failover benches' depth) raises
+  // its latencies and makes its 8x4 sweep shed.
+  Fleet(hw::Machine& m, int shards, net::SimNic::Config nic);
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
+
+  // Adds the next shard and spawns its accept loop and RX loop. Spawned
+  // tasks run eagerly to their first suspension, so the order of AddShard
+  // calls and the caller's own spawns (a shard's DB replica loop) is part of
+  // the schedule.
+  void AddShard(Shard shard);
+
+  // Launches requests_per_shard * shards requests from `source`, one every
+  // interval_per_shard / shards cycles, and runs the executor to the end:
+  // once every request has completed or been shed the RX loops and the
+  // client's wire sink stop and `shutdown` (replica groups, monitors), if
+  // given, runs. Returns the ledger.
+  Ledger Run(int requests_per_shard, const Mix& mix, RequestSource source,
+             std::function<Task<>()> shutdown = nullptr);
+
+  net::SimNic& nic() { return nic_; }
+  net::NetStack& stack(int shard) { return *stacks_[static_cast<std::size_t>(shard)]; }
+  apps::HttpServer& server(int shard) {
+    return *servers_[static_cast<std::size_t>(shard)];
+  }
+
+ private:
+  hw::Machine& m_;
+  net::SimNic nic_;
+  net::NetStack client_;
+  bool stop_ = false;
+  std::vector<std::unique_ptr<net::NetStack>> stacks_;
+  std::vector<std::unique_ptr<apps::HttpServer>> servers_;
+};
 
 // --- Section 5.4's web server (sec54_webserver) ---
 

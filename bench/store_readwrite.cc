@@ -28,15 +28,15 @@
 //                     interconnect latency spike; invariants, not thresholds
 //   --quick           4x4 machine, 2 shards, shorter run (CI soak)
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/db.h"
-#include "apps/httpd.h"
 #include "apps/store.h"
 #include "bench_util.h"
 #include "fault/fault.h"
@@ -46,7 +46,6 @@
 #include "hw/platform.h"
 #include "monitor/monitor.h"
 #include "net/nic.h"
-#include "net/stack.h"
 #include "recover/config.h"
 #include "recover/recover.h"
 #include "serving.h"
@@ -56,14 +55,8 @@
 namespace mk {
 namespace {
 
-using net::Packet;
 using sim::Cycles;
 using sim::Task;
-
-constexpr net::Ipv4Addr kServerIp = net::MakeIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
-const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
-const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
 
 // Smaller catalog than sec54 (8k items, ~200k-cycle browse scan) so the
 // leader core has headroom for the write path on top of the read mix.
@@ -184,7 +177,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const bench::Mix&
   bench::System s(spec);
   sim::Executor& exec = s.exec;
   hw::Machine& m = s.machine;
-  const int client_core = spec.num_cores() - 1;
 
   // Shard i: web core 4i fronts it, replicas on 4i+1 (boot leader) and 4i+2
   // (follower), spare 4i+3 for respawn. The web core doubles as the shard's
@@ -233,48 +225,23 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const bench::Mix&
   net::SimNic::Config cfg;
   cfg.rx_descs = 4096;
   cfg.tx_descs = 4096;
-  cfg.gbps = 10.0;
-  cfg.queues = shards;
   cfg.reta_slots = 16 * shards;
-  cfg.irq_latency = spec.cost.ipi_wire;
-  for (const auto& p : placements) {
-    cfg.irq_cores.push_back(p.web_core);
-  }
-  net::SimNic nic(m, cfg);
-
-  net::NetStack client(m, client_core, kClientIp, kClientMac, bench::FreeCosts());
-  client.AddArp(kServerIp, kServerMac);
-  client.SetOutput(
-      [&nic](Packet p) -> Task<> { co_await nic.InjectFromWire(std::move(p)); });
-
-  bool stop = false;
-  std::vector<std::unique_ptr<net::NetStack>> stacks;
-  std::vector<std::unique_ptr<apps::HttpServer>> servers;
+  bench::Fleet fleet(m, shards, cfg);
   for (int i = 0; i < shards; ++i) {
-    const int core = placements[static_cast<std::size_t>(i)].web_core;
-    auto stack = std::make_unique<net::NetStack>(m, core, kServerIp, kServerMac);
-    stack->AddArp(kClientIp, kClientMac);
     // Browse: leader-local read on this web core's own shard. Buy: routed by
     // wid to its partition's group — the owner web core's channels carry it,
     // standing in for an intra-fleet forward to the partition home.
-    apps::ReplicatedStore* st = &store;
-    auto query_fn = [st, i](std::string sql) -> Task<std::string> {
-      co_return co_await st->Query(i, std::move(sql));
-    };
-    auto exec_fn = [st, shards](std::uint64_t wid, std::string sql) -> Task<std::string> {
-      const int owner = static_cast<int>(wid % static_cast<std::uint64_t>(shards));
-      co_return co_await st->Execute(owner, wid, std::move(sql));
-    };
-    servers.push_back(
-        std::make_unique<apps::HttpServer>(m, *stack, 80, std::move(query_fn)));
-    servers.back()->SetDbExec(std::move(exec_fn));
-    servers.back()->SetAdmission({/*workers=*/8, /*max_pending=*/32,
-                                  /*queue_deadline=*/5'000'000});
-    exec.Spawn(servers.back()->Serve());
-    exec.Spawn(bench::AttachShard(m, nic, i, *stack, &stop));
-    stacks.push_back(std::move(stack));
+    fleet.AddShard(
+        {.query = [&store, i](std::string sql) -> Task<std::string> {
+           co_return co_await store.Query(i, std::move(sql));
+         },
+         .exec = [&store, shards](std::uint64_t wid, std::string sql) -> Task<std::string> {
+           const int owner = static_cast<int>(wid % static_cast<std::uint64_t>(shards));
+           co_return co_await store.Execute(owner, wid, std::move(sql));
+         },
+         .admission = {/*workers=*/8, /*max_pending=*/32,
+                       /*queue_deadline=*/5'000'000}});
   }
-  exec.Spawn(bench::WireSink(nic, client, &stop));
 
   recover::MembershipService membership(s.sys);
   Cycles first_view_change_at = 0;
@@ -286,23 +253,18 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const bench::Mix&
         co_await store.HandleViewChange(view, dead_core);
       });
 
-  bench::LoadStats st(exec);
   Buys buys(shards);
-  const int total = requests_per_shard * shards;
-  const Cycles interval = mix.interval_per_shard / static_cast<Cycles>(shards);
-  exec.Spawn(bench::Generator(exec, client, kServerIp, total, interval, mix, st,
-                              BrowseBuy(shards, buys)));
-  exec.Spawn(bench::Supervisor(st, nic, &stop, [&]() -> Task<> {
-    co_await store.Shutdown();
-    s.sys.Shutdown();
-  }));
-  exec.Run();
+  bench::Ledger load = fleet.Run(requests_per_shard, mix, BrowseBuy(shards, buys),
+                                 [&]() -> Task<> {
+                                   co_await store.Shutdown();
+                                   s.sys.Shutdown();
+                                 });
 
   RunOutput out;
   out.t0 = t0;
   out.final_now = exec.now();
   out.events = exec.events_dispatched();
-  out.load = std::move(st);
+  out.load = std::move(load);
   out.buys_launched = buys.launched;
   out.buys_acked = buys.acked;
   out.buys_errored = buys.errored;
@@ -668,10 +630,11 @@ int main(int argc, char** argv) {
       kill_leader = true;
     } else if (std::strncmp(arg, "--kill-leader=", 14) == 0) {
       kill_leader = true;
-      kill_shard = std::atoi(arg + 14);
+      kill_shard =
+          static_cast<int>(bench::ParseIntFlag("--kill-leader", arg + 14, 0, INT_MAX));
     } else if (std::strncmp(arg, "--chaos-seed=", 13) == 0) {
       chaos = true;
-      chaos_seed = std::strtoull(arg + 13, nullptr, 10);
+      chaos_seed = bench::ParseIntFlag("--chaos-seed", arg + 13, 0, UINT64_MAX);
     } else {
       std::fprintf(stderr,
                    "usage: store_readwrite [--quick] [--kill-leader[=K]] "

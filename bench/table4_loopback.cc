@@ -83,7 +83,7 @@ Results RunBarrelfish() {
   net::NetStack gen(m, kGenCore, kGenIp, {2, 0, 0, 0, 0, 1});
   net::NetStack sink(m, kSinkCore, kSinkIp, {2, 0, 0, 0, 0, 2});
   gen.AddArp(kSinkIp, {2, 0, 0, 0, 0, 2});
-  net::PacketChannel ch(m, kGenCore, kSinkCore, net::PacketChannel::Options{});
+  net::PacketChannel ch(m, kGenCore, kSinkCore);
   gen.SetOutput([&ch](Packet p) -> Task<> { co_await ch.Send(std::move(p)); });
   auto& sock = sink.UdpBind(7);
   exec.Spawn(BarrelfishGen(gen, kPackets));

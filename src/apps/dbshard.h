@@ -111,7 +111,7 @@ class DbReplicaCluster {
   struct Shard {
     Shard(hw::Machine& m, ShardPlacement p, const Database& source)
         : placement(p), db(source), queries(m, p.web_core, p.db_core),
-          replies(m, p.db_core, p.web_core, net::PacketChannel::Options{}),
+          replies(m, p.db_core, p.web_core),
           rpc_slot(m.exec(), 1), catch_up(m.exec()) {}
     ShardPlacement placement;
     Database db;  // full read-only replica

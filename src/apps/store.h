@@ -156,7 +156,7 @@ class ReplicatedStore {
   struct Replica {
     Replica(hw::Machine& m, int web_core, int core_in, const Database& src)
         : core(core_in), db(src), requests(m, web_core, core_in),
-          replies(m, core_in, web_core, net::PacketChannel::Options{}) {}
+          replies(m, core_in, web_core) {}
     int core;
     Database db;
     std::uint64_t applied_lsn = 0;
@@ -178,7 +178,7 @@ class ReplicatedStore {
   // superseded link is just deactivated.
   struct Link {
     Link(hw::Machine& m, int leader_core, Replica* f)
-        : follower(f), ship(m, leader_core, f->core, net::PacketChannel::Options{}),
+        : follower(f), ship(m, leader_core, f->core),
           acks(m, f->core, leader_core) {}
     Replica* follower;
     bool active = true;

@@ -31,9 +31,4 @@ Task<> L4Ipc::Call() {
   machine_.tlb(core_).FlushAllNoCost();
 }
 
-Task<> L4Ipc::CallReply() {
-  co_await Call();
-  co_await Call();
-}
-
 }  // namespace mk::baseline

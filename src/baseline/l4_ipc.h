@@ -43,9 +43,6 @@ class L4Ipc {
   // address-space switch (TLB flush side effect on this core).
   Task<> Call();
 
-  // Round trip (call + reply).
-  Task<> CallReply();
-
   std::uint64_t calls() const { return calls_; }
 
  private:

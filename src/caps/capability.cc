@@ -4,20 +4,6 @@
 
 namespace mk::caps {
 
-const char* CapTypeName(CapType t) {
-  switch (t) {
-    case CapType::kNull: return "null";
-    case CapType::kRam: return "ram";
-    case CapType::kFrame: return "frame";
-    case CapType::kPageTable: return "page-table";
-    case CapType::kCNode: return "cnode";
-    case CapType::kDispatcher: return "dispatcher";
-    case CapType::kEndpoint: return "endpoint";
-    case CapType::kDevice: return "device";
-  }
-  return "?";
-}
-
 const char* CapErrName(CapErr e) {
   switch (e) {
     case CapErr::kOk: return "ok";

@@ -32,8 +32,6 @@ enum class CapType : std::uint8_t {
   kDevice,      // device-register region
 };
 
-const char* CapTypeName(CapType t);
-
 // True if RAM may be retyped into `t`.
 bool RetypeableFromRam(CapType t);
 

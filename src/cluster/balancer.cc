@@ -3,15 +3,21 @@
 #include <utility>
 
 namespace mk::cluster {
+namespace {
+
+constexpr std::uint64_t kSteerSeed = 0x4C344C42;  // 'L4LB'
+constexpr sim::Cycles kFrameCost = 500;  // steering work per frame on the drive core
+
+}  // namespace
 
 L4Balancer::L4Balancer(hw::Machine& machine, net::SimNic& nic,
                        ClusterMembership& membership,
-                       std::vector<net::MacAddr> backend_macs, Options opts)
+                       std::vector<net::MacAddr> backend_macs, net::Ipv4Addr vip)
     : machine_(machine),
       nic_(nic),
       membership_(membership),
       macs_(std::move(backend_macs)),
-      opts_(opts) {}
+      vip_(vip) {}
 
 int L4Balancer::PickAmong(const net::FlowTuple& t, bool live_only) const {
   const recover::View& v = membership_.view();
@@ -24,7 +30,7 @@ int L4Balancer::PickAmong(const net::FlowTuple& t, bool live_only) const {
     // Rendezvous: per-backend keyed hash of the flow tuple; the winner is
     // stable under membership of the other backends.
     const std::uint32_t w = net::RssHash(
-        opts_.steer_seed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(b + 1), t);
+        kSteerSeed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(b + 1), t);
     if (best == -1 || w > best_w) {
       best = b;
       best_w = w;
@@ -38,7 +44,7 @@ int L4Balancer::PickBackend(const net::FlowTuple& t) const {
 }
 
 sim::Task<> L4Balancer::Drive(int core, int queue) {
-  return nic_.ServeRx(core, queue, opts_.frame_cost,
+  return nic_.ServeRx(core, queue, kFrameCost,
                       [this, core, queue](net::Packet frame) {
                         return HandleFrame(std::move(frame), core, queue);
                       });
@@ -46,7 +52,7 @@ sim::Task<> L4Balancer::Drive(int core, int queue) {
 
 sim::Task<> L4Balancer::HandleFrame(net::Packet frame, int core, int queue) {
   const auto tuple = net::ExtractFlowTuple(frame);
-  if (!tuple || tuple->dst_ip != opts_.vip) {
+  if (!tuple || tuple->dst_ip != vip_) {
     ++mgmt_frames_;
     if (mgmt_ != nullptr) {
       co_await mgmt_->Input(std::move(frame));

@@ -38,17 +38,11 @@ namespace mk::cluster {
 
 class L4Balancer {
  public:
-  struct Options {
-    net::Ipv4Addr vip = 0;
-    std::uint64_t steer_seed = 0x4C344C42;  // 'L4LB'
-    sim::Cycles frame_cost = 500;  // per-frame steering work on the drive core
-  };
-
-  // `backend_macs[b]` is backend b's NIC MAC; liveness comes from
-  // `membership` (same machine, same domain).
+  // Steers frames addressed to `vip`. `backend_macs[b]` is backend b's NIC
+  // MAC; liveness comes from `membership` (same machine, same domain).
   L4Balancer(hw::Machine& machine, net::SimNic& nic,
              ClusterMembership& membership,
-             std::vector<net::MacAddr> backend_macs, Options opts);
+             std::vector<net::MacAddr> backend_macs, net::Ipv4Addr vip);
   L4Balancer(const L4Balancer&) = delete;
   L4Balancer& operator=(const L4Balancer&) = delete;
 
@@ -78,7 +72,7 @@ class L4Balancer {
   net::SimNic& nic_;
   ClusterMembership& membership_;
   std::vector<net::MacAddr> macs_;
-  Options opts_;
+  net::Ipv4Addr vip_;
   net::NetStack* mgmt_ = nullptr;
   std::uint64_t steered_ = 0;
   std::uint64_t resteered_ = 0;

@@ -3,6 +3,26 @@
 #include <utility>
 
 namespace mk::cluster {
+namespace {
+
+constexpr sim::Cycles kPortLatency = 10'000;  // ~3.3 us switch hop = the lookahead
+constexpr double kBackendGbps = 10.0;
+constexpr double kUplinkGbps = 40.0;  // client and balancer ports
+constexpr sim::Cycles kSwitchForwardCost = 300;
+// Forwarding loops (RSS-steered RX rings) per switch port. A frame pop reads
+// the whole payload through the coherence model (~23 lines for a full data
+// frame), so payload-bearing ports need the copy cost spread over several
+// switch cores to keep up with an 8-shard backend. The client and balancer
+// ports carry the whole rack's frames (every request crosses both), so they
+// get kUplinkPortQueues; a backend port only ever carries one machine's
+// worth.
+constexpr int kSwitchPortQueues = 2;
+constexpr int kUplinkPortQueues = 4;
+constexpr sim::Cycles kHeartbeatPeriod = 100'000;
+constexpr sim::Cycles kHeartbeatTimeout = 400'000;
+constexpr std::uint16_t kHeartbeatPort = 7100;
+
+}  // namespace
 
 ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
   sim::ParallelEngine::Options eng_opts;
@@ -26,7 +46,7 @@ ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
   }
 
   fabric_ = std::make_unique<DcFabric>(*engine_, kSwitchDomain, switch_machine(),
-                                       opts_.switch_forward_cost);
+                                       kSwitchForwardCost);
 
   const sim::Cycles irq_wire = switch_machine().cost().ipi_wire;
 
@@ -38,7 +58,7 @@ ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
     net::SimNic::Config cfg;
     cfg.rx_descs = 4096;
     cfg.tx_descs = 4096;
-    cfg.gbps = opts_.uplink_gbps;
+    cfg.gbps = kUplinkGbps;
     cfg.queues = kClientNicQueues;
     for (int q = 0; q < kClientNicQueues; ++q) {
       cfg.irq_cores.push_back(q);
@@ -54,7 +74,7 @@ ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
     net::SimNic::Config cfg;
     cfg.rx_descs = 4096;
     cfg.tx_descs = 4096;
-    cfg.gbps = opts_.uplink_gbps;
+    cfg.gbps = kUplinkGbps;
     cfg.queues = kBalancerQueues;
     for (int q = 0; q < kBalancerQueues; ++q) {
       cfg.irq_cores.push_back(q);
@@ -69,7 +89,7 @@ ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
     net::SimNic::Config cfg;
     cfg.rx_descs = 4096;
     cfg.tx_descs = 4096;
-    cfg.gbps = opts_.backend_gbps;
+    cfg.gbps = kBackendGbps;
     cfg.queues = opts_.shards_per_backend;
     for (int s = 0; s < opts_.shards_per_backend; ++s) {
       cfg.irq_cores.push_back(4 * s);
@@ -82,17 +102,17 @@ ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
 
   // Switch ports and the static L2 routes.
   const int client_port =
-      fabric_->AddPort(kClientDomain, *client_nic_, opts_.uplink_gbps,
-                       opts_.port_latency, opts_.uplink_port_queues);
+      fabric_->AddPort(kClientDomain, *client_nic_, kUplinkGbps,
+                       kPortLatency, kUplinkPortQueues);
   fabric_->AddRoute(ClientMac(), client_port);
   const int balancer_port =
-      fabric_->AddPort(kBalancerDomain, *balancer_nic_, opts_.uplink_gbps,
-                       opts_.port_latency, opts_.uplink_port_queues);
+      fabric_->AddPort(kBalancerDomain, *balancer_nic_, kUplinkGbps,
+                       kPortLatency, kUplinkPortQueues);
   fabric_->AddRoute(BalancerMac(), balancer_port);
   for (int b = 0; b < opts_.backends; ++b) {
     const int port = fabric_->AddPort(
         BackendDomain(b), *backend_nics_[static_cast<std::size_t>(b)],
-        opts_.backend_gbps, opts_.port_latency, opts_.switch_port_queues);
+        kBackendGbps, kPortLatency, kSwitchPortQueues);
     fabric_->AddRoute(BackendMac(b), port);
   }
 
@@ -107,8 +127,8 @@ ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
 
   ClusterMembership::Options mem_opts;
   mem_opts.backends = opts_.backends;
-  mem_opts.heartbeat_timeout = opts_.heartbeat_timeout;
-  mem_opts.port = opts_.heartbeat_port;
+  mem_opts.heartbeat_timeout = kHeartbeatTimeout;
+  mem_opts.port = kHeartbeatPort;
   membership_ = std::make_unique<ClusterMembership>(balancer_machine(),
                                                     *balancer_stack_, mem_opts);
 
@@ -116,10 +136,8 @@ ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
   for (int b = 0; b < opts_.backends; ++b) {
     macs.push_back(BackendMac(b));
   }
-  L4Balancer::Options bal_opts;
-  bal_opts.vip = kVip;
   balancer_ = std::make_unique<L4Balancer>(balancer_machine(), *balancer_nic_,
-                                           *membership_, std::move(macs), bal_opts);
+                                           *membership_, std::move(macs), kVip);
   balancer_->SetMgmtStack(balancer_stack_.get());
 
   // Backend management stacks: heartbeat sources. TX-only in steady state.
@@ -145,8 +163,8 @@ void ClusterTopology::Start(sim::Cycles horizon) {
     engine_->domain(BackendDomain(b))
         .Spawn(RunHeartbeatSender(backend_machine(b), kBackendMgmtCore,
                                   backend_mgmt_stack(b), b, /*incarnation=*/1,
-                                  kBalancerIp, opts_.heartbeat_port,
-                                  opts_.heartbeat_period, horizon));
+                                  kBalancerIp, kHeartbeatPort,
+                                  kHeartbeatPeriod, horizon));
   }
 }
 

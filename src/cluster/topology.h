@@ -4,9 +4,10 @@
 // across the rack. The fixed layout:
 //
 //   domain 0            top-of-rack switch (DcFabric's store-and-forward
-//                       cores), an Amd4x4: each port runs
-//                       switch_port_queues forwarding loops, cores assigned
-//                       round-robin in port order
+//                       cores), an Amd4x4: each port runs kSwitchPortQueues
+//                       forwarding loops (kUplinkPortQueues on the client
+//                       and balancer ports), cores assigned round-robin in
+//                       port order
 //   domain 1            client machine (Amd4x4): the load-generator NIC
 //                       (multi-queue, uplink rate) — client stacks and
 //                       drivers are the caller's
@@ -18,10 +19,12 @@
 //                       4*i) plus a management stack (core 1) sourcing
 //                       heartbeats
 //
-// All NICs are wired to switch ports; the port wire latency is the engine's
-// conservative lookahead. "Machine" in fault plans (FaultSpec::machine,
-// HaltMachine) is exactly the engine domain id, so killing backend b means
-// HaltMachine(ClusterTopology::BackendDomain(b), at).
+// All NICs are wired to switch ports; the port wire latency (kPortLatency)
+// is the engine's conservative lookahead. The link rates, switch costs and
+// heartbeat timing are fixed constants in topology.cc. "Machine" in fault
+// plans (FaultSpec::machine, HaltMachine) is exactly the engine domain id,
+// so killing backend b means HaltMachine(ClusterTopology::BackendDomain(b),
+// at).
 //
 // Addressing: clients reach the service at the VIP, ARP-resolved to the
 // balancer MAC; backend shard stacks all bind the VIP and their machine's
@@ -55,22 +58,6 @@ class ClusterTopology {
     int shards_per_backend = 8;  // serving NIC queues; shard i on core 4*i
     int threads = 1;             // host threads for the engine
     hw::PlatformSpec backend_spec = hw::Amd8x4();
-    sim::Cycles port_latency = 10'000;  // ~3.3 us switch hop = the lookahead
-    double backend_gbps = 10.0;
-    double uplink_gbps = 40.0;  // client and balancer ports
-    sim::Cycles switch_forward_cost = 300;
-    // Forwarding loops (RSS-steered RX rings) per switch port. A frame pop
-    // reads the whole payload through the coherence model (~23 lines for a
-    // full data frame), so payload-bearing ports need the copy cost spread
-    // over several switch cores to keep up with an 8-shard backend. The
-    // client and balancer ports carry the whole rack's frames (every request
-    // crosses both), so they get uplink_port_queues; a backend port only
-    // ever carries one machine's worth.
-    int switch_port_queues = 2;
-    int uplink_port_queues = 4;
-    sim::Cycles heartbeat_period = 100'000;
-    sim::Cycles heartbeat_timeout = 400'000;
-    std::uint16_t heartbeat_port = 7100;
   };
 
   static constexpr int kSwitchDomain = 0;
@@ -104,7 +91,6 @@ class ClusterTopology {
   // interesting simulated cycle. Call once, before engine().Run().
   void Start(sim::Cycles horizon);
 
-  const Options& options() const { return opts_; }
   int backends() const { return opts_.backends; }
   int num_domains() const { return 3 + opts_.backends; }
   sim::ParallelEngine& engine() { return *engine_; }

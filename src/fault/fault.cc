@@ -146,20 +146,6 @@ FaultPlan& FaultPlan::DropWireFrames(int src_machine, int dst_machine,
   return Add(s);
 }
 
-FaultPlan& FaultPlan::RandomWireLoss(int src_machine, int dst_machine, double rate,
-                                     std::uint64_t seed, sim::Cycles at,
-                                     sim::Cycles until) {
-  FaultSpec s;
-  s.kind = FaultKind::kWireDrop;
-  s.at = at;
-  s.until = until;
-  s.a = src_machine;
-  s.b = dst_machine;
-  s.probability = rate;
-  s.seed = seed;
-  return Add(s);
-}
-
 FaultPlan& FaultPlan::WireDelay(int src_machine, int dst_machine, sim::Cycles extra,
                                 sim::Cycles at, sim::Cycles until) {
   FaultSpec s;
@@ -253,18 +239,6 @@ bool Injector::CoreHalted(int core, sim::Cycles now) const {
   return false;
 }
 
-bool Injector::MachineHalted(int machine, sim::Cycles now) const {
-  for (const SpecState& st : specs_) {
-    const FaultSpec& s = st.spec;
-    if (s.kind == FaultKind::kCoreHalt && s.a == -1 && s.machine == machine &&
-        now >= s.at) {
-      st.activations.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
 bool Injector::AnyHaltPlanned() const {
   for (const SpecState& st : specs_) {
     if (st.spec.kind == FaultKind::kCoreHalt) {
@@ -351,15 +325,6 @@ sim::Cycles Injector::LinkExtra(sim::Cycles now) const {
 
 bool Injector::ShouldEmitAttack(FaultKind kind, sim::Cycles now) {
   return Consume(kind, now, -1, -1) != nullptr;
-}
-
-bool Injector::AttackWindowArmed(FaultKind kind, sim::Cycles now) const {
-  for (const SpecState& st : specs_) {
-    if (st.spec.kind == kind && Armed(st.spec, now)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool Injector::AllSpecsActivated() const {

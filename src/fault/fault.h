@@ -131,11 +131,6 @@ class FaultPlan {
   // (net::CrossWire consults this in the source machine's domain; -1 = any).
   FaultPlan& DropWireFrames(int src_machine, int dst_machine, sim::Cycles at,
                             int count = 1);
-  // Drop each crossing frame with probability `rate` while armed (seeded
-  // stream, consumed in the source machine's domain).
-  FaultPlan& RandomWireLoss(int src_machine, int dst_machine, double rate,
-                            std::uint64_t seed, sim::Cycles at = 0,
-                            sim::Cycles until = kForever);
   // Latency spike on the (src,dst) machine-pair wire: matching crossings are
   // delivered `extra` cycles late while armed. Delay only ever widens the
   // wire's conservative bound, so the engine's lookahead contract holds.
@@ -182,16 +177,12 @@ class Injector {
   void Uninstall();
   static Injector* active();
 
-  // True if `core` has fail-stop halted by `now`. Halts are permanent and
-  // the query schedules nothing, so recovery code can poll it freely — but
+  // True if `core` has fail-stop halted by `now`: a HaltCore spec for it, or
+  // a HaltMachine spec for the calling domain. Halts are permanent and the
+  // query schedules nothing, so recovery code can poll it freely — but
   // each true answer adds one activation to the matching spec, and the
   // coverage tables print that count.
   bool CoreHalted(int core, sim::Cycles now) const;
-  // True if every core of engine domain `machine` is fail-stop halted by
-  // `now` (i.e. a HaltMachine spec for that domain is armed). Like
-  // CoreHalted, each true answer adds one activation; callable from any
-  // domain's thread.
-  bool MachineHalted(int machine, sim::Cycles now) const;
   // True if any core is scheduled to halt at some point in the plan.
   bool AnyHaltPlanned() const;
 
@@ -214,9 +205,6 @@ class Injector {
   // Adversarial-traffic query: true if an armed attack spec of `kind` wants
   // one more attack unit emitted now (consuming; see the FaultPlan builders).
   bool ShouldEmitAttack(FaultKind kind, sim::Cycles now);
-  // True while any spec of `kind` is armed (non-consuming window test — the
-  // benches use it to label attack phases without spending a firing).
-  bool AttackWindowArmed(FaultKind kind, sim::Cycles now) const;
 
   // Total injections performed per kind, summed across domains
   // (kCoreHalt/kLinkDelay are interval predicates and stay zero here).

@@ -69,10 +69,8 @@ Topology::Topology(const PlatformSpec& spec)
     }
   }
 
-  eccentricity_.assign(packages_, 0);
   for (int p = 0; p < packages_; ++p) {
-    eccentricity_[p] = *std::max_element(hops_[p].begin(), hops_[p].end());
-    diameter_ = std::max(diameter_, eccentricity_[p]);
+    diameter_ = std::max(diameter_, *std::max_element(hops_[p].begin(), hops_[p].end()));
   }
 }
 

@@ -33,9 +33,7 @@ class Topology {
   int Hops(int pkg_a, int pkg_b) const { return hops_[pkg_a][pkg_b]; }
   int HopsBetweenCores(int a, int b) const { return Hops(PackageOf(a), PackageOf(b)); }
 
-  // Longest shortest-path distance from `pkg` to any other package. The
-  // latency of a broadcast-probe transaction is bounded by this.
-  int Eccentricity(int pkg) const { return eccentricity_[pkg]; }
+  // Longest shortest-path distance between any two packages.
   int Diameter() const { return diameter_; }
 
   // First package on a shortest path from `from` towards `to` (== `to` if
@@ -60,7 +58,6 @@ class Topology {
   std::vector<std::pair<int, int>> links_;
   std::vector<std::vector<int>> hops_;
   std::vector<std::vector<int>> next_hop_;
-  std::vector<int> eccentricity_;
   int diameter_ = 0;
 };
 

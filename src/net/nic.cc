@@ -57,12 +57,6 @@ SimNic::SimNic(hw::Machine& machine, Config config)
   }
 }
 
-void SimNic::SetRetaEntry(int slot, int queue) {
-  assert(queue >= 0 && queue < config_.queues);
-  reta_[static_cast<std::size_t>(slot)] = queue;
-  reta_reprogrammed_ = true;
-}
-
 int SimNic::ResteerQueue(int dead_queue, const std::vector<int>& survivors) {
   if (survivors.empty()) {
     return 0;

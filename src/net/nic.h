@@ -100,7 +100,6 @@ class SimNic {
 
   int reta_slots() const { return static_cast<int>(reta_.size()); }
   int reta_entry(int slot) const { return reta_[static_cast<std::size_t>(slot)]; }
-  void SetRetaEntry(int slot, int queue);
   // Failover: rewrites every RETA slot currently naming `dead_queue` to the
   // survivors, round-robin in the order given. Returns the number of slots
   // rewritten. Frames already sitting in the dead queue's RX ring stay there

@@ -3,30 +3,27 @@
 namespace mk::net {
 namespace {
 
-urpc::ChannelOptions DescrOptions(const PacketChannel::Options& opts) {
+constexpr int kSlots = 32;
+
+urpc::ChannelOptions DescrOptions() {
   urpc::ChannelOptions c;
-  c.slots = opts.slots;
+  c.slots = kSlots;
   c.prefetch = true;
-  c.numa_node = opts.numa_node;
   return c;
 }
 
 }  // namespace
 
-PacketChannel::PacketChannel(hw::Machine& machine, int sender_core, int receiver_core,
-                             Options opts)
-    : machine_(machine), opts_(opts),
-      descr_(machine, sender_core, receiver_core, DescrOptions(opts)) {
-  int node = opts_.numa_node >= 0 ? opts_.numa_node
-                                  : machine_.topo().PackageOf(sender_core);
+PacketChannel::PacketChannel(hw::Machine& machine, int sender_core, int receiver_core)
+    : machine_(machine), descr_(machine, sender_core, receiver_core, DescrOptions()) {
   payload_region_ = machine_.mem().AllocLines(
-      node, static_cast<std::uint64_t>(opts_.slots) * kPacketSlotBytes /
-                sim::kCacheLineBytes);
+      machine_.topo().PackageOf(sender_core),
+      static_cast<std::uint64_t>(kSlots) * kPacketSlotBytes / sim::kCacheLineBytes);
 }
 
 Task<> PacketChannel::Send(Packet packet) {
   Descriptor d;
-  d.slot = send_slot_++ % static_cast<std::uint32_t>(opts_.slots);
+  d.slot = send_slot_++ % static_cast<std::uint32_t>(kSlots);
   d.len = static_cast<std::uint32_t>(packet.size());
   // Payload first (posted stores), then the descriptor message; the channel's
   // flow control also gates payload-slot reuse (slots match).

@@ -23,12 +23,8 @@ using sim::Task;
 
 class PacketChannel {
  public:
-  struct Options {
-    int slots = 32;
-    int numa_node = -1;  // default: sender's package
-  };
-
-  PacketChannel(hw::Machine& machine, int sender_core, int receiver_core, Options opts);
+  // 32 descriptor and payload slots, both on the sender's package.
+  PacketChannel(hw::Machine& machine, int sender_core, int receiver_core);
 
   // Sends a packet: payload lines retire through the sender's store buffer,
   // the descriptor goes as a (flow-controlled) URPC message.
@@ -56,7 +52,6 @@ class PacketChannel {
   };
 
   hw::Machine& machine_;
-  Options opts_;
   urpc::Channel descr_;
   sim::Addr payload_region_;
   std::deque<Packet> payloads_;  // host-side packet bytes, FIFO with descr_

@@ -14,10 +14,10 @@ namespace {
 // per-domain Rng/fault streams key on sim::CurrentDomain(), and trace
 // records shift onto the domain's private track range so every trace ring
 // stays single-writer.
-void EnterDomainTls(int d, std::uint16_t track_stride) {
+void EnterDomainTls(int d) {
   internal::tls_current_domain = d;
-  trace::internal::tls_track_offset =
-      static_cast<std::uint16_t>(static_cast<unsigned>(d) * track_stride);
+  trace::internal::tls_track_offset = static_cast<std::uint16_t>(
+      static_cast<unsigned>(d) * ParallelEngine::kTrackStride);
 }
 
 void ResetDomainTls() {
@@ -145,7 +145,7 @@ void ParallelEngine::OnBarrierPhase() {
 
 void ParallelEngine::RunDomain(int d) {
   DomainState& ds = *domains_[static_cast<std::size_t>(d)];
-  EnterDomainTls(d, opts_.track_stride);
+  EnterDomainTls(d);
   // RunUntil dispatches every event with t <= epoch_end - 1, i.e. inside
   // [.., epoch_end), then parks the clock at the epoch edge.
   ds.exec.RunUntil(epoch_end_ - 1);
@@ -153,7 +153,7 @@ void ParallelEngine::RunDomain(int d) {
 
 void ParallelEngine::DrainAndPublish(int d) {
   DomainState& ds = *domains_[static_cast<std::size_t>(d)];
-  EnterDomainTls(d, opts_.track_stride);
+  EnterDomainTls(d);
   // Fixed merge order: ascending source domain, FIFO within a source. The
   // enqueue order of cross-domain events is therefore a pure function of
   // the simulation, independent of host thread interleaving — same-cycle

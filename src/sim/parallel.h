@@ -64,11 +64,12 @@ class ParallelEngine {
     // Epoch width when no links are registered (independent domains have
     // unbounded lookahead; wider epochs amortize barrier crossings).
     Cycles default_lookahead = 100'000;
-    // Per-domain trace-track offset stride: domain d's trace records land on
-    // tracks [d*stride, (d+1)*stride), keeping every ring single-writer.
-    // Must exceed the widest domain's core count (and kExecutorTrack).
-    std::uint16_t track_stride = 512;
   };
+
+  // Per-domain trace-track offset stride: domain d's trace records land on
+  // tracks [d*stride, (d+1)*stride), keeping every ring single-writer.
+  // Exceeds the widest domain's core count (and kExecutorTrack).
+  static constexpr std::uint16_t kTrackStride = 512;
 
   explicit ParallelEngine(Options opts);
   ParallelEngine(const ParallelEngine&) = delete;

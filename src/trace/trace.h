@@ -294,10 +294,10 @@ namespace internal {
 // Defined in trace.cc; read through Tracer::active() / the emit fast path.
 extern Tracer* g_active;
 // Folded into Record::core by Emit(). The parallel engine sets it to
-// domain * track_stride around each domain's run/drain phase, giving every
-// domain a disjoint track range (and thus single-writer rings) without any
-// emit site knowing about domains. 0 everywhere else, so single-threaded
-// traces are unchanged.
+// domain * sim::ParallelEngine::kTrackStride around each domain's run/drain
+// phase, giving every domain a disjoint track range (and thus single-writer
+// rings) without any emit site knowing about domains. 0 everywhere else, so
+// single-threaded traces are unchanged.
 inline thread_local std::uint16_t tls_track_offset = 0;
 }  // namespace internal
 

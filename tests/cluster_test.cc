@@ -110,8 +110,7 @@ struct SteerWorld {
       macs.push_back(cluster::ClusterTopology::BackendMac(b));
     }
     balancer = std::make_unique<cluster::L4Balancer>(
-        machine, nic, membership, macs,
-        cluster::L4Balancer::Options{.vip = cluster::ClusterTopology::kVip});
+        machine, nic, membership, macs, cluster::ClusterTopology::kVip);
   }
 
   sim::Executor exec;

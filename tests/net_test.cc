@@ -182,7 +182,7 @@ TEST(Nic, TxPathReachesWire) {
 
 TEST(PacketChannel, TransfersPacketsAcrossCores) {
   NicFixture f;
-  PacketChannel ch(f.machine, 0, 4, PacketChannel::Options{});
+  PacketChannel ch(f.machine, 0, 4);
   std::size_t got_len = 0;
   f.exec.Spawn([](PacketChannel& c) -> Task<> { co_await c.Send(TestFrame(500)); }(ch));
   f.exec.Spawn([](PacketChannel& c, std::size_t& out) -> Task<> {
@@ -857,7 +857,7 @@ TEST(SharedKernelLoopback, CausesMoreCacheMissesThanPacketChannel) {
       }(loop, kPackets));
       f.exec.Run();
     } else {
-      PacketChannel ch(f.machine, 0, 4, PacketChannel::Options{});
+      PacketChannel ch(f.machine, 0, 4);
       f.exec.Spawn([](PacketChannel& c, int n) -> Task<> {
         for (int i = 0; i < n; ++i) {
           co_await c.Send(Packet(1000, 1));
