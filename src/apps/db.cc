@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <iterator>
+#include <string_view>
+#include <utility>
 
 namespace mk::apps {
 
@@ -119,16 +122,6 @@ int Compare(const DbValue& a, const DbValue& b) {
   return x < y ? -1 : (x > y ? 1 : 0);
 }
 
-bool ApplyOp(const std::string& op, int cmp) {
-  if (op == "=") return cmp == 0;
-  if (op == "!=") return cmp != 0;
-  if (op == "<") return cmp < 0;
-  if (op == "<=") return cmp <= 0;
-  if (op == ">") return cmp > 0;
-  if (op == ">=") return cmp >= 0;
-  return false;
-}
-
 }  // namespace
 
 std::string DbValueToString(const DbValue& v) {
@@ -151,7 +144,16 @@ bool Database::WhereClause::Matches(const std::vector<DbValue>& row) const {
   if (col < 0) {
     return true;
   }
-  return ApplyOp(op, Compare(row[static_cast<std::size_t>(col)], val));
+  const int cmp = Compare(row[static_cast<std::size_t>(col)], val);
+  switch (op) {
+    case WhereOp::kEq: return cmp == 0;
+    case WhereOp::kNe: return cmp != 0;
+    case WhereOp::kLt: return cmp < 0;
+    case WhereOp::kLe: return cmp <= 0;
+    case WhereOp::kGt: return cmp > 0;
+    case WhereOp::kGe: return cmp >= 0;
+  }
+  return false;
 }
 
 std::optional<DbError> Database::ParseWhere(DbTokenizer& tok, const Table& table,
@@ -161,7 +163,17 @@ std::optional<DbError> Database::ParseWhere(DbTokenizer& tok, const Table& table
   if (out->col < 0) {
     return DbError{"no such column: " + col};
   }
-  out->op = tok.Next();
+  static constexpr std::pair<std::string_view, WhereOp> kOps[] = {
+      {"=", WhereOp::kEq},  {"!=", WhereOp::kNe}, {"<", WhereOp::kLt},
+      {"<=", WhereOp::kLe}, {">", WhereOp::kGt},  {">=", WhereOp::kGe},
+  };
+  const std::string op = tok.Next();
+  const auto* known = std::find_if(std::begin(kOps), std::end(kOps),
+                                   [&op](const auto& entry) { return entry.first == op; });
+  if (known == std::end(kOps)) {
+    return DbError{"unknown WHERE operator: " + op};
+  }
+  out->op = known->second;
   std::string lit = tok.Next();
   if (lit.empty() || (!IsIntLiteral(lit) && lit[0] != '\'')) {
     return DbError{"bad literal in WHERE"};
@@ -397,30 +409,16 @@ std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sq
   }
   const Table& table = it->second;
 
-  int where_col = -1;
-  std::string where_op;
-  DbValue where_val;
+  WhereClause where;
   int order_col = -1;
   bool order_desc = false;
   std::int64_t limit = -1;
 
   std::string kw = tok.Next();
   if (kw == "WHERE") {
-    std::string col = tok.Next();
-    where_col = table.ColumnIndex(col);
-    if (where_col < 0) {
-      return DbError{"no such column: " + col};
+    if (auto err = ParseWhere(tok, table, &where)) {
+      return *err;
     }
-    where_op = tok.Next();
-    std::string lit = tok.Next();
-    if (lit.empty() || (!IsIntLiteral(lit) && lit[0] != '\'')) {
-      return DbError{"bad literal in WHERE"};
-    }
-    std::optional<DbValue> v = LiteralValue(lit);
-    if (!v.has_value()) {
-      return DbError{"integer literal out of range: " + lit};
-    }
-    where_val = std::move(*v);
     kw = tok.Next();
   }
   if (kw == "ORDER") {
@@ -472,11 +470,9 @@ std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sq
   std::vector<const std::vector<DbValue>*> selected;
   for (const auto& row : table.rows) {
     ++rs.rows_scanned;
-    if (where_col >= 0 &&
-        !ApplyOp(where_op, Compare(row[static_cast<std::size_t>(where_col)], where_val))) {
-      continue;
+    if (where.Matches(row)) {
+      selected.push_back(&row);
     }
-    selected.push_back(&row);
   }
   if (order_col >= 0) {
     std::stable_sort(selected.begin(), selected.end(),

@@ -42,7 +42,8 @@ class Database {
   };
 
   // Executes a SELECT; supports column lists or *, WHERE with = != < <= > >=
-  // on one column, ORDER BY col [DESC], LIMIT n.
+  // on one column, ORDER BY col [DESC], LIMIT n. Any other WHERE operator is
+  // an error here and in UPDATE/DELETE.
   std::variant<ResultSet, DbError> Query(const std::string& sql) const;
 
   std::size_t TableRows(const std::string& name) const;
@@ -71,9 +72,10 @@ class Database {
     std::vector<std::vector<DbValue>> rows;
     int ColumnIndex(const std::string& name) const;
   };
+  enum class WhereOp { kEq, kNe, kLt, kLe, kGt, kGe };
   struct WhereClause {
     int col = -1;  // -1: no WHERE, every row matches
-    std::string op;
+    WhereOp op = WhereOp::kEq;
     DbValue val;
     bool Matches(const std::vector<DbValue>& row) const;
   };

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 
 namespace mk::sim {
 namespace {
@@ -66,32 +67,17 @@ Cycles Executor::NextNearCycle() const {
 }
 
 bool Executor::NextEventTime(Cycles* out) const {
-  // The hot slot implies an otherwise-empty queue, but stay general: the
-  // answer is the min over whichever tiers hold events.
-  bool have = false;
-  Cycles best = 0;
-  if (hot_full_) {
-    best = hot_at_;
-    have = true;
-  }
+  // Every near event precedes every far one: the far heap holds nothing
+  // inside [now_, now_ + kNearWindow).
   if (near_count_ > 0) {
-    const Cycles c = NextNearCycle();
-    if (!have || c < best) {
-      best = c;
-    }
-    have = true;
+    *out = NextNearCycle();
+    return true;
   }
   if (!far_.empty()) {
-    const Cycles c = far_.front().at;
-    if (!have || c < best) {
-      best = c;
-    }
-    have = true;
+    *out = far_.front().at;
+    return true;
   }
-  if (have) {
-    *out = best;
-  }
-  return have;
+  return false;
 }
 
 void Executor::AbortCrossThreadPush() const {
@@ -120,11 +106,8 @@ void Executor::AdvanceTo(Cycles t) {
   now_ = t;
   while (!far_.empty() && far_.front().at - now_ < kNearWindow) {
     std::pop_heap(far_.begin(), far_.end(), FarLater{});
-    FarItem item = std::move(far_.back());
+    LinkNear(far_.back().at, far_.back().node);
     far_.pop_back();
-    Node* n = GetNode();
-    n->cb = std::move(item.cb);
-    LinkNear(item.at, n);
   }
 }
 
@@ -162,52 +145,29 @@ void Executor::DispatchCycle() {
                                       trace::kExecutorTrack, dispatched);
 }
 
+bool Executor::Step(Cycles deadline) {
+  Cycles t = 0;
+  if (!NextEventTime(&t) || t > deadline) {
+    return false;
+  }
+  AdvanceTo(t);  // may jump an empty gap; migrates the far events now due
+  DispatchCycle();
+  return true;
+}
+
 Cycles Executor::Run() {
-  for (;;) {
-    if (hot_full_) {
-      DispatchHot();
-      continue;
-    }
-    if (near_count_ == 0) {
-      if (far_.empty()) {
-        break;
-      }
-      AdvanceTo(far_.front().at);  // jump across the empty gap; migrates
-      continue;
-    }
-    AdvanceTo(NextNearCycle());
-    DispatchCycle();
+  while (Step(std::numeric_limits<Cycles>::max())) {
   }
   return now_;
 }
 
 bool Executor::RunUntil(Cycles deadline) {
-  for (;;) {
-    if (hot_full_) {
-      if (hot_at_ > deadline) {
-        break;
-      }
-      DispatchHot();
-      continue;
-    }
-    if (near_count_ == 0) {
-      if (far_.empty() || far_.front().at > deadline) {
-        break;
-      }
-      AdvanceTo(far_.front().at);
-      continue;
-    }
-    const Cycles c = NextNearCycle();
-    if (c > deadline) {
-      break;
-    }
-    AdvanceTo(c);
-    DispatchCycle();
+  while (Step(deadline)) {
   }
   if (now_ < deadline) {
     AdvanceTo(deadline);  // keep the far-migration invariant at the new time
   }
-  return hot_full_ || near_count_ != 0 || !far_.empty();
+  return pending_events() != 0;
 }
 
 }  // namespace mk::sim

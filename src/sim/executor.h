@@ -1,28 +1,31 @@
 // Deterministic discrete-event executor: the simulated machine's clock.
 //
-// All simulated activity is driven by a two-tier timestamped event queue,
-// fronted by a one-event fast path:
+// All simulated activity is driven by a two-tier timestamped event queue.
+// Every queued event is one freelist-recycled node holding its callback,
+// from push to dispatch, whichever tier orders it:
 //
-//   * Hot slot — when the queue is otherwise empty, a pushed event parks in
-//     a single inline slot and dispatches without touching the ring or the
-//     bitmap. A lone task ping-ponging through Delay() (the most common
-//     microbenchmark and boot-time shape) never leaves this path.
 //   * Near tier — a ring of per-cycle FIFO buckets covering the next
 //     kNearWindow cycles. Simulated delays cluster around small constants
 //     (cache transfers, IPI wires, kernel paths are all well under 1024
-//     cycles), so almost every event is an O(1) bucket append and an O(1)
-//     pop, with an occupancy bitmap to skip empty cycles.
-//   * Far tier — a binary heap ordered by (timestamp, insertion sequence)
-//     for the rare events beyond the window (backoff timers, coarse
-//     workload pacing). Far events migrate into the ring as the clock
-//     approaches them, strictly before any same-cycle near event can be
-//     enqueued, so global FIFO tie-breaking is preserved.
+//     cycles), so a near event is an O(1) bucket append and an O(1) pop,
+//     with an occupancy bitmap to skip empty cycles.
+//   * Far tier — a binary heap of {timestamp, insertion sequence, node}
+//     records for events beyond the window: timer-wheel ticks, keep-alive
+//     and backoff timers, workload pacing. They are not rare: 13%
+//     (rack_get) to 85% (conn_keepalive) of the perfbench workloads' events
+//     (DESIGN.md §6). A heap sift moves the 24-byte record, never the
+//     callback. Far events migrate into the ring as the clock approaches
+//     them by relinking their node, strictly before any same-cycle near
+//     event can be enqueued, so global FIFO tie-breaking is preserved.
 //
 // Ties at one timestamp always run in insertion order, so a given seed
 // produces a bit-identical run. Steady-state dispatch does no heap
 // allocation: events carry an InlineCallback (56-byte small-buffer
-// callable) in freelist-recycled nodes allocated in chunks, and coroutine
-// resumption stores just the handle. The executor is single-threaded by
+// callable) in nodes allocated in chunks, and coroutine resumption stores
+// just the handle. There is no single-event fast path: a lone task looping
+// on Delay() pays the ordinary per-event cost (BM_CoroutineDelayLoop,
+// Release on a 4-core Xeon: about 22 ns per delay, against 8 ns with such a
+// path), a shape no workload has. The executor is single-threaded by
 // design; parallelism in the simulated machine is expressed as interleaved
 // events, not host threads.
 #ifndef MK_SIM_EXECUTOR_H_
@@ -62,7 +65,12 @@ class Executor {
 
   // Runs `fn` at absolute time `t` (clamped to now()). Callables up to
   // InlineCallback::kInlineBytes are stored without heap allocation.
-  void CallAt(Cycles t, InlineCallback fn) { Push(t, std::move(fn)); }
+  void CallAt(Cycles t, InlineCallback fn) {
+    CheckOwner();
+    Node* n = GetNode();
+    n->cb = std::move(fn);
+    Enqueue(t, n);
+  }
 
   // Awaitable: suspends the current task for `d` cycles of simulated time.
   auto Delay(Cycles d) {
@@ -108,13 +116,11 @@ class Executor {
   // Total events dispatched so far (diagnostics / microbenchmarks).
   std::uint64_t events_dispatched() const { return events_dispatched_; }
 
-  // Events currently queued across all tiers (invariant checks: a fully
+  // Events currently queued across both tiers (invariant checks: a fully
   // drained run must report zero).
-  std::size_t pending_events() const {
-    return near_count_ + far_.size() + (hot_full_ ? 1 : 0);
-  }
+  std::size_t pending_events() const { return near_count_ + far_.size(); }
 
-  // Earliest pending event's timestamp across all tiers; false when drained.
+  // Earliest pending event's timestamp across both tiers; false when drained.
   // Used by the parallel engine to plan the next epoch window.
   bool NextEventTime(Cycles* out) const;
 
@@ -151,10 +157,20 @@ class Executor {
     void operator()() const { handle.resume(); }
   };
 
+  // One queued event, near or far. Nodes come from chunked slabs and are
+  // recycled through a freelist, so warm-up costs O(chunks) allocations and
+  // steady state costs none. `next` links the node into its cycle's FIFO
+  // bucket, or into the freelist.
+  struct Node {
+    InlineCallback cb;
+    Node* next;
+  };
+
+  // A far-tier heap record: the heap orders these, the node stays put.
   struct FarItem {
     Cycles at;
     std::uint64_t seq;
-    InlineCallback cb;
+    Node* node;
   };
   struct FarLater {
     bool operator()(const FarItem& a, const FarItem& b) const {
@@ -165,86 +181,23 @@ class Executor {
     }
   };
 
-  // A near-tier event: one freelist-recycled node per queued event, linked
-  // into its cycle's FIFO bucket. Nodes come from chunked slabs, so warm-up
-  // costs O(chunks) allocations and steady state costs none.
-  struct Node {
-    InlineCallback cb;
-    Node* next;
-  };
-
-  // Hot-slot fast path: an event pushed into an otherwise-empty queue parks
-  // in a single inline slot. A second push demotes it into the normal tiers
-  // (first, preserving its earlier insertion order) before enqueueing the
-  // newcomer. Invariant: hot_full_ implies near_count_ == 0 && far_.empty().
   void PushHandle(Cycles t, std::coroutine_handle<> h) {
     CheckOwner();
+    Node* n = GetNode();
+    n->cb.emplace(ResumeFn{h});  // inline store: no type-erased call
+    Enqueue(t, n);
+  }
+
+  // Clamps `t` to now() and queues `n` in the near ring or the far heap.
+  void Enqueue(Cycles t, Node* n) {
     if (t < now_) {
       t = now_;
     }
-    if (!hot_full_ && near_count_ == 0 && far_.empty()) {
-      hot_full_ = true;
-      hot_is_handle_ = true;
-      hot_at_ = t;
-      hot_handle_ = h;
-      return;
-    }
-    if (hot_full_) {
-      DemoteHot();
-    }
     if (t - now_ < kNearWindow) {
-      Node* n = GetNode();
-      n->cb.emplace(ResumeFn{h});  // inline store: no type-erased call
       LinkNear(t, n);
     } else {
-      EnqueueFar(t, InlineCallback(ResumeFn{h}));
-    }
-  }
-
-  void Push(Cycles t, InlineCallback cb) {
-    CheckOwner();
-    if (t < now_) {
-      t = now_;
-    }
-    if (!hot_full_ && near_count_ == 0 && far_.empty()) {
-      hot_full_ = true;
-      hot_is_handle_ = false;
-      hot_at_ = t;
-      hot_cb_ = std::move(cb);
-      return;
-    }
-    if (hot_full_) {
-      DemoteHot();
-    }
-    Enqueue(t, std::move(cb));
-  }
-
-  // Moves the hot-slot event into the normal tiers. The hot event was
-  // inserted earlier than whatever push triggered the demotion, so it must
-  // enqueue first for a same-cycle tie to keep global FIFO order.
-  void DemoteHot() {
-    hot_full_ = false;
-    if (hot_is_handle_) {
-      if (hot_at_ - now_ < kNearWindow) {
-        Node* n = GetNode();
-        n->cb.emplace(ResumeFn{hot_handle_});
-        LinkNear(hot_at_, n);
-      } else {
-        EnqueueFar(hot_at_, InlineCallback(ResumeFn{hot_handle_}));
-      }
-    } else {
-      Enqueue(hot_at_, std::move(hot_cb_));
-    }
-  }
-
-  // Routes an event (time already clamped) into the near ring or far heap.
-  void Enqueue(Cycles t, InlineCallback cb) {
-    if (t - now_ < kNearWindow) {
-      Node* n = GetNode();
-      n->cb = std::move(cb);
-      LinkNear(t, n);
-    } else {
-      EnqueueFar(t, std::move(cb));
+      far_.push_back(FarItem{t, next_seq_++, n});
+      std::push_heap(far_.begin(), far_.end(), FarLater{});
     }
   }
 
@@ -259,11 +212,6 @@ class Executor {
     bucket_tail_[slot] = n;
     occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     ++near_count_;
-  }
-
-  void EnqueueFar(Cycles t, InlineCallback cb) {
-    far_.push_back(FarItem{t, next_seq_++, std::move(cb)});
-    std::push_heap(far_.begin(), far_.end(), FarLater{});
   }
 
   Node* GetNode() {
@@ -283,24 +231,6 @@ class Executor {
   // Allocates a fresh chunk of nodes, seeds the freelist, returns one node.
   Node* RefillFreelist();
 
-  // Dispatches the hot-slot event. Clears the slot before invoking so the
-  // event may immediately re-arm the slot (the lone-task Delay loop).
-  void DispatchHot() {
-    now_ = hot_at_;
-    ++events_dispatched_;
-    trace::Emit<trace::Category::kExec>(trace::EventId::kExecCycle, hot_at_,
-                                        trace::kExecutorTrack, /*arg0=*/1);
-    hot_full_ = false;
-    if (hot_is_handle_) {
-      std::coroutine_handle<> h = hot_handle_;  // local copy: resume may re-arm the slot
-      h.resume();
-    } else {
-      // Move out: the callback may push a new hot event over hot_cb_.
-      InlineCallback cb = std::move(hot_cb_);
-      cb();
-    }
-  }
-
   // Scans the occupancy bitmap for the earliest non-empty bucket cycle.
   // Requires near_count_ > 0.
   Cycles NextNearCycle() const;
@@ -314,6 +244,11 @@ class Executor {
   // Dispatches every event in the bucket for now_, including events appended
   // to it mid-dispatch (Yield and other same-cycle scheduling).
   void DispatchCycle();
+
+  // The one dispatch step of Run and RunUntil: advances the clock to the
+  // earliest pending cycle and dispatches it, if that cycle is at or before
+  // `deadline`. Returns false, changing nothing, otherwise.
+  bool Step(Cycles deadline);
 
   void CheckOwner() const {
     if (enforce_owner_ && std::this_thread::get_id() != owner_) {
@@ -331,12 +266,6 @@ class Executor {
   std::uint64_t events_dispatched_ = 0;
   std::size_t live_tasks_ = 0;
   std::size_t near_count_ = 0;
-  // Hot slot: the sole pending event when the rest of the queue is empty.
-  bool hot_full_ = false;
-  bool hot_is_handle_ = false;  // selects hot_handle_ vs hot_cb_
-  Cycles hot_at_ = 0;
-  std::coroutine_handle<> hot_handle_;
-  InlineCallback hot_cb_;
   std::array<Node*, kNearWindow> bucket_head_{};  // per-cycle FIFO lists
   std::array<Node*, kNearWindow> bucket_tail_{};
   std::array<std::uint64_t, kBitmapWords> occupied_{};

@@ -38,11 +38,7 @@ ParallelEngine::ParallelEngine(Options opts) : opts_(opts) {
   if (opts_.domains < 1 || opts_.domains > kMaxDomains) {
     Fatal("domains=%ld outside [1, %ld]", opts_.domains, kMaxDomains);
   }
-  if (opts_.default_lookahead < 1) {
-    Fatal("default_lookahead must be >= 1");
-  }
   threads_ = std::clamp(opts_.threads, 1, opts_.domains);
-  lookahead_ = opts_.default_lookahead;
   domains_.reserve(static_cast<std::size_t>(opts_.domains));
   for (int d = 0; d < opts_.domains; ++d) {
     domains_.push_back(std::make_unique<DomainState>(opts_.domains));
@@ -69,7 +65,6 @@ void ParallelEngine::Link(int src, int dst, Cycles latency) {
   }
   latency_[static_cast<std::size_t>(src) * domains_.size() + static_cast<std::size_t>(dst)] =
       latency;
-  any_link_ = true;
   lookahead_ = std::min(lookahead_, latency);
 }
 

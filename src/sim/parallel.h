@@ -61,10 +61,12 @@ class ParallelEngine {
   struct Options {
     int domains = 1;
     int threads = 1;  // host workers; clamped to [1, domains]
-    // Epoch width when no links are registered (independent domains have
-    // unbounded lookahead; wider epochs amortize barrier crossings).
-    Cycles default_lookahead = 100'000;
   };
+
+  // Epoch width when no links are registered, and the cap on the lookahead
+  // when they are (independent domains have unbounded lookahead; wider
+  // epochs amortize barrier crossings).
+  static constexpr Cycles kMaxLookahead = 100'000;
 
   // Per-domain trace-track offset stride: domain d's trace records land on
   // tracks [d*stride, (d+1)*stride), keeping every ring single-writer.
@@ -83,7 +85,7 @@ class ParallelEngine {
 
   // Declares a directed cross-domain link with the given latency (cycles).
   // The engine's lookahead is min over all registered link latencies (capped
-  // by Options::default_lookahead). Must be called before Run().
+  // by kMaxLookahead). Must be called before Run().
   void Link(int src, int dst, Cycles latency);
   // Registered latency, or 0 if none.
   Cycles link_latency(int src, int dst) const {
@@ -140,8 +142,7 @@ class ParallelEngine {
 
   Options opts_;
   int threads_ = 1;
-  Cycles lookahead_;
-  bool any_link_ = false;
+  Cycles lookahead_ = kMaxLookahead;
   std::vector<std::unique_ptr<DomainState>> domains_;
   std::vector<Cycles> latency_;  // [src * D + dst]; 0 = no link
 

@@ -85,6 +85,14 @@ TEST(Db, ErrorsAreReported) {
   EXPECT_TRUE(db.Exec("INSERT INTO items VALUES (1, 2)").has_value());    // arity
   EXPECT_TRUE(db.Exec("INSERT INTO items VALUES ('x', 'y', 'z')").has_value());  // types
   EXPECT_TRUE(db.Exec("CREATE TABLE items (a INT)").has_value());  // duplicate
+  // An unknown WHERE operator is an error on every path, never a predicate
+  // that silently matches no row.
+  EXPECT_TRUE(
+      std::holds_alternative<DbError>(db.Query("SELECT * FROM items WHERE i_id LIKE 1")));
+  EXPECT_TRUE(db.Exec("UPDATE items SET i_cost = 1 WHERE i_id LIKE 1").has_value());
+  EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_id LIKE 1").has_value());
+  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 1").rows.size(), 0u);
+  EXPECT_EQ(db.TableRows("ITEMS"), 4u);
 }
 
 TEST(Db, QuotedStringsWithSpacesAndEscapes) {

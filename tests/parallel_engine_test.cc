@@ -53,7 +53,7 @@ TEST(ParallelEngine, LookaheadIsMinRegisteredLinkLatency) {
   ParallelEngine::Options opts;
   opts.domains = 3;
   ParallelEngine eng(opts);
-  EXPECT_EQ(eng.lookahead(), opts.default_lookahead);
+  EXPECT_EQ(eng.lookahead(), ParallelEngine::kMaxLookahead);
   eng.Link(0, 1, 700);
   EXPECT_EQ(eng.lookahead(), 700u);
   eng.Link(1, 2, 300);
@@ -166,8 +166,8 @@ TEST(ParallelEngine, FifoWithinOneSourceSameCycle) {
 TEST(ParallelEngine, IdleGapsAreFastForwarded) {
   ParallelEngine::Options opts;
   opts.domains = 2;
-  opts.default_lookahead = 100;  // narrow epochs to make the point sharp
   ParallelEngine eng(opts);
+  eng.Link(0, 1, 100);  // narrow epochs to make the point sharp
   int ran = 0;
   // Events a billion cycles apart: a naive epoch walk would need 10^7
   // windows; planning from the global minimum next-event time needs one

@@ -2,11 +2,15 @@
 // synchronization primitives, RNG, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/event.h"
 #include "sim/executor.h"
+#include "sim/inline_callback.h"
 #include "sim/random.h"
 #include "sim/stats.h"
 #include "sim/task.h"
@@ -152,6 +156,74 @@ TEST(Executor, RunUntilAcrossEmptyWindows) {
   EXPECT_FALSE(exec.RunUntil(Executor::kNearWindow * 4));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(exec.now(), Executor::kNearWindow * 4);
+}
+
+// Destroying an executor frees every queued callback exactly once, whichever
+// tier holds it and whether it is stored inline or on the heap.
+TEST(Executor, DestructionFreesEveryPendingCallbackOnce) {
+  struct Counted {
+    int* live;
+    explicit Counted(int* l) : live(l) { ++*live; }
+    Counted(const Counted& other) : live(other.live) { ++*live; }
+    ~Counted() { --*live; }
+  };
+  const std::array<char, InlineCallback::kInlineBytes> big{};  // forces the heap fallback
+  int live = 0;
+  {
+    Executor exec;
+    exec.CallAt(5, [c = Counted(&live)] {});
+    exec.CallAt(6, [c = Counted(&live), big] {});
+    exec.CallAt(Executor::kNearWindow * 3, [c = Counted(&live)] {});
+    exec.CallAt(Executor::kNearWindow * 4, [c = Counted(&live), big] {});
+    EXPECT_EQ(live, 4);
+    EXPECT_TRUE(exec.RunUntil(10));  // dispatches and frees the near pair
+    EXPECT_EQ(live, 2);
+    exec.CallAt(20, [c = Counted(&live), big] {});  // a near one, pending again
+    EXPECT_EQ(live, 3);
+    EXPECT_EQ(exec.pending_events(), 3u);
+  }
+  EXPECT_EQ(live, 0);
+}
+
+// Far callbacks with full 56-byte captures survive heap sifts and migration
+// into the near ring intact, and dispatch in (time, insertion) order.
+TEST(Executor, FullFarCallbacksDispatchIntactInTimeThenInsertionOrder) {
+  struct Log {
+    Executor* exec;
+    std::vector<std::array<std::uint64_t, 7>> rows;  // now() + the six words
+  };
+  Executor exec;
+  Log log{&exec, {}};
+  constexpr std::uint64_t kEvents = 64;
+  std::vector<std::pair<Cycles, std::uint64_t>> expected;  // (time, insertion index)
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    // Scrambled times beyond the near window, with ties among them.
+    const Cycles at = Executor::kNearWindow + (i * 37 % 13) * 1500;
+    std::array<std::uint64_t, 6> words{};
+    for (std::uint64_t w = 0; w < words.size(); ++w) {
+      words[w] = (i << 32) | (at + w);
+    }
+    auto cb = [&log, words] {
+      std::array<std::uint64_t, 7> row{};
+      row[0] = log.exec->now();
+      std::copy(words.begin(), words.end(), row.begin() + 1);
+      log.rows.push_back(row);
+    };
+    static_assert(sizeof(cb) == InlineCallback::kInlineBytes);
+    exec.CallAt(at, std::move(cb));
+    expected.emplace_back(at, i);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  exec.Run();
+  ASSERT_EQ(log.rows.size(), kEvents);
+  for (std::size_t k = 0; k < kEvents; ++k) {
+    const auto& [at, i] = expected[k];
+    EXPECT_EQ(log.rows[k][0], at) << "dispatch " << k;
+    for (std::uint64_t w = 0; w < 6; ++w) {
+      EXPECT_EQ(log.rows[k][w + 1], (i << 32) | (at + w)) << "dispatch " << k << " word " << w;
+    }
+  }
 }
 
 // Event-count regression: the executor dispatches exactly one event per

@@ -351,6 +351,41 @@ class JsonChecker {
   std::size_t pos_ = 0;
 };
 
+// The executor emits one kExecCycle record per dispatched cycle, its arg0
+// counting every event of that cycle: a callback that re-schedules itself at
+// the same cycle runs in the same pass and adds to the same record.
+TEST(TraceExec, SameCycleRescheduleCountsInOneCycleRecord) {
+  if ((kCompiledCategories & CategoryBit(Category::kExec)) == 0) {
+    GTEST_SKIP() << "needs exec trace points compiled in";
+  }
+  struct Again {
+    sim::Executor* exec;
+    int* runs;
+    void operator()() {
+      if (++*runs < 2) {
+        exec->CallAt(exec->now(), *this);
+      }
+    }
+  };
+  Tracer t(/*capacity_per_core=*/64);
+  t.Install();
+  sim::Executor exec;
+  int runs = 0;
+  exec.CallAt(5, Again{&exec, &runs});
+  exec.Run();
+  t.Uninstall();
+  EXPECT_EQ(runs, 2);
+  std::vector<Record> cycles;
+  for (const Record& r : t.Snapshot()) {
+    if (r.event == EventId::kExecCycle) {
+      cycles.push_back(r);
+    }
+  }
+  ASSERT_EQ(cycles.size(), 1u);
+  EXPECT_EQ(cycles[0].cycle, 5u);
+  EXPECT_EQ(cycles[0].arg0, 2u);
+}
+
 TEST(TraceExport, PerfettoJsonIsValidAndCarriesExpectedKeys) {
   // The record-content assertions need the urpc/ipi/kernel trace points in
   // the binary; under MK_TRACE_ENABLED=0 (the CI matrix leg) the exporter
