@@ -176,13 +176,12 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
 
   // Backends: every shard stack binds the VIP (direct server return; the
   // stack demuxes inbound by destination IP, so shards share it) plus its
-  // machine's MAC, and pre-arms RST-for-unknown — the arming is
-  // injector-gated in the stack, so golden runs never send one, and there is
-  // no way to arm it at view-change time from the balancer's domain. Shard
-  // drivers park on a plain wait (no stop flag): under a machine-scoped halt
-  // (HaltMachine) a driver dies on its next wakeup — frames the balancer
-  // steers there before the view change commits guarantee one — exactly as
-  // a fail-stop machine's driver would.
+  // machine's MAC; a stack answers a flow it never saw with RST, so adopted
+  // flows reset without any arming. Shard drivers park on a plain wait (no
+  // stop flag): under a machine-scoped halt (HaltMachine) a driver dies on
+  // its next wakeup — frames the balancer steers there before the view
+  // change commits guarantee one — exactly as a fail-stop machine's driver
+  // would.
   std::vector<std::unique_ptr<net::NetStack>> stacks;
   std::vector<std::unique_ptr<apps::HttpServer>> servers;
   for (int b = 0; b < cfg.machines; ++b) {
@@ -194,7 +193,6 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
       auto stack = std::make_unique<net::NetStack>(bm, core, Topo::kVip,
                                                    Topo::BackendMac(b));
       stack->AddArp(Topo::kClientIp, Topo::ClientMac());
-      stack->SetSendRstForUnknown(true);
       auto server = std::make_unique<apps::HttpServer>(bm, *stack, 80, nullptr,
                                                        /*request_cost=*/60000);
       server->SetAdmission({/*workers=*/8, /*max_pending=*/32,

@@ -190,8 +190,8 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
   membership.Subscribe(
       [&](const recover::View& view, int dead_core) -> Task<> {
         // A dead web core: move its RX queue's RETA slots onto the surviving
-        // shards and arm RST-for-unknown on them so adopted flows reset
-        // immediately instead of waiting out client timeouts.
+        // shards; they answer the adopted flows with RST, so clients retry
+        // immediately instead of waiting out their timeouts.
         for (int i = 0; i < shards; ++i) {
           if (placements[static_cast<std::size_t>(i)].web_core != dead_core) {
             continue;
@@ -205,9 +205,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
           }
           if (!survivors.empty()) {
             reta_rewritten += fleet.nic().ResteerQueue(i, survivors);
-            for (int t : survivors) {
-              fleet.stack(t).SetSendRstForUnknown(true);
-            }
           }
         }
         // A dead DB core: re-point its clients at a live replica, then

@@ -214,7 +214,7 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const bench::Mix&
       }
       if (extra->link_spike_extra > 0) {
         plan.LinkSpike(extra->link_spike_extra, t0 + extra->link_spike_at,
-                       fault::kForever);
+                       sim::kForever);
       }
     }
     inj = std::make_unique<fault::Injector>(plan);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "apps/sqlrpc.h"
-#include "fault/fault.h"
 #include "recover/config.h"
 #include "trace/trace.h"
 
@@ -34,9 +33,7 @@ Task<> DbReplicaCluster::Serve(int shard) {
     }
     // Fail-stop: a replica on a halted core dies with its request in hand —
     // no reply, no accounting; the client's bounded reply wait recovers.
-    // Injector-gated so plain runs never evaluate the predicate.
-    if (fault::Injector* inj = fault::Injector::active();
-        inj != nullptr && inj->CoreHalted(s.placement.db_core, machine_.exec().now())) {
+    if (machine_.Halted(s.placement.db_core)) {
       co_return;
     }
     // Parse + per-row scan cost on this shard's own core, paid in parallel
@@ -69,14 +66,8 @@ Task<std::string> DbReplicaCluster::Query(int shard, std::string sql) {
     }
     co_await s.rpc_slot.Acquire();
     co_await SendSql(s.queries, sql);
-    if (fault::Injector::active() == nullptr) {
-      // Plain runs: unbounded wait, the exact pre-failover reply path.
-      net::Packet reply = co_await s.replies.Recv();
-      s.rpc_slot.Release();
-      co_return std::string(reply.begin(), reply.end());
-    }
     std::optional<net::Packet> reply =
-        co_await s.replies.RecvTimeout(recover::Config().db_rpc_timeout);
+        co_await s.replies.RecvTimeout(recover::Bound(recover::Config().db_rpc_timeout));
     s.rpc_slot.Release();
     if (reply.has_value()) {
       co_return std::string(reply->begin(), reply->end());

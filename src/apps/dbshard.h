@@ -57,10 +57,10 @@ class DbReplicaCluster {
 
   // Web-side query: runs `sql` on the shard's replica, returns rendered
   // rows. One outstanding RPC per shard (the reply channel carries no
-  // request ids), as a connection pool of size one would. Under fault
-  // injection the reply wait is bounded (RecoveryConfig::db_rpc_timeout); a
-  // timeout marks the replica dead and the query retries against the
-  // redirect target, up to db_max_attempts distinct replicas.
+  // request ids), as a connection pool of size one would. The reply wait is
+  // recover::Bound(RecoveryConfig::db_rpc_timeout); a timeout marks the
+  // replica dead and the query retries against the redirect target, up to
+  // db_max_attempts distinct replicas.
   Task<std::string> Query(int shard, std::string sql);
 
   // Poisons every shard's request channel; their Serve() loops drain and

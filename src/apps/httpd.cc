@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "fault/fault.h"
 #include "sim/random.h"
 #include "trace/trace.h"
 
@@ -117,16 +116,6 @@ HttpServer::HttpServer(hw::Machine& machine, net::NetStack& stack, std::uint16_t
     : machine_(machine), stack_(stack), port_(port), db_query_(std::move(db_query)),
       request_cost_(request_cost), pending_ready_(machine.exec()) {}
 
-namespace {
-// Fail-stop check for the serving tasks: a handler on a halted core abandons
-// its work (no response, no accounting), exactly like a process dying with
-// its core. Injector-gated, so plain runs never evaluate the predicate.
-bool ServingCoreHalted(hw::Machine& machine, int core) {
-  fault::Injector* inj = fault::Injector::active();
-  return inj != nullptr && inj->CoreHalted(core, machine.exec().now());
-}
-}  // namespace
-
 Task<HttpResponse> HttpServer::Handle(const HttpRequest& req) {
   ++requests_served_;
   co_await machine_.Compute(stack_.core(), request_cost_);
@@ -209,7 +198,7 @@ Task<> HttpServer::ServeConnection(net::NetStack::TcpConn* conn) {
       break;
     }
   }
-  if (ServingCoreHalted(machine_, stack_.core())) {
+  if (machine_.Halted(stack_.core())) {
     co_return;  // fail-stop mid-request: the client never hears back
   }
   HttpRequest req;
@@ -221,7 +210,7 @@ Task<> HttpServer::ServeConnection(net::NetStack::TcpConn* conn) {
   } else {
     resp = co_await Handle(req);
   }
-  if (ServingCoreHalted(machine_, stack_.core())) {
+  if (machine_.Halted(stack_.core())) {
     co_return;
   }
   co_await stack_.TcpSend(*conn, RenderHttpResponse(resp));
@@ -248,7 +237,7 @@ Task<> HttpServer::ServeConnectionKeepAlive(net::NetStack::TcpConn* conn) {
         wait = elapsed >= keep_.header_deadline ? 1 : keep_.header_deadline - elapsed;
       }
       bool ok = co_await stack_.WaitReadable(*conn, wait);
-      if (ServingCoreHalted(machine_, stack_.core())) {
+      if (machine_.Halted(stack_.core())) {
         co_return;  // fail-stop: the handler dies with its core
       }
       if (!ok) {
@@ -327,7 +316,7 @@ Task<> HttpServer::ServeConnectionKeepAlive(net::NetStack::TcpConn* conn) {
         ++pipeline_closes_;
         last = true;
       }
-      if (ServingCoreHalted(machine_, stack_.core())) {
+      if (machine_.Halted(stack_.core())) {
         co_return;
       }
       co_await stack_.TcpSend(*conn, RenderHttpResponse11(resp, !last));
@@ -364,7 +353,7 @@ Task<> HttpServer::Worker() {
     }
     auto [conn, enqueued_at] = pending_.front();
     pending_.pop_front();
-    if (ServingCoreHalted(machine_, stack_.core())) {
+    if (machine_.Halted(stack_.core())) {
       co_return;  // fail-stop: the worker dies with its core
     }
     if (admission_.queue_deadline > 0 &&
@@ -391,7 +380,7 @@ Task<> HttpServer::Serve() {
       machine_.exec().Spawn(ServeConnection(conn));  // legacy: unbounded
       continue;
     }
-    if (ServingCoreHalted(machine_, stack_.core())) {
+    if (machine_.Halted(stack_.core())) {
       co_return;
     }
     if (admission_.max_pending > 0 &&

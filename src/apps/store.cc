@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "apps/sqlrpc.h"
-#include "fault/fault.h"
 #include "recover/config.h"
 #include "trace/trace.h"
 
@@ -28,11 +27,6 @@ struct WireReqHdr {
   std::uint64_t wid = 0;
   std::uint64_t is_write = 0;
 };
-
-bool CoreHalted(hw::Machine& machine, int core) {
-  fault::Injector* inj = fault::Injector::active();
-  return inj != nullptr && inj->CoreHalted(core, machine.exec().now());
-}
 
 net::Packet EncodeShip(const fs::WalRecord& rec) {
   std::vector<std::uint8_t> frame;
@@ -127,20 +121,14 @@ Task<std::string> ReplicatedStore::RoundTrip(Group& g, bool is_write, std::uint6
     bool got_reply = false;
     // Drain until this attempt's reply arrives; replies to superseded
     // attempts (an earlier timeout on this same channel) are discarded by
-    // nonce. Plain runs take the unbounded no-timer wait and can never see a
-    // stale nonce (no attempt ever times out without the injector).
+    // nonce. An unarmed wait never times out, so it never sees a stale nonce.
     while (true) {
-      if (fault::Injector::active() == nullptr) {
-        net::Packet reply = co_await r.replies.Recv();
-        text.assign(reply.begin(), reply.end());
-      } else {
-        std::optional<net::Packet> reply =
-            co_await r.replies.RecvTimeout(recover::Config().store_rpc_timeout);
-        if (!reply.has_value()) {
-          break;  // timeout: give up on this attempt
-        }
-        text.assign(reply->begin(), reply->end());
+      std::optional<net::Packet> reply =
+          co_await r.replies.RecvTimeout(recover::Bound(recover::Config().store_rpc_timeout));
+      if (!reply.has_value()) {
+        break;  // timeout: give up on this attempt
       }
+      text.assign(reply->begin(), reply->end());
       if (text.rfind(want, 0) == 0) {
         text = text.substr(want.size());
         got_reply = true;
@@ -193,7 +181,7 @@ Task<> ReplicatedStore::ServeReplica(Group& g, Replica* r) {
       co_return;
     }
     // Fail-stop: a replica on a halted core dies with the request in hand.
-    if (CoreHalted(machine_, r->core)) {
+    if (machine_.Halted(r->core)) {
       co_return;
     }
     const std::string prefix = std::to_string(hdr.nonce) + "|";
@@ -216,7 +204,7 @@ Task<> ReplicatedStore::ServeReplica(Group& g, Replica* r) {
       reply = co_await ServeQuery(machine_, r->core, r->db, *sql);
       ++g.reads_served;
     }
-    if (CoreHalted(machine_, r->core)) {
+    if (machine_.Halted(r->core)) {
       co_return;
     }
     reply = prefix + reply;
@@ -244,7 +232,7 @@ Task<std::string> ReplicatedStore::HandleWrite(Group& g, Replica* r, std::uint64
   // 1. Durability: the append is a replicated-fs collective; when it returns
   //    kOk the record is on every online core's fs replica.
   fs::FsErr werr = co_await g.wal.Append(r->core, rec);
-  if (CoreHalted(machine_, r->core)) {
+  if (machine_.Halted(r->core)) {
     co_return "";  // fail-stop mid-append: no ack, client retries elsewhere
   }
   if (werr != fs::FsErr::kOk) {
@@ -284,7 +272,7 @@ Task<std::string> ReplicatedStore::HandleWrite(Group& g, Replica* r, std::uint64
   }
   // 4. Commit rule: every caught-up live follower must have acked this lsn.
   //    Membership changes and ack arrivals both signal commit_ev; the bounded
-  //    wait (injector runs only) re-checks liveness each expiry so a follower
+  //    wait (armed runs only) re-checks liveness each expiry so a follower
   //    that dies mid-commit cannot wedge the leader past its view change.
   while (true) {
     if (g.term != term || g.replicas[static_cast<std::size_t>(g.leader_slot)].get() != r) {
@@ -305,13 +293,10 @@ Task<std::string> ReplicatedStore::HandleWrite(Group& g, Replica* r, std::uint64
     if (all_acked) {
       break;
     }
-    if (fault::Injector::active() == nullptr) {
-      co_await g.commit_ev.Wait();
-    } else {
-      (void)co_await g.commit_ev.WaitTimeout(recover::Config().store_commit_timeout);
-    }
+    (void)co_await g.commit_ev.WaitTimeout(
+        recover::Bound(recover::Config().store_commit_timeout));
   }
-  if (CoreHalted(machine_, r->core)) {
+  if (machine_.Halted(r->core)) {
     co_return "";  // fail-stop after commit, before ack: the retry sees "dup"
   }
   if (err.has_value()) {
@@ -364,7 +349,7 @@ Task<> ReplicatedStore::ApplyLoop(Group& g, Link* link) {
       co_await link->acks.Send(urpc::Pack(kShutdownTag, std::uint64_t{0}));
       co_return;
     }
-    if (CoreHalted(machine_, f->core)) {
+    if (machine_.Halted(f->core)) {
       co_return;
     }
     if (rec.term < f->term_seen) {

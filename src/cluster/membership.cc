@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "fault/fault.h"
-
 namespace mk::cluster {
 
 namespace {
@@ -142,10 +140,8 @@ sim::Task<> RunHeartbeatSender(hw::Machine& machine, int core,
   sim::Executor& exec = machine.exec();
   std::uint64_t seq = 0;
   while (exec.now() < horizon) {
-    if (fault::Injector* inj = fault::Injector::active()) {
-      if (inj->CoreHalted(core, exec.now())) {
-        co_return;  // fail-stop: the machine goes silent
-      }
+    if (machine.Halted(core)) {
+      co_return;  // fail-stop: the machine goes silent
     }
     co_await stack.UdpSendTo(dst_port, dst_ip, dst_port,
                              EncodeHeartbeat(static_cast<std::uint32_t>(id),

@@ -18,7 +18,7 @@
 // incarnation.
 //
 // Unlike the intra-machine recovery machinery, the heartbeat path is always
-// on (not fault::Injector-gated): it is ordinary cluster traffic, fully
+// on (not gated on recover::Armed): it is ordinary cluster traffic, fully
 // deterministic (Delay loops bounded by an explicit horizon; no
 // WaitTimeout), and exercising the fabric in the golden path is the point.
 #ifndef MK_CLUSTER_MEMBERSHIP_H_
@@ -104,7 +104,7 @@ class ClusterMembership {
 
 // Heartbeat source for one backend machine: every `period` cycles (until the
 // simulated `horizon`) sends [id, incarnation, seq++] from `stack` to the
-// membership service at `dst_ip`:`dst_port`. Checks fault::CoreHalted on
+// membership service at `dst_ip`:`dst_port`. Checks hw::Machine::Halted on
 // `core` each round, so a machine-scoped kill silences the machine's beats
 // exactly as a real fail-stop would (and the halt spec records an
 // activation). Spawn on the backend machine's executor.

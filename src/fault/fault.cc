@@ -343,7 +343,7 @@ void Injector::PrintActivationTable(std::FILE* out) const {
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     const FaultSpec& s = specs_[i].spec;
     char until[24];
-    if (s.until == kForever) {
+    if (s.until == sim::kForever) {
       std::snprintf(until, sizeof until, "%s", "-");
     } else {
       std::snprintf(until, sizeof until, "%llu",

@@ -20,16 +20,15 @@
 //     behave exactly as before;
 //   * zero-cost when absent — with no Injector installed every injection
 //     point is one null-pointer test, schedules no events, and charges no
-//     cycles, so the paper benches stay byte-identical (recovery machinery
-//     such as 2PC phase timeouts and heartbeats is likewise armed only while
-//     an Injector is active, because sim::Event::WaitTimeout dispatches its
-//     timer even when signaled first and would otherwise perturb event
-//     counts).
+//     cycles, so the paper benches stay byte-identical.
 //
-// Faults are injected by the *models* (hw::IpiFabric, net::Nic,
-// hw::CoherenceModel, kernel halt checks), which also emit the
+// Faults are injected by the *models* (hw::IpiFabric, net::SimNic,
+// hw::CoherentMemory, net::CrossWire), which also emit the
 // trace::Category::kFault instants — the sites know the core context; this
-// module only answers queries.
+// module only answers queries. Everything else asks two questions, each in
+// one place: "has this core halted?" (hw::Machine::Halted) and "is recovery
+// armed, and how long may a wait last?" (recover::Armed, recover::Bound in
+// recover/config.h).
 #ifndef MK_FAULT_FAULT_H_
 #define MK_FAULT_FAULT_H_
 
@@ -38,7 +37,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <limits>
 #include <vector>
 
 #include "sim/domain.h"
@@ -47,7 +45,6 @@
 
 namespace mk::fault {
 
-inline constexpr sim::Cycles kForever = std::numeric_limits<sim::Cycles>::max();
 inline constexpr int kUnlimited = -1;
 
 enum class FaultKind : std::uint8_t {
@@ -86,7 +83,7 @@ const char* FaultKindName(FaultKind k);
 struct FaultSpec {
   FaultKind kind = FaultKind::kCoreHalt;
   sim::Cycles at = 0;
-  sim::Cycles until = kForever;
+  sim::Cycles until = sim::kForever;
   int a = -1;
   int b = -1;
   int machine = -1;
@@ -109,7 +106,7 @@ class FaultPlan {
   FaultPlan& DropIpi(int from, int to, sim::Cycles at, int count = 1);
   // Inflate matching IPIs' wire latency by `extra` while armed.
   FaultPlan& DelayIpi(int from, int to, sim::Cycles extra, sim::Cycles at,
-                      sim::Cycles until = kForever);
+                      sim::Cycles until = sim::kForever);
   // Drop the next `count` RX frames arriving at/after `at`.
   FaultPlan& DropRxFrames(sim::Cycles at, int count = 1);
   // Drop the next `count` RX frames steered to a specific NIC queue (`a` is
@@ -117,14 +114,14 @@ class FaultPlan {
   FaultPlan& DropRxFramesOnQueue(int queue, sim::Cycles at, int count = 1);
   // Drop each RX frame with probability `rate` while armed (seeded stream).
   FaultPlan& RandomRxLoss(double rate, std::uint64_t seed, sim::Cycles at = 0,
-                          sim::Cycles until = kForever);
+                          sim::Cycles until = sim::kForever);
   // Corrupt the next `count` RX frames (payload bit flip; checksums catch it).
   FaultPlan& CorruptRxFrames(sim::Cycles at, int count = 1);
   // Drop the next `count` TX frames after DMA-out.
   FaultPlan& DropTxFrames(sim::Cycles at, int count = 1);
   // Drop each TX frame with probability `rate` while armed (seeded stream).
   FaultPlan& RandomTxLoss(double rate, std::uint64_t seed, sim::Cycles at = 0,
-                          sim::Cycles until = kForever);
+                          sim::Cycles until = sim::kForever);
   // Inflate cross-package interconnect transfers by `extra` while armed.
   FaultPlan& LinkSpike(sim::Cycles extra, sim::Cycles at, sim::Cycles until);
   // Drop the next `count` frames crossing the (src,dst) machine-pair wire
@@ -135,7 +132,7 @@ class FaultPlan {
   // delivered `extra` cycles late while armed. Delay only ever widens the
   // wire's conservative bound, so the engine's lookahead contract holds.
   FaultPlan& WireDelay(int src_machine, int dst_machine, sim::Cycles extra,
-                       sim::Cycles at, sim::Cycles until = kForever);
+                       sim::Cycles at, sim::Cycles until = sim::kForever);
   // --- Adversarial traffic windows (ROADMAP item 5) ---
   //
   // Consumed by attack-load generator tasks in the serving benches (not by

@@ -103,4 +103,9 @@ sim::Task<> Machine::Syscall(int core) {
                                             core);
 }
 
+bool Machine::Halted(int core) const {
+  fault::Injector* inj = fault::Injector::active();
+  return inj != nullptr && inj->CoreHalted(core, exec_.now());
+}
+
 }  // namespace mk::hw

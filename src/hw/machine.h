@@ -79,6 +79,11 @@ class Machine {
   // Charges a system-call round trip on `core`.
   sim::Task<> Syscall(int core);
 
+  // True if `core` has fail-stop halted by now: an installed fault::Injector
+  // halted it. Always false with no injector. Code that dies with its core
+  // (drivers, monitors, servers, replicas) asks this and nothing else.
+  bool Halted(int core) const;
+
   // Hands out trace-flow serials for URPC channels built on this machine.
   // Serials are observer-only (they namespace flow ids, never the schedule)
   // and scoped to the machine rather than a process-wide counter, so under

@@ -1,6 +1,5 @@
 #include "idc/name_service.h"
 
-#include "fault/fault.h"
 #include "trace/trace.h"
 
 namespace mk::idc {
@@ -38,11 +37,6 @@ Task<ServiceRef> NameService::Register(int from_core, std::string name,
   co_return ref;
 }
 
-bool NameService::OwnerHalted(const ServiceRef& ref) const {
-  fault::Injector* inj = fault::Injector::active();
-  return inj != nullptr && inj->CoreHalted(ref.core, machine_.exec().now());
-}
-
 std::size_t NameService::EvictCore(int core) {
   std::size_t evicted = 0;
   for (auto it = by_id_.begin(); it != by_id_.end();) {
@@ -68,7 +62,7 @@ Task<std::optional<ServiceRef>> NameService::Lookup(int from_core, const std::st
     co_return std::nullopt;
   }
   ServiceRef ref = by_id_.at(it->second);
-  if (OwnerHalted(ref)) {
+  if (machine_.Halted(ref.core)) {
     // Lazy eviction: the owning core fail-stopped after registering. Drop
     // every registration it held and report the name as unbound.
     EvictCore(ref.core);
@@ -85,7 +79,7 @@ Task<std::vector<ServiceRef>> NameService::Query(int from_core, const std::strin
   for (const auto& [id, ref] : by_id_) {
     auto it = ref.properties.find(key);
     if (it != ref.properties.end() && it->second == value) {
-      if (OwnerHalted(ref)) {
+      if (machine_.Halted(ref.core)) {
         dead.push_back(ref.core);
         continue;
       }

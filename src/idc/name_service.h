@@ -59,16 +59,14 @@ class NameService {
 
   // Fail-stop recovery: drops every registration owned by `core` so clients
   // stop being handed references to services that can no longer answer.
-  // Returns the number of registrations evicted. Also applied lazily — while
-  // a fault::Injector is installed, Lookup and Query evict dead-core
-  // registrations instead of returning them.
+  // Returns the number of registrations evicted. Also applied lazily:
+  // Lookup and Query evict registrations whose owner hw::Machine::Halted
+  // reports instead of returning them.
   std::size_t EvictCore(int core);
 
   std::size_t size() const { return by_id_.size(); }
 
  private:
-  // True if the ref's owning core is fail-stopped (fault injection only).
-  bool OwnerHalted(const ServiceRef& ref) const;
   // One registry round trip: request to the registry core, reply back.
   Task<> ChargeRoundTrip(int from_core);
 

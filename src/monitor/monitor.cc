@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/fault.h"
-
 namespace mk::monitor {
 namespace {
 
@@ -122,8 +120,7 @@ Task<> Monitor::SendAck(int to, std::uint64_t op_id, bool vote, bool retryable,
   // A fail-stop core acknowledges nothing: the coroutine handling the op may
   // have been in flight when the halt struck, so the cut is here, at the
   // reply.
-  if (fault::Injector* inj = fault::Injector::active();
-      inj != nullptr && inj->CoreHalted(core_, sys_.machine().exec().now())) {
+  if (sys_.machine().Halted(core_)) {
     co_return;
   }
   AckMsg ack;
@@ -218,8 +215,7 @@ Task<> Monitor::Dispatch(const urpc::Message& msg, int from) {
 Task<> Monitor::Loop() {
   hw::Machine& m = sys_.machine();
   while (sys_.running()) {
-    if (fault::Injector* inj = fault::Injector::active();
-        inj != nullptr && inj->CoreHalted(core_, m.exec().now())) {
+    if (m.Halted(core_)) {
       // Fail-stop: the core executes nothing from its halt time on. The
       // coroutine itself parks (frames cannot be destroyed mid-flight);
       // data-hook signals may wake it, and it immediately parks again.
@@ -358,17 +354,11 @@ Task<Monitor::CollectiveResult> Monitor::RunCollective(OpMsg msg) {
     }
   }
 
-  // Plain runs wait unboundedly — WaitTimeout schedules a timer event even
-  // when signaled first, so arming it unconditionally would perturb the
-  // no-fault schedule. Under an installed Injector, a phase that outlives
-  // the timeout means some participant will never answer: presume abort,
-  // detect the dead core(s), and exclude them from subsequent rounds.
-  bool timed_out = false;
-  if (fault::Injector::active() != nullptr) {
-    timed_out = !co_await done.WaitTimeout(recover::Config().phase_timeout);
-  } else {
-    co_await done.Wait();
-  }
+  // A phase that outlives the timeout means some participant will never
+  // answer: presume abort, detect the dead core(s), and exclude them from
+  // subsequent rounds.
+  const bool timed_out =
+      !co_await done.WaitTimeout(recover::Bound(recover::Config().phase_timeout));
   CollectiveResult result;
   result.latency = m.exec().now() - t0;
   if (timed_out) {
@@ -518,15 +508,11 @@ Task<caps::CapErr> Monitor::SendCap(int dest_core, caps::CapId id) {
   st.done = &done;
   ops_[msg.op_id] = st;
   co_await sys_.GetChannel(core_, dest_core, -1).Send(urpc::Pack(kTagOp, msg));
-  if (fault::Injector::active() != nullptr) {
-    // The destination may be dead; bound the wait and report it distinctly.
-    if (!co_await done.WaitTimeout(recover::Config().phase_timeout)) {
-      ops_.erase(msg.op_id);
-      sys_.ExcludeHaltedCores();
-      co_return caps::CapErr::kTimeout;
-    }
-  } else {
-    co_await done.Wait();
+  // The destination may be dead; bound the wait and report it distinctly.
+  if (!co_await done.WaitTimeout(recover::Bound(recover::Config().phase_timeout))) {
+    ops_.erase(msg.op_id);
+    sys_.ExcludeHaltedCores();
+    co_return caps::CapErr::kTimeout;
   }
   bool ok = ops_[msg.op_id].vote;
   ops_.erase(msg.op_id);
@@ -550,9 +536,9 @@ void MonitorSystem::Boot() {
   for (auto& mon : monitors_) {
     machine_.exec().Spawn(mon->Loop());
   }
-  // The heartbeat exists only under fault injection: it schedules periodic
-  // timer events, which would perturb (and needlessly extend) plain runs.
-  if (fault::Injector::active() != nullptr) {
+  // The heartbeat schedules periodic timer events, so it runs only while
+  // recovery is armed.
+  if (recover::Armed()) {
     machine_.exec().Spawn(HeartbeatLoop());
   }
 }
@@ -568,13 +554,9 @@ Task<> MonitorSystem::HeartbeatLoop() {
 }
 
 int MonitorSystem::ExcludeHaltedCores() {
-  fault::Injector* inj = fault::Injector::active();
-  if (inj == nullptr) {
-    return 0;
-  }
   int excluded = 0;
   for (int c = 0; c < machine_.num_cores(); ++c) {
-    if (online_[static_cast<std::size_t>(c)] && inj->CoreHalted(c, machine_.exec().now())) {
+    if (online_[static_cast<std::size_t>(c)] && machine_.Halted(c)) {
       online_[static_cast<std::size_t>(c)] = false;
       failed_[static_cast<std::size_t>(c)] = true;
       trace::Emit<trace::Category::kFault>(trace::EventId::kFaultExcludeCore,

@@ -44,8 +44,8 @@ using sim::Cycles;
 using sim::Task;
 
 // Recovery timing (phase timeout, heartbeat period, 2PC retry budget) lives
-// in recover::RecoveryConfig — see src/recover/config.h. It is consulted only
-// while a fault::Injector is installed.
+// in recover::RecoveryConfig — see src/recover/config.h. Phase waits are
+// bounded by recover::Bound, so they are unbounded unless recovery is armed.
 
 class MonitorSystem;
 
@@ -214,20 +214,20 @@ class MonitorSystem {
   // aborted), and agreement is required among the survivors only.
   bool LiveReplicasConsistent() const;
 
-  // --- Failure detection and recovery (fault injection only) ---
+  // --- Failure detection and recovery ---
   //
   // A fail-stop core is detected either by a 2PC phase timeout at the
   // initiator or by the heartbeat sweep; detection marks it offline (routes
-  // and collectives exclude it, its monitor parks) and failed. All of this
-  // machinery is armed only while a fault::Injector is installed, so plain
+  // and collectives exclude it, its monitor parks) and failed. The phase
+  // timeout and the heartbeat exist only while recover::Armed(), so plain
   // runs schedule no extra events.
 
   // True if `core` was taken out of the view by failure (as opposed to a
   // clean OfflineCore power-down).
   bool CoreFailed(int core) const { return failed_[static_cast<std::size_t>(core)]; }
 
-  // Sweeps the injector's halt schedule and excludes every newly dead core
-  // from the view. Returns how many cores were excluded by this call.
+  // Excludes every online core that hw::Machine::Halted reports from the
+  // view. Returns how many cores were excluded by this call.
   int ExcludeHaltedCores();
 
   // Called once per newly excluded core, after it is marked offline+failed,
@@ -236,9 +236,9 @@ class MonitorSystem {
   using ExclusionHook = std::function<void(int dead_core)>;
   void SetExclusionHook(ExclusionHook hook) { exclusion_hook_ = std::move(hook); }
 
-  // Periodic ExcludeHaltedCores sweep; spawned by Boot when an Injector is
-  // installed, so participants that are *not* initiating 2PC also learn of
-  // dead peers.
+  // Periodic ExcludeHaltedCores sweep; spawned by Boot when recovery is
+  // armed, so participants that are *not* initiating 2PC also learn of dead
+  // peers.
   Task<> HeartbeatLoop();
 
   const skb::MulticastRoute& RouteFor(int source, bool numa_aware);

@@ -223,8 +223,7 @@ Task<std::optional<Packet>> SimNic::DriverRxPop(int core, int queue) {
 Task<> SimNic::ServeRx(int core, int queue, Cycles frame_cost, RxHandler handler,
                        const bool* stop) {
   while (stop == nullptr || !*stop) {
-    if (fault::Injector* inj = fault::Injector::active();
-        inj != nullptr && inj->CoreHalted(core, machine_.exec().now())) {
+    if (machine_.Halted(core)) {
       co_return;  // the driver dies with its core
     }
     if (RxReady(queue)) {

@@ -127,7 +127,7 @@ class SimNic {
   // `core` and await `handler`; when idle, re-arm the interrupt and block,
   // charging a trap on each interrupt wake. This is the one place that owns
   // the interrupt-mitigation policy. The loop returns once `core` is
-  // fail-stop halted (fault::Injector): frames already DMA'd into the ring
+  // fail-stop halted (hw::Machine::Halted): frames already DMA'd into the ring
   // stay there, like a real NIC whose servicing core died.
   //
   // Two wait disciplines, both part of the model. Without `stop` the idle

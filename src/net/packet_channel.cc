@@ -34,6 +34,9 @@ Task<> PacketChannel::Send(Packet packet) {
 }
 
 Task<std::optional<Packet>> PacketChannel::RecvTimeout(Cycles timeout) {
+  if (timeout == sim::kForever) {
+    co_return co_await Recv();
+  }
   const Cycles deadline = machine_.exec().now() + timeout;
   while (!HasPacket()) {
     Cycles now = machine_.exec().now();

@@ -36,8 +36,9 @@ class PacketChannel {
 
   // Recv with a bound on the wait: returns nullopt if no packet arrives
   // within `timeout` cycles. This is the recovery path for receivers whose
-  // sender may have fail-stop halted (DB replica failover); it schedules a
-  // timer event, so callers gate it on fault::Injector::active().
+  // sender may have fail-stop halted (DB replica failover). A finite bound
+  // schedules a timer event; sim::kForever is Recv itself, so callers pass
+  // recover::Bound(timeout) and a plain run schedules nothing extra.
   Task<std::optional<Packet>> RecvTimeout(Cycles timeout);
 
   bool HasPacket() const { return descr_.HasMessage(); }

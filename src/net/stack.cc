@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "fault/fault.h"
 #include "trace/trace.h"
 
 namespace mk::net {
@@ -187,7 +186,7 @@ Task<> NetStack::SendTcpSegment(TcpConn& conn, TcpFlags flags, const std::uint8_
   if (seq_len > 0) {
     // Segments that occupy sequence space are kept until acknowledged (pure
     // ACKs are not retransmittable). This bookkeeping runs on every send; the
-    // timer that retransmits from it only exists under fault injection
+    // timer that retransmits from it exists only while recovery is armed
     // (legacy) or rides the wheel (lifecycle).
     TcpConn::SentSeg seg;
     seg.seq = tcp.seq;
@@ -204,7 +203,7 @@ Task<> NetStack::SendTcpSegment(TcpConn& conn, TcpFlags flags, const std::uint8_
           conn.retx_id == TimerWheel::kNoTimer) {
         ArmRetx(conn, recover::Config().tcp_rto);
       }
-    } else if (fault::Injector::active() != nullptr && !conn.retx_timer_running) {
+    } else if (recover::Armed() && !conn.retx_timer_running) {
       conn.retx_timer_running = true;
       machine_.exec().Spawn(RetransmitTimer(conn));
     }
@@ -239,7 +238,7 @@ Task<> NetStack::RetransmitTimer(TcpConn& conn) {
   // across suspensions.
   Cycles rto = recover::Config().tcp_rto;
   int tries = 0;
-  while (fault::Injector::active() != nullptr && !conn.unacked.empty()) {
+  while (recover::Armed() && !conn.unacked.empty()) {
     std::uint32_t una_before = conn.snd_una;
     co_await machine_.exec().Delay(rto);
     if (conn.unacked.empty()) {
@@ -506,12 +505,12 @@ Task<NetStack::TcpConn*> NetStack::TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst
   co_await SendTcpSegment(*c, TcpFlags{.syn = true}, nullptr, 0);
   while (!c->established) {
     if (c->peer_closed) {
-      // RST before the handshake completed (only possible under injection):
-      // the peer refuses this connection. Abandon it in place — the conn
-      // object must stay owned by conns_ because the SYN's RetransmitTimer
-      // may still hold a reference to it across a Delay; clearing unacked
-      // makes that timer exit at its next wake. Ephemeral ports are never
-      // reused, so the dead map entry can't shadow a future flow.
+      // RST before the handshake completed: the peer refuses this
+      // connection. Abandon it in place — the conn object must stay owned
+      // by conns_ because the SYN's RetransmitTimer may still hold a
+      // reference to it across a Delay; clearing unacked makes that timer
+      // exit at its next wake. Ephemeral ports are never reused, so the
+      // dead map entry can't shadow a future flow.
       c->abandoned = true;
       c->unacked.clear();
       co_return nullptr;
@@ -640,11 +639,11 @@ Task<> NetStack::HandleTcp(const ParsedFrame& f, const Packet& frame) {
     // New connection? Only if someone listens and this is a SYN.
     auto lit = listeners_.find(tcp.dst_port);
     if (lit == listeners_.end() || !tcp.flags.syn) {
-      if (send_rst_for_unknown_ && !tcp.flags.rst &&
-          fault::Injector::active() != nullptr) {
-        // A mid-flow segment for a connection we never saw: an orphaned flow
-        // re-steered here after its shard died. Reset it so the client can
-        // retry with a fresh SYN against this stack's listener.
+      if (!tcp.flags.rst) {
+        // A mid-flow segment for a connection we never saw (typically an
+        // orphaned flow re-steered here after its shard died). Reset it so
+        // the client can retry with a fresh SYN against this stack's
+        // listener.
         co_await SendRstForSegment(f);
       }
       ++drops_no_listener_;
@@ -674,16 +673,13 @@ Task<> NetStack::HandleTcp(const ParsedFrame& f, const Packet& frame) {
   // for a handshake this side already gave up on. Reset it: the peer (often
   // a survivor that adopted the flow) holds a half-open connection no one
   // will ever write to, and without the RST it would pin one of the server's
-  // admission workers until the end of the run. Abandonment only happens
-  // under injection (bounded connects give up only after faults delay them),
-  // so plain runs never take this branch.
-  if (c.abandoned && !tcp.flags.rst && fault::Injector::active() != nullptr) {
+  // admission workers until the end of the run.
+  if (c.abandoned && !tcp.flags.rst) {
     co_await SendRstForSegment(f);
     co_return;
   }
   // RST aborts the connection outright: no more retransmissions (the peer
-  // told us the flow is dead), readers see peer-closed. RSTs only occur under
-  // injection (SetSendRstForUnknown), so plain runs never take this branch.
+  // told us the flow is dead), readers see peer-closed.
   if (tcp.flags.rst) {
     ++tcp_rsts_received_;
     c.peer_closed = true;
@@ -739,10 +735,8 @@ Task<> NetStack::HandleTcp(const ParsedFrame& f, const Packet& frame) {
   }
   // A sequence-consuming segment that did not advance rcv_nxt is either a
   // retransmitted duplicate or arrived past a loss-created hole. Re-announce
-  // rcv_nxt so the peer's go-back-N machinery converges. Loss only exists
-  // under injection, so plain runs never reach this send.
-  if (fault::Injector::active() != nullptr &&
-      (f.payload_len > 0 || tcp.flags.syn || tcp.flags.fin)) {
+  // rcv_nxt so the peer's go-back-N machinery converges.
+  if (f.payload_len > 0 || tcp.flags.syn || tcp.flags.fin) {
     co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
   }
 }

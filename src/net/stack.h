@@ -14,8 +14,10 @@
 //   * legacy (default) — the paper-bench subset: the server completes accept
 //     on the SYN (2-way), close is a lone FIN, connections are never erased,
 //     and the retransmit timer is a per-connection coroutine armed only
-//     while a fault::Injector is installed. Byte-identical to every golden
-//     transcript recorded before the lifecycle work.
+//     while recover::Armed(). Like lifecycle, it answers unknown flows and
+//     late segments for abandoned handshakes with RST and re-ACKs
+//     out-of-order segments. Byte-identical to every golden transcript
+//     recorded before the lifecycle work.
 //   * lifecycle (SetLifecycle) — connection-scale realism: a true 3-way
 //     handshake with a half-open SYN_RCVD state, FIN/ACK close with bounded
 //     TIME_WAIT, a capped half-open table defended by SYN-cookie stateless
@@ -61,8 +63,8 @@ struct StackCosts {
 
 // TCP retransmission tuning (RTO, max retransmit rounds) lives in
 // recover::RecoveryConfig — see src/recover/config.h. In legacy mode it is
-// consulted only while a fault::Injector is installed; in lifecycle mode the
-// wheel-driven retransmit timer is always armed.
+// consulted only while recover::Armed(); in lifecycle mode the wheel-driven
+// retransmit timer is always armed.
 
 // TCP connection states (lifecycle mode; legacy connections stay kLegacy and
 // bypass the state machine entirely).
@@ -127,18 +129,6 @@ class NetStack {
   // Static ARP entry (the evaluation uses a closed set of hosts).
   void AddArp(Ipv4Addr ip, MacAddr mac) { arp_[ip] = mac; }
 
-  // Failover opt-in: answer a mid-flow segment for a connection this stack
-  // has never seen with a RST instead of silently dropping it. A surviving
-  // shard that inherits a dead shard's RSS-re-steered flows uses this to tell
-  // the client its old connection is gone, so the client can retry with a
-  // fresh SYN that the survivor's listener accepts (flow adoption). Off by
-  // default, and only active while a fault::Injector is installed — plain
-  // runs never see re-steered flows, and keeping the path injector-gated
-  // guarantees they schedule no extra sends. (Lifecycle mode resets unknown
-  // flows unconditionally: cleanly-closed connections are erased, so a late
-  // segment deserves the RST.)
-  void SetSendRstForUnknown(bool on) { send_rst_for_unknown_ = on; }
-
   // Switches this stack to the full TCP lifecycle discipline (see the header
   // comment). Must be set before any connection exists.
   void SetLifecycle(TcpLifecycle cfg) { lifecycle_ = cfg; }
@@ -187,8 +177,7 @@ class NetStack {
     // Retransmission state. The bookkeeping (snd_una, the unacked queue,
     // duplicate-ACK count) is maintained unconditionally — it adds no
     // simulated events — but the timer that consumes it is only armed while
-    // a fault::Injector is installed (legacy) or always (lifecycle, on the
-    // wheel).
+    // recover::Armed() (legacy) or always (lifecycle, on the wheel).
     std::uint32_t snd_una = 0;  // oldest unacknowledged sequence number
     struct SentSeg {
       std::uint32_t seq = 0;
@@ -200,9 +189,9 @@ class NetStack {
     int dup_acks = 0;
     bool retx_timer_running = false;  // legacy coroutine timer
     // Set when a bounded TcpConnect gave up on the handshake. Late segments
-    // for an abandoned connection are answered with RST (under injection):
-    // a retransmitted SYN may have built a half-open connection on a server
-    // that would otherwise pin an admission worker forever.
+    // for an abandoned connection are answered with RST: a retransmitted SYN
+    // may have built a half-open connection on a server that would otherwise
+    // pin an admission worker forever.
     bool abandoned = false;
 
     // --- Lifecycle-mode state (inert for legacy connections) ---
@@ -297,11 +286,11 @@ class NetStack {
   Task<> SendTcpRaw(TcpConn& conn, std::uint32_t seq, TcpFlags flags,
                     const std::uint8_t* data, std::size_t len);
   // Go-back-N recovery loop for one connection; spawned (at most once per
-  // connection at a time) only while a fault::Injector is installed. Legacy
-  // mode only — lifecycle retransmits ride the wheel.
+  // connection at a time) only while recover::Armed(). Legacy mode only —
+  // lifecycle retransmits ride the wheel.
   Task<> RetransmitTimer(TcpConn& conn);
-  // Answers the segment described by `f` with a RST (used for unknown flows
-  // re-steered onto this stack and for abandoned handshakes).
+  // Answers the segment described by `f` with a RST (used for unknown flows,
+  // such as those re-steered onto this stack, and for abandoned handshakes).
   Task<> SendRstForSegment(const ParsedFrame& f);
   // Stateless segment send to an arbitrary peer (SYN-cookie SYN-ACKs).
   Task<> SendStatelessSegment(Ipv4Addr dst_ip, std::uint16_t src_port,
@@ -365,7 +354,6 @@ class NetStack {
   std::uint64_t tcp_retransmits_ = 0;
   std::uint64_t tcp_rsts_sent_ = 0;
   std::uint64_t tcp_rsts_received_ = 0;
-  bool send_rst_for_unknown_ = false;
   // Lifecycle accounting.
   int established_count_ = 0;
   int half_open_count_ = 0;

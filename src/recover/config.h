@@ -1,19 +1,29 @@
 // Recovery tuning knobs, collected in one place.
 //
-// PR 3 armed the recovery machinery (2PC phase timeouts, heartbeats, URPC
-// receive timeouts, TCP retransmission) with constants scattered across
-// monitor.h and stack.h; tightening a timeout for a test meant editing a
-// header and rebuilding the world. RecoveryConfig gathers them into one
-// documented struct with the historical values as defaults, read at the use
-// sites through Config(), so benches and tests can tighten or relax recovery
-// behaviour at runtime (ScopedRecoveryConfig) without touching headers.
+// The recovery machinery (2PC phase timeouts, heartbeats, URPC and packet
+// receive timeouts, TCP retransmission) reads its timeouts and retry budgets
+// from one documented struct with the historical values as defaults, read at
+// the use sites through Config(), so benches and tests can tighten or relax
+// recovery behaviour at runtime (ScopedRecoveryConfig) without touching
+// headers.
 //
-// All of these are consulted only while a fault::Injector is installed —
-// plain runs wait unboundedly and schedule no timer events, which is what
-// keeps the paper benches byte-identical (see DESIGN.md §8).
+// Whether recovery is armed is one decision, made here: Armed() is true
+// while a fault::Injector is installed, and Bound(c) turns a timeout into
+// sim::kForever otherwise, so a plain run waits unboundedly and schedules no
+// timer event (see DESIGN.md §8). Not every field is read only when armed:
+// - the monitor, DB-RPC and store wait timeouts go through Bound, the
+//   heartbeat period is read only while armed, and the store catch-up poll
+//   only after a kill;
+// - the retry budgets bound their loops in every run (a plain 2PC still
+//   retries on lock conflicts);
+// - lifecycle TCP arms its retransmit timer from tcp_rto and tcp_max_retx in
+//   every run, so a plain run that overrides them (conn_scale, perfbench
+//   conn_keepalive) changes its schedule. Legacy TCP reads them only when
+//   armed.
 #ifndef MK_RECOVER_CONFIG_H_
 #define MK_RECOVER_CONFIG_H_
 
+#include "fault/fault.h"
 #include "sim/types.h"
 
 namespace mk::recover {
@@ -79,6 +89,14 @@ inline RecoveryConfig& MutableRecoveryConfig() {
 }
 
 inline const RecoveryConfig& Config() { return MutableRecoveryConfig(); }
+
+// True while a fault::Injector is installed: the recovery machinery (bounded
+// waits, the monitor heartbeat, legacy TCP retransmits) runs only then.
+inline bool Armed() { return fault::Injector::active() != nullptr; }
+
+// The wait bound for a recovery timeout `c`: `c` when armed, sim::kForever
+// (an unbounded wait with no timer) otherwise.
+inline sim::Cycles Bound(sim::Cycles c) { return Armed() ? c : sim::kForever; }
 
 // RAII override: installs `c` for the scope, restores the previous values on
 // destruction. Tests tighten timeouts with this so suites stay fast.

@@ -55,7 +55,8 @@ class Event {
   }
 
   // Suspends until Signal() or until `timeout` cycles elapse, whichever comes
-  // first. Returns true if the event was signaled in time.
+  // first. Returns true if the event was signaled in time. A timeout of
+  // kForever schedules no timer: the wait is Wait() that returns true.
   //
   // The node is heap-allocated and shared with the timer callback: the timer
   // cannot be cancelled once scheduled, and it may fire long after the waiter
@@ -73,6 +74,9 @@ class Event {
         node = std::make_shared<WaitNode>();
         node->handle = h;
         event->Link(node.get());
+        if (timeout == kForever) {
+          return;
+        }
         Executor& exec = event->exec_;
         exec.CallAt(exec.now() + timeout, [node = node, &exec] {
           if (node->active) {

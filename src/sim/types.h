@@ -3,12 +3,18 @@
 #define MK_SIM_TYPES_H_
 
 #include <cstdint>
+#include <limits>
 
 namespace mk::sim {
 
 // Simulated time, measured in CPU core clock cycles. All latencies reported by
 // the benchmark harnesses are in these units, matching the paper's figures.
 using Cycles = std::uint64_t;
+
+// A bound that never expires: an open-ended fault window, or a timed wait
+// (Event::WaitTimeout and the RecvTimeout calls built on it) that waits
+// unboundedly and schedules no timer.
+inline constexpr Cycles kForever = std::numeric_limits<Cycles>::max();
 
 // A simulated physical address. The machine model tracks coherence state at
 // 64-byte cache-line granularity over this address space.

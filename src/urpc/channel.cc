@@ -125,6 +125,12 @@ Task<bool> Channel::TryRecv(Message* out) {
 
 Task<Message> Channel::RecvBlocking(kernel::CpuDriver& local, kernel::CpuDriver& sender_driver,
                                     Cycles poll_window) {
+  co_return *co_await RecvTimeout(local, sender_driver, poll_window, sim::kForever);
+}
+
+Task<std::optional<Message>> Channel::RecvTimeout(kernel::CpuDriver& local,
+                                                  kernel::CpuDriver& sender_driver,
+                                                  Cycles poll_window, Cycles timeout) {
   receiver_driver_ = &local;
   sender_driver_ = &sender_driver;
   if (queue_.empty()) {
@@ -142,46 +148,6 @@ Task<Message> Channel::RecvBlocking(kernel::CpuDriver& local, kernel::CpuDriver&
       if (queue_.empty()) {  // re-check: a message may have landed meanwhile
         trace::Emit<trace::Category::kUrpc>(trace::EventId::kUrpcBlock,
                                             machine_.exec().now(), receiver_);
-        co_await wake.Wait();
-      } else {
-        // The message landed between RegisterBlocked and the posted flag
-        // write. Cancel the registration and invalidate the published token:
-        // a sender that already sampled the blocked flag may still post a
-        // wake-up IPI, and it must carry a token that maps to nothing rather
-        // than a token a future blocker could be reissued. (Wake-up IPIs
-        // carry their token in the payload for the same reason: tokens
-        // matched FIFO against arrival order could wake the wrong task when
-        // senders sit at different hop distances.)
-        local.CancelBlocked(wake_token_);
-        wake_token_ = 0;
-      }
-      receiver_blocked_ = false;
-    }
-  }
-  while (queue_.empty()) {
-    co_await readable_.Wait();  // spurious wake-up guard
-  }
-  co_return co_await Consume();
-}
-
-Task<std::optional<Message>> Channel::RecvTimeout(kernel::CpuDriver& local,
-                                                  kernel::CpuDriver& sender_driver,
-                                                  Cycles poll_window, Cycles timeout) {
-  receiver_driver_ = &local;
-  sender_driver_ = &sender_driver;
-  if (queue_.empty()) {
-    bool arrived = false;
-    if (poll_window > 0) {
-      arrived = co_await readable_.WaitTimeout(poll_window);
-    }
-    if (!arrived && queue_.empty()) {
-      sim::Event wake(machine_.exec());
-      wake_token_ = local.RegisterBlocked(&wake);
-      receiver_blocked_ = true;
-      co_await machine_.mem().WritePosted(receiver_, blocked_addr_);
-      if (queue_.empty()) {
-        trace::Emit<trace::Category::kUrpc>(trace::EventId::kUrpcBlock,
-                                            machine_.exec().now(), receiver_);
         bool woken = co_await wake.WaitTimeout(timeout);
         if (!woken) {
           // Timed out: deregister before `wake` dies with this frame so a
@@ -195,6 +161,14 @@ Task<std::optional<Message>> Channel::RecvTimeout(kernel::CpuDriver& local,
           }
         }
       } else {
+        // The message landed between RegisterBlocked and the posted flag
+        // write. Cancel the registration and invalidate the published token:
+        // a sender that already sampled the blocked flag may still post a
+        // wake-up IPI, and it must carry a token that maps to nothing rather
+        // than a token a future blocker could be reissued. (Wake-up IPIs
+        // carry their token in the payload for the same reason: tokens
+        // matched FIFO against arrival order could wake the wrong task when
+        // senders sit at different hop distances.)
         local.CancelBlocked(wake_token_);
         wake_token_ = 0;
       }

@@ -104,18 +104,19 @@ class Channel {
 
   // Polls for `poll_window` cycles, then blocks via the local CPU driver and
   // is woken by the sender's IPI (costing trap + context switch on this
-  // core). Drivers are those of the receiver and sender cores.
-  Task<Message> RecvBlocking(kernel::CpuDriver& local, kernel::CpuDriver& sender_driver,
-                             Cycles poll_window);
-
-  // RecvBlocking with a bound on the blocked wait: returns nullopt if no
-  // message arrives within `timeout` cycles of blocking. This is the recovery
-  // path for receivers whose sender may have fail-stop halted (a plain
-  // RecvBlocking would sleep forever); the registration is cancelled on
-  // timeout so no blocked-waiter entry leaks.
+  // core). Drivers are those of the receiver and sender cores. Returns
+  // nullopt if no message arrives within `timeout` cycles of blocking: the
+  // recovery path for receivers whose sender may have fail-stop halted. The
+  // registration is cancelled on timeout so no blocked-waiter entry leaks.
+  // A timeout of sim::kForever blocks until a message arrives and schedules
+  // no timer.
   Task<std::optional<Message>> RecvTimeout(kernel::CpuDriver& local,
                                            kernel::CpuDriver& sender_driver,
                                            Cycles poll_window, Cycles timeout);
+
+  // RecvTimeout with no bound on the blocked wait.
+  Task<Message> RecvBlocking(kernel::CpuDriver& local, kernel::CpuDriver& sender_driver,
+                             Cycles poll_window);
 
   // Non-blocking: if a message is pending, receives it (charging the fetch)
   // and returns true.

@@ -1,10 +1,11 @@
 // mk::fault: the injector's plan/query semantics, every injection point
-// (IPIs, NIC frames, interconnect links, fail-stop core halts), and the
-// recovery paths they exercise — presumed-abort 2PC among survivors, URPC
-// receive timeouts, TCP go-back-N retransmission, and name-service eviction
-// of dead cores' registrations. Invariant checks (no leaked blocked waiters,
-// no in-flight op state, fully drained executors, replica agreement among
-// survivors) run after every injected run.
+// (IPIs, NIC frames, interconnect links, fail-stop core halts as
+// hw::Machine::Halted reports them), and the recovery paths they exercise —
+// presumed-abort 2PC among survivors, URPC and packet receive timeouts
+// (bounded, and unbounded at sim::kForever), TCP go-back-N retransmission,
+// and name-service eviction of dead cores' registrations. Invariant checks
+// (no leaked blocked waiters, no in-flight op state, fully drained executors,
+// replica agreement among survivors) run after every injected run.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,9 +21,10 @@
 #include "kernel/cpu_driver.h"
 #include "monitor/monitor.h"
 #include "net/nic.h"
+#include "net/packet_channel.h"
 #include "net/stack.h"
-#include "recover/config.h"
 #include "net/wire.h"
+#include "recover/config.h"
 #include "sim/domain.h"
 #include "sim/executor.h"
 #include "skb/skb.h"
@@ -74,6 +76,32 @@ TEST(Injector, CoreHaltIsAPermanentPredicate) {
   EXPECT_TRUE(s.inj.AnyHaltPlanned());
   // Polling it never consumes anything.
   EXPECT_EQ(s.inj.injected(fault::FaultKind::kCoreHalt), 0u);
+}
+
+TEST(Injector, MachineHaltedAnswersOnlyForAnInstalledHalt) {
+  fault::FaultPlan plan;
+  plan.HaltCore(1, 1000);
+  {
+    // The plan exists but is not installed: no core ever halts.
+    sim::Executor exec;
+    hw::Machine m(exec, hw::Amd2x2());
+    bool halted_late = true;
+    exec.CallAt(2000, [&] { halted_late = m.Halted(1); });
+    exec.Run();
+    EXPECT_FALSE(halted_late);
+  }
+  ScopedInjector s(plan);
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd2x2());
+  std::vector<bool> seen;
+  for (Cycles t : {Cycles{999}, Cycles{1000}, Cycles{5000}}) {
+    exec.CallAt(t, [&] { seen.push_back(m.Halted(1)); });
+  }
+  bool other_halted = true;
+  exec.CallAt(5000, [&] { other_halted = m.Halted(0); });
+  exec.Run();
+  EXPECT_EQ(seen, (std::vector<bool>{false, true, true}));
+  EXPECT_FALSE(other_halted);
 }
 
 TEST(Injector, CountedDropsExhaustAndEndpointsMatch) {
@@ -209,7 +237,7 @@ TEST(LinkFaults, SpikeInflatesCrossPackageTransfers) {
   };
   Cycles clean = read_latency(fault::FaultPlan{});
   fault::FaultPlan spike;
-  spike.LinkSpike(/*extra=*/2000, /*at=*/0, fault::kForever);
+  spike.LinkSpike(/*extra=*/2000, /*at=*/0, sim::kForever);
   Cycles spiked = read_latency(spike);
   EXPECT_GE(spiked, clean + 2000);
 }
@@ -791,6 +819,113 @@ TEST(RecvTimeout, MessageBeatingTheTimeoutIsDelivered) {
   exec.Run();
   EXPECT_EQ(got, 42);
   EXPECT_EQ(drivers[4]->blocked_count(), 0u);
+}
+
+// An unbounded wait (sim::kForever) delivers exactly what the plain receive
+// delivers, at the same cycle, in the same number of events, and leaves no
+// timer pending while it waits. Each run sends one message at cycle 50k,
+// long after the receiver's poll window closed.
+struct UnboundedReceive {
+  int value = -1;
+  Cycles at = 0;
+  std::uint64_t events = 0;
+  std::size_t pending_while_waiting = 99;
+};
+
+// `timeout` empty: RecvBlocking; otherwise RecvTimeout with that bound.
+UnboundedReceive UrpcReceiveAt50k(std::optional<Cycles> timeout) {
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd8x4());
+  auto drivers = CpuDriver::BootAll(m);
+  urpc::Channel ch(m, 0, 4);
+  UnboundedReceive out;
+  exec.Spawn([](hw::Machine& mm, urpc::Channel& c, CpuDriver& local, CpuDriver& snd,
+                std::optional<Cycles> bound, UnboundedReceive& r) -> Task<> {
+    urpc::Message msg;
+    if (!bound.has_value()) {
+      msg = co_await c.RecvBlocking(local, snd, /*poll_window=*/3000);
+    } else {
+      std::optional<urpc::Message> got =
+          co_await c.RecvTimeout(local, snd, /*poll_window=*/3000, *bound);
+      if (!got.has_value()) {
+        ADD_FAILURE() << "the message beat every bound but was not delivered";
+        co_return;
+      }
+      msg = *got;
+    }
+    r.value = urpc::Unpack<int>(msg);
+    r.at = mm.exec().now();
+  }(m, ch, *drivers[4], *drivers[0], timeout, out));
+  exec.CallAt(50'000, [&] {
+    out.pending_while_waiting = exec.pending_events();
+    exec.Spawn([](urpc::Channel& c) -> Task<> { co_await c.Send(urpc::Pack(0, 42)); }(ch));
+  });
+  exec.Run();
+  out.events = exec.events_dispatched();
+  EXPECT_EQ(drivers[4]->blocked_count(), 0u);
+  EXPECT_EQ(exec.live_tasks(), 0u);
+  return out;
+}
+
+TEST(RecvTimeout, UnboundedUrpcWaitIsRecvBlockingAndArmsNoTimer) {
+  const UnboundedReceive blocking = UrpcReceiveAt50k(std::nullopt);
+  const UnboundedReceive forever = UrpcReceiveAt50k(sim::kForever);
+  const UnboundedReceive bounded = UrpcReceiveAt50k(1'000'000);
+  EXPECT_EQ(blocking.value, 42);
+  EXPECT_EQ(blocking.pending_while_waiting, 0u);
+  EXPECT_EQ(forever.value, blocking.value);
+  EXPECT_EQ(forever.at, blocking.at);
+  EXPECT_EQ(forever.events, blocking.events);
+  EXPECT_EQ(forever.pending_while_waiting, 0u);
+  // A finite bound delivers the same message at the same cycle, but its
+  // timer was pending the whole time.
+  EXPECT_EQ(bounded.value, blocking.value);
+  EXPECT_EQ(bounded.at, blocking.at);
+  EXPECT_EQ(bounded.pending_while_waiting, 1u);
+}
+
+UnboundedReceive PacketReceiveAt50k(bool forever) {
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd8x4());
+  net::PacketChannel ch(m, 0, 4);
+  UnboundedReceive out;
+  exec.Spawn([](hw::Machine& mm, net::PacketChannel& c, bool via_timeout,
+                UnboundedReceive& r) -> Task<> {
+    net::Packet pkt;
+    if (via_timeout) {
+      std::optional<net::Packet> got = co_await c.RecvTimeout(sim::kForever);
+      if (!got.has_value()) {
+        ADD_FAILURE() << "an unbounded wait returned empty";
+        co_return;
+      }
+      pkt = std::move(*got);
+    } else {
+      pkt = co_await c.Recv();
+    }
+    r.value = pkt.size() == 1 ? pkt[0] : -1;
+    r.at = mm.exec().now();
+  }(m, ch, forever, out));
+  exec.CallAt(50'000, [&] {
+    out.pending_while_waiting = exec.pending_events();
+    exec.Spawn([](net::PacketChannel& c, net::Packet p) -> Task<> {
+      co_await c.Send(std::move(p));
+    }(ch, net::Packet(1, 42)));
+  });
+  exec.Run();
+  out.events = exec.events_dispatched();
+  EXPECT_EQ(exec.live_tasks(), 0u);
+  return out;
+}
+
+TEST(RecvTimeout, UnboundedPacketWaitIsRecvAndArmsNoTimer) {
+  const UnboundedReceive plain = PacketReceiveAt50k(false);
+  const UnboundedReceive forever = PacketReceiveAt50k(true);
+  EXPECT_EQ(plain.value, 42);
+  EXPECT_EQ(plain.pending_while_waiting, 0u);
+  EXPECT_EQ(forever.value, plain.value);
+  EXPECT_EQ(forever.at, plain.at);
+  EXPECT_EQ(forever.events, plain.events);
+  EXPECT_EQ(forever.pending_while_waiting, 0u);
 }
 
 // --- Name service eviction ---

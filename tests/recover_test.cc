@@ -1,9 +1,11 @@
-// mk::recover: the failover machinery PR 5 layers over the fault injector —
+// mk::recover: the failover machinery layered over the fault injector —
 // runtime RETA reprogramming and adopted-flow accounting in the NIC,
 // epoch-numbered membership view changes driven by heartbeat exclusion,
-// RecoveryConfig scoping, explicit HTTP admission/overload policy, DB replica
-// re-pointing and respawn, and the two RST paths that let a survivor shed a
-// dead shard's connection state (unknown-flow RST, abandoned-handshake RST).
+// RecoveryConfig scoping and the Armed/Bound predicates, explicit HTTP
+// admission/overload policy, DB replica re-pointing and respawn, and legacy
+// TCP's unconditional replies: the two RST paths that let a survivor shed a
+// dead shard's connection state (unknown-flow RST, abandoned-handshake RST)
+// and the re-ACK of an out-of-order segment.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -67,6 +69,20 @@ TEST(RecoveryConfig, ScopedOverrideRestoresOnExitAndNests) {
   }
   EXPECT_EQ(recover::Config().tcp_rto, default_rto);
   EXPECT_EQ(recover::Config().tcp_max_retx, default_retx);
+}
+
+TEST(RecoveryConfig, BoundIsForeverUnlessAnInjectorIsInstalled) {
+  ASSERT_EQ(fault::Injector::active(), nullptr);
+  EXPECT_FALSE(recover::Armed());
+  EXPECT_EQ(recover::Bound(1234), sim::kForever);
+  {
+    fault::FaultPlan plan;
+    ScopedInjector s(plan);
+    EXPECT_TRUE(recover::Armed());
+    EXPECT_EQ(recover::Bound(1234), 1234u);
+  }
+  EXPECT_FALSE(recover::Armed());
+  EXPECT_EQ(recover::Bound(1234), sim::kForever);
 }
 
 // --- NIC RSS indirection table ---
@@ -496,59 +512,61 @@ TEST(DbFailover, RespawnCopiesTheLiveDonorAndGatesQueriesUntilCaughtUp) {
   EXPECT_EQ(cluster.queries_served(1), 1u);
 }
 
-// --- RST paths: unknown flows and abandoned handshakes ---
+// --- Legacy TCP replies ---
+//
+// RST for unknown flows and abandoned handshakes, re-ACK for out-of-order
+// segments. All three are unconditional: an installed injector changes none.
 
-Packet MidFlowAck(Ipv4Addr src_ip, Ipv4Addr dst_ip, std::uint16_t src_port,
-                  std::uint16_t dst_port, std::uint32_t seq, std::uint32_t ack,
-                  const std::string& payload) {
+Packet TcpSegmentToB(std::uint16_t src_port, std::uint32_t seq, std::uint32_t ack,
+                     net::TcpFlags flags, const std::string& payload) {
   net::EthHeader eth{kMacB, kMacA, net::kEtherTypeIpv4};
   net::IpHeader ip;
   ip.protocol = net::kIpProtoTcp;
-  ip.src = src_ip;
-  ip.dst = dst_ip;
+  ip.src = kIpA;
+  ip.dst = kIpB;
   net::TcpHeader tcp;
   tcp.src_port = src_port;
-  tcp.dst_port = dst_port;
+  tcp.dst_port = 80;
   tcp.seq = seq;
   tcp.ack = ack;
-  tcp.flags.ack = true;
+  tcp.flags = flags;
   return net::BuildTcpFrame(eth, ip, tcp,
                             reinterpret_cast<const std::uint8_t*>(payload.data()),
                             payload.size());
 }
 
-TEST(FailoverRst, UnknownFlowSegmentDrawsRstOnlyWhenOptedInUnderInjection) {
-  sim::Executor exec;
-  hw::Machine m(exec, hw::Amd2x2());
-  net::NetStack stack(m, 0, kIpB, kMacB);
-  stack.AddArp(kIpA, kMacA);
-  stack.TcpListen(80);
-  std::vector<Packet> outs;
-  stack.SetOutput([&outs](Packet p) -> Task<> {
-    outs.push_back(std::move(p));
-    co_return;
-  });
-  // A mid-flow segment from a connection this stack has never seen — what a
-  // survivor receives the instant the RETA re-steers a dead shard's flow.
-  Packet orphan = MidFlowAck(kIpA, kIpB, 5555, 80, /*seq=*/1000, /*ack=*/2000, "GET");
-  // Opted in but no injector: plain runs must not schedule the extra send.
-  stack.SetSendRstForUnknown(true);
-  exec.Spawn([](net::NetStack& st, Packet f) -> Task<> {
-    co_await st.Input(std::move(f));
-  }(stack, orphan));
-  exec.Run();
-  EXPECT_TRUE(outs.empty());
-  EXPECT_EQ(stack.tcp_rsts_sent(), 0u);
-  {
-    fault::FaultPlan plan;
-    ScopedInjector s(plan);
+// A legacy stack on host B listening on port 80 that records what it sends.
+struct RecordingServer {
+  RecordingServer() : m(exec, hw::Amd2x2()), stack(m, 0, kIpB, kMacB) {
+    stack.AddArp(kIpA, kMacA);
+    stack.TcpListen(80);
+    stack.SetOutput([this](Packet p) -> Task<> {
+      outs.push_back(std::move(p));
+      co_return;
+    });
+  }
+  void Input(Packet frame) {
     exec.Spawn([](net::NetStack& st, Packet f) -> Task<> {
       co_await st.Input(std::move(f));
-    }(stack, orphan));
+    }(stack, std::move(frame)));
     exec.Run();
-    ASSERT_EQ(outs.size(), 1u);
-    EXPECT_EQ(stack.tcp_rsts_sent(), 1u);
-    auto parsed = net::ParseFrame(outs[0]);
+  }
+  sim::Executor exec;
+  hw::Machine m;
+  net::NetStack stack;
+  std::vector<Packet> outs;
+};
+
+TEST(FailoverRst, UnknownFlowSegmentDrawsRstWithOrWithoutAnInjector) {
+  RecordingServer srv;
+  // A mid-flow segment from a connection this stack has never seen — what a
+  // survivor receives the instant the RETA re-steers a dead shard's flow.
+  const Packet orphan =
+      TcpSegmentToB(5555, /*seq=*/1000, /*ack=*/2000, {.ack = true}, "GET");
+  auto expect_rst = [&srv](std::size_t rsts) {
+    ASSERT_EQ(srv.outs.size(), rsts);
+    EXPECT_EQ(srv.stack.tcp_rsts_sent(), rsts);
+    auto parsed = net::ParseFrame(srv.outs.back());
     ASSERT_TRUE(parsed.has_value());
     ASSERT_TRUE(parsed->tcp.has_value());
     EXPECT_TRUE(parsed->tcp->flags.rst);
@@ -556,22 +574,23 @@ TEST(FailoverRst, UnknownFlowSegmentDrawsRstOnlyWhenOptedInUnderInjection) {
     EXPECT_EQ(parsed->tcp->dst_port, 5555);
     EXPECT_EQ(parsed->tcp->seq, 2000u);       // takes the segment's ack
     EXPECT_EQ(parsed->tcp->ack, 1000u + 3u);  // seq + payload length
-    // Without the opt-in the same segment is silently dropped (injector or
-    // not): the RST path is a failover behaviour, never a default one.
-    outs.clear();
-    stack.SetSendRstForUnknown(false);
-    exec.Spawn([](net::NetStack& st, Packet f) -> Task<> {
-      co_await st.Input(std::move(f));
-    }(stack, orphan));
-    exec.Run();
-    EXPECT_TRUE(outs.empty());
-    EXPECT_EQ(stack.tcp_rsts_sent(), 1u);
+  };
+  srv.Input(orphan);
+  expect_rst(1);
+  {
+    fault::FaultPlan plan;
+    ScopedInjector s(plan);
+    srv.Input(orphan);
+    expect_rst(2);
   }
+  EXPECT_EQ(srv.exec.pending_events(), 0u);
 }
 
-TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
-  fault::FaultPlan plan;
-  ScopedInjector s(plan);
+// A bounded connect against a black-holed server gives up; the server, slow
+// rather than dead, then answers the SYN late. The abandoned connection must
+// answer with RST instead of completing a half-open handshake nobody will
+// ever use (which would pin a server admission worker forever).
+void ExpectLateSynAckDrawsRst() {
   sim::Executor exec;
   hw::Machine m(exec, hw::Amd2x2());
   net::NetStack client(m, 0, kIpA, kMacA);
@@ -583,8 +602,6 @@ TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
   });
   bool connect_failed = false;
   exec.Spawn([](net::NetStack& cli, std::vector<Packet>& sent, bool& failed) -> Task<> {
-    // The SYN goes nowhere (black-holed server): the bounded connect gives up
-    // and abandons the half-open connection in place.
     net::NetStack::TcpConn* conn =
         co_await cli.TcpConnect(kIpB, 80, /*timeout=*/100'000);
     failed = (conn == nullptr);
@@ -597,7 +614,6 @@ TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
       ADD_FAILURE() << "first emitted frame was not a SYN";
       co_return;
     }
-    // A server that was slow, not dead, answers the (re)transmitted SYN late.
     net::EthHeader eth{kMacA, kMacB, net::kEtherTypeIpv4};
     net::IpHeader ip;
     ip.protocol = net::kIpProtoTcp;
@@ -612,9 +628,6 @@ TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
     synack.flags.ack = true;
     const std::size_t outs_before = sent.size();
     co_await cli.Input(net::BuildTcpFrame(eth, ip, synack, nullptr, 0));
-    // The abandoned connection answers with RST instead of completing a
-    // half-open handshake nobody will ever use (which would pin a server
-    // admission worker forever).
     EXPECT_EQ(sent.size(), outs_before + 1);
     auto rst = net::ParseFrame(sent.back());
     if (!rst.has_value() || !rst->tcp.has_value()) {
@@ -627,10 +640,40 @@ TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
   exec.Run();
   EXPECT_TRUE(connect_failed);
   EXPECT_EQ(client.tcp_rsts_sent(), 1u);
-  // Regression for the abandonment path: the retransmit timer spawned for the
-  // SYN must find the connection alive (never erased) and exit cleanly.
+  // Regression for the abandonment path: under an injector the retransmit
+  // timer spawned for the SYN must find the connection alive (never erased)
+  // and exit cleanly.
   EXPECT_EQ(exec.pending_events(), 0u);
   EXPECT_EQ(exec.live_tasks(), 0u);
+}
+
+TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
+  ExpectLateSynAckDrawsRst();  // plain run: no retransmit timer
+  fault::FaultPlan plan;
+  ScopedInjector s(plan);
+  ExpectLateSynAckDrawsRst();  // armed: the SYN's retransmit timer runs too
+}
+
+TEST(LegacyTcp, OutOfOrderSegmentIsReAckedWithoutAnInjector) {
+  ASSERT_EQ(fault::Injector::active(), nullptr);
+  RecordingServer srv;
+  // The legacy server completes accept on the SYN: SYN-ACK seq 5000, and it
+  // expects client byte 1001 next.
+  srv.Input(TcpSegmentToB(5555, /*seq=*/1000, /*ack=*/0, {.syn = true}, ""));
+  ASSERT_EQ(srv.outs.size(), 1u);
+  // Data past a hole (bytes 1001..1100 never arrived).
+  srv.Input(TcpSegmentToB(5555, /*seq=*/1101, /*ack=*/5001, {.ack = true}, "late"));
+  ASSERT_EQ(srv.outs.size(), 2u);
+  auto reack = net::ParseFrame(srv.outs.back());
+  ASSERT_TRUE(reack.has_value());
+  ASSERT_TRUE(reack->tcp.has_value());
+  EXPECT_TRUE(reack->tcp->flags.ack);
+  EXPECT_FALSE(reack->tcp->flags.syn);
+  EXPECT_FALSE(reack->tcp->flags.rst);
+  EXPECT_EQ(reack->payload_len, 0u);
+  EXPECT_EQ(reack->tcp->ack, 1001u);  // re-announces rcv_nxt, unmoved
+  EXPECT_EQ(reack->tcp->seq, 5001u);
+  EXPECT_EQ(srv.exec.pending_events(), 0u);
 }
 
 }  // namespace

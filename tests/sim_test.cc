@@ -298,6 +298,27 @@ TEST(Event, SignalOneWakesOldestOnly) {
   EXPECT_EQ(event.waiter_count(), 2u);
 }
 
+TEST(Event, WaitTimeoutForeverArmsNoTimer) {
+  for (Cycles bound : {kForever, Cycles{1000}}) {
+    Executor exec;
+    Event event(exec);
+    bool signaled = false;
+    std::size_t pending_while_waiting = 99;
+    exec.Spawn([](Event& ev, Cycles b, bool& out) -> Task<> {
+      out = co_await ev.WaitTimeout(b);
+    }(event, bound, signaled));
+    exec.CallAt(10, [&] {
+      pending_while_waiting = exec.pending_events();
+      event.Signal();
+    });
+    exec.Run();
+    EXPECT_TRUE(signaled) << "bound " << bound;
+    // Only a finite bound leaves its timer behind while the task waits.
+    EXPECT_EQ(pending_while_waiting, bound == kForever ? 0u : 1u) << "bound " << bound;
+    EXPECT_EQ(exec.live_tasks(), 0u);
+  }
+}
+
 TEST(Semaphore, LimitsConcurrencyFifo) {
   Executor exec;
   Semaphore sem(exec, 1);

@@ -415,7 +415,7 @@ Task<> ChaosIpiPinger(hw::Machine& m, int pings) {
 Cycles RunChaosWorld(bool with_faults) {
   fault::FaultPlan plan;
   plan.DelayIpi(-1, -1, /*extra=*/1'200, /*at=*/0);
-  plan.LinkSpike(/*extra=*/450, /*at=*/0, /*until=*/fault::kForever);
+  plan.LinkSpike(/*extra=*/450, /*at=*/0, /*until=*/sim::kForever);
   std::unique_ptr<ScopedInjector> injector;
   if (with_faults) {
     injector = std::make_unique<ScopedInjector>(plan);
