@@ -105,7 +105,7 @@ struct Ledger {
 };
 
 struct Cluster {
-  explicit Cluster(bool lifecycle_clients) : m(exec, hw::Amd2x2()) {
+  Cluster() : m(exec, hw::Amd2x2()) {
     net::TcpLifecycle server_lc;
     server_lc.enabled = true;
     server_lc.time_wait = 400'000;
@@ -116,16 +116,14 @@ struct Cluster {
     // External load generators: their stacks cost nothing on the simulated
     // machine (the server pays full freight for every frame, including
     // attack frames).
+    net::TcpLifecycle client_lc;
+    client_lc.enabled = true;
+    client_lc.time_wait = 200'000;
     for (int i = 0; i < kClientStacks; ++i) {
       net::Ipv4Addr ip = net::MakeIp(10, 0, 1, static_cast<std::uint8_t>(1 + i));
       net::MacAddr mac{2, 0, 0, 1, 0, static_cast<std::uint8_t>(1 + i)};
       auto st = std::make_unique<net::NetStack>(m, kClientCore, ip, mac, bench::FreeCosts());
-      if (lifecycle_clients) {
-        net::TcpLifecycle lc;
-        lc.enabled = true;
-        lc.time_wait = 200'000;
-        st->SetLifecycle(lc);
-      }
+      st->SetLifecycle(client_lc);
       st->AddArp(kServerIp, kServerMac);
       server->AddArp(ip, mac);
       clients.push_back(std::move(st));
@@ -134,10 +132,7 @@ struct Cluster {
       net::Ipv4Addr ip = net::MakeIp(10, 0, 2, 1);
       net::MacAddr mac{2, 0, 0, 2, 0, 1};
       attacker = std::make_unique<net::NetStack>(m, kAttackCore, ip, mac, bench::FreeCosts());
-      net::TcpLifecycle lc;
-      lc.enabled = true;
-      lc.time_wait = 200'000;
-      attacker->SetLifecycle(lc);
+      attacker->SetLifecycle(client_lc);
       attacker->AddArp(kServerIp, kServerMac);
       server->AddArp(ip, mac);
     }
@@ -706,7 +701,7 @@ bool RunOne(Attack attack, const Sizes& sz, std::uint64_t chaos_seed,
   recover::RecoveryConfig rc;
   rc.tcp_rto = 2'000'000;  // no loss here; don't let handshake queueing look like it
   recover::ScopedRecoveryConfig scoped_rc(rc);
-  Cluster cl(/*lifecycle_clients=*/true);
+  Cluster cl;
   RunState rs(cl.exec);
   rs.bucket = sz.bucket;
   rs.pools.resize(kClientStacks);

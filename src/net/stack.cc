@@ -1,5 +1,6 @@
 #include "net/stack.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "trace/trace.h"
@@ -13,6 +14,15 @@ bool SeqLt(std::uint32_t a, std::uint32_t b) {
 }
 bool SeqLe(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::int32_t>(a - b) <= 0;
+}
+
+// The header of a segment `c` sends at `seq`, acking everything received.
+TcpHeader ConnHeader(const NetStack::TcpConn& c, std::uint32_t seq, TcpFlags flags) {
+  return {.src_port = c.local_port,
+          .dst_port = c.remote_port,
+          .seq = seq,
+          .ack = c.rcv_nxt,
+          .flags = flags};
 }
 
 }  // namespace
@@ -159,41 +169,58 @@ Task<> NetStack::Input(Packet frame) {
     co_return;
   }
   if (parsed->tcp) {
-    co_await HandleTcp(*parsed, frame);
+    // Dispatched here rather than in a helper coroutine, which would cost
+    // every segment one more frame allocation.
+    const TcpHeader& tcp = *parsed->tcp;
+    TcpConn* c = conns_.Find(ConnKey(parsed->ip.src, tcp.src_port, tcp.dst_port));
+    if (c != nullptr) {
+      co_await HandleConnSegment(*parsed, frame, *c);
+    } else {
+      co_await HandleNewFlow(*parsed, frame);
+    }
     co_return;
   }
   ++drops_unknown_proto_;
 }
 
-Task<> NetStack::SendTcpSegment(TcpConn& conn, TcpFlags flags, const std::uint8_t* data,
-                                std::size_t len) {
+Packet NetStack::TcpFrame(Ipv4Addr dst_ip, const TcpHeader& tcp, const std::uint8_t* data,
+                          std::size_t len) {
   EthHeader eth;
   eth.src = mac_;
-  eth.dst = ResolveMac(conn.remote_ip);
+  eth.dst = ResolveMac(dst_ip);
   IpHeader ip;
   ip.src = ip_;
-  ip.dst = conn.remote_ip;
+  ip.dst = dst_ip;
   ip.ident = ip_ident_++;
-  TcpHeader tcp;
-  tcp.src_port = conn.local_port;
-  tcp.dst_port = conn.remote_port;
-  tcp.seq = conn.snd_nxt;
-  tcp.ack = conn.rcv_nxt;
-  tcp.flags = flags;
-  auto seq_len = static_cast<std::uint32_t>(len) + (flags.syn ? 1 : 0) +
-                 (flags.fin ? 1 : 0);
+  return BuildTcpFrame(eth, ip, tcp, data, len);
+}
+
+Packet NetStack::RstFor(const ParsedFrame& f) {
+  const TcpHeader& tcp = *f.tcp;
+  ++tcp_rsts_sent_;
+  return TcpFrame(f.ip.src,
+                  {.src_port = tcp.dst_port,
+                   .dst_port = tcp.src_port,
+                   .seq = tcp.flags.ack ? tcp.ack : 0,
+                   .ack = tcp.seq + static_cast<std::uint32_t>(f.payload_len) +
+                          (tcp.flags.syn ? 1 : 0) + (tcp.flags.fin ? 1 : 0),
+                   .flags = {.ack = true, .rst = true}},
+                  nullptr, 0);
+}
+
+Task<> NetStack::SendTcpSegment(TcpConn& conn, TcpFlags flags, const std::uint8_t* data,
+                                std::size_t len) {
+  const std::uint32_t seq = conn.snd_nxt;
+  const auto seq_len = static_cast<std::uint32_t>(len) + (flags.syn ? 1 : 0) +
+                       (flags.fin ? 1 : 0);
   conn.snd_nxt += seq_len;
   if (seq_len > 0) {
     // Segments that occupy sequence space are kept until acknowledged (pure
     // ACKs are not retransmittable). This bookkeeping runs on every send; the
     // timer that retransmits from it exists only while recovery is armed
     // (legacy) or rides the wheel (lifecycle).
-    TcpConn::SentSeg seg;
-    seg.seq = tcp.seq;
-    seg.seq_len = seq_len;
-    seg.flags = flags;
-    seg.data.assign(data, data + len);
-    conn.unacked.push_back(std::move(seg));
+    conn.unacked.push_back(
+        {seq, seq_len, flags, std::vector<std::uint8_t>(data, data + len)});
     if (conn.state != TcpState::kLegacy) {
       // Lifecycle: wheel-carried go-back-N, always armed. SYN_RCVD is the
       // exception — a half-open connection never retransmits its SYN-ACK
@@ -208,26 +235,7 @@ Task<> NetStack::SendTcpSegment(TcpConn& conn, TcpFlags flags, const std::uint8_
       machine_.exec().Spawn(RetransmitTimer(conn));
     }
   }
-  Packet frame = BuildTcpFrame(eth, ip, tcp, data, len);
-  co_await Emit(std::move(frame), len);
-}
-
-Task<> NetStack::SendTcpRaw(TcpConn& conn, std::uint32_t seq, TcpFlags flags,
-                            const std::uint8_t* data, std::size_t len) {
-  EthHeader eth;
-  eth.src = mac_;
-  eth.dst = ResolveMac(conn.remote_ip);
-  IpHeader ip;
-  ip.src = ip_;
-  ip.dst = conn.remote_ip;
-  ip.ident = ip_ident_++;
-  TcpHeader tcp;
-  tcp.src_port = conn.local_port;
-  tcp.dst_port = conn.remote_port;
-  tcp.seq = seq;
-  tcp.ack = conn.rcv_nxt;
-  tcp.flags = flags;
-  Packet frame = BuildTcpFrame(eth, ip, tcp, data, len);
+  Packet frame = TcpFrame(conn.remote_ip, ConnHeader(conn, seq, flags), data, len);
   co_await Emit(std::move(frame), len);
 }
 
@@ -256,15 +264,63 @@ Task<> NetStack::RetransmitTimer(TcpConn& conn) {
     trace::Emit<trace::Category::kFault>(trace::EventId::kFaultTcpRetransmit,
                                          machine_.exec().now(), core_, conn.snd_una,
                                          static_cast<std::uint64_t>(tries));
-    // Snapshot: ACKs arriving during the resend's suspensions may pop from
-    // the live queue under us.
-    std::vector<TcpConn::SentSeg> window(conn.unacked.begin(), conn.unacked.end());
-    for (const TcpConn::SentSeg& seg : window) {
-      co_await SendTcpRaw(conn, seg.seq, seg.flags, seg.data.data(), seg.data.size());
-    }
+    co_await ResendWindow(&conn);
     rto *= 2;
   }
   conn.retx_timer_running = false;
+}
+
+Task<> NetStack::ResendWindow(TcpConn* c) {
+  PinGuard pin(this, c);
+  // Snapshot: ACKs arriving during the resend's suspensions may pop from the
+  // live queue under us.
+  std::vector<TcpConn::SentSeg> window(c->unacked.begin(), c->unacked.end());
+  for (const TcpConn::SentSeg& seg : window) {
+    if (c->state == TcpState::kClosed) {
+      break;
+    }
+    Packet frame = TcpFrame(c->remote_ip, ConnHeader(*c, seg.seq, seg.flags),
+                            seg.data.data(), seg.data.size());
+    co_await Emit(std::move(frame), seg.data.size());
+  }
+}
+
+NetStack::TcpConn* NetStack::NewConn(Ipv4Addr remote_ip, std::uint16_t remote_port,
+                                     std::uint16_t local_port, TcpState state,
+                                     std::uint32_t isn) {
+  auto owned = std::make_unique<TcpConn>(machine_.exec());
+  owned->remote_ip = remote_ip;
+  owned->remote_port = remote_port;
+  owned->local_port = local_port;
+  owned->snd_nxt = isn;
+  owned->snd_una = isn;
+  owned->state = state;
+  if (state == TcpState::kSynSent || state == TcpState::kSynRcvd) {
+    ++half_open_count_;
+  }
+  return conns_.Insert(ConnKey(remote_ip, remote_port, local_port), std::move(owned));
+}
+
+std::uint16_t NetStack::AllocEphemeralPort(Ipv4Addr dst_ip, std::uint16_t dst_port) {
+  // Skipping tuples in the table steps over lifecycle connections parked in
+  // TIME_WAIT and over every legacy connection, which is never erased.
+  for (int tries = 0; tries < 16384; ++tries) {
+    std::uint16_t port = next_ephemeral_;
+    next_ephemeral_ =
+        next_ephemeral_ == 65535 ? static_cast<std::uint16_t>(49152)
+                                 : static_cast<std::uint16_t>(next_ephemeral_ + 1);
+    if (conns_.Find(ConnKey(dst_ip, dst_port, port)) == nullptr) {
+      return port;
+    }
+  }
+  return 0;
+}
+
+void NetStack::CancelTimer(TimerWheel::TimerId& id) {
+  if (id != TimerWheel::kNoTimer) {
+    wheel_.Cancel(id);
+    id = TimerWheel::kNoTimer;
+  }
 }
 
 // --- Lifecycle internals ---
@@ -279,22 +335,6 @@ std::uint32_t NetStack::CookieFor(Ipv4Addr remote_ip, std::uint16_t remote_port,
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   x ^= x >> 31;
   return static_cast<std::uint32_t>(x);
-}
-
-std::uint16_t NetStack::AllocEphemeralPort(Ipv4Addr dst_ip, std::uint16_t dst_port) {
-  // Wraps 65535 -> 49152 and skips 4-tuples still present in the table
-  // (TIME_WAIT parks a tuple for a while after a clean close). 0 = the full
-  // 16k-port range to this destination is in use.
-  for (int tries = 0; tries < 16384; ++tries) {
-    std::uint16_t port = next_ephemeral_;
-    next_ephemeral_ =
-        next_ephemeral_ == 65535 ? static_cast<std::uint16_t>(49152)
-                                 : static_cast<std::uint16_t>(next_ephemeral_ + 1);
-    if (conns_.Find(ConnKey(dst_ip, dst_port, port)) == nullptr) {
-      return port;
-    }
-  }
-  return 0;
 }
 
 void NetStack::LeaveState(TcpConn& c) {
@@ -314,19 +354,32 @@ void NetStack::LeaveState(TcpConn& c) {
   }
 }
 
+void NetStack::Establish(TcpConn& c, bool via_cookie) {
+  const bool passive = c.state == TcpState::kSynRcvd;
+  CancelTimer(c.lifecycle_id);  // connect deadline or SYN_RCVD expiry
+  LeaveState(c);
+  c.state = TcpState::kEstablished;
+  c.established = true;
+  peak_established_ = std::max(peak_established_, ++established_count_);
+  trace::Emit<trace::Category::kConn>(
+      trace::EventId::kConnEstablished, machine_.exec().now(), core_,
+      ConnKey(c.remote_ip, c.remote_port, c.local_port), via_cookie ? 1 : 0);
+  if (passive) {
+    auto lit = listeners_.find(c.local_port);
+    if (lit != listeners_.end()) {
+      lit->second->accepted.push_back(&c);
+      lit->second->ready.Signal();
+    }
+  }
+}
+
 void NetStack::CloseConn(TcpConn& c, CloseCause cause) {
-  if (c.state == TcpState::kClosed || c.state == TcpState::kLegacy) {
+  if (c.state == TcpState::kClosed) {
     return;
   }
   LeaveState(c);
-  if (c.retx_id != TimerWheel::kNoTimer) {
-    wheel_.Cancel(c.retx_id);
-    c.retx_id = TimerWheel::kNoTimer;
-  }
-  if (c.lifecycle_id != TimerWheel::kNoTimer) {
-    wheel_.Cancel(c.lifecycle_id);
-    c.lifecycle_id = TimerWheel::kNoTimer;
-  }
+  CancelTimer(c.retx_id);
+  CancelTimer(c.lifecycle_id);
   c.state = TcpState::kClosed;
   c.close_cause = cause;
   c.unacked.clear();
@@ -357,8 +410,7 @@ void NetStack::EnterTimeWait(TcpConn& c) {
 }
 
 void NetStack::MaybeReap(TcpConn& c) {
-  if (!lifecycle_.enabled || c.state != TcpState::kClosed || !c.app_released ||
-      c.pins != 0) {
+  if (c.state != TcpState::kClosed || !c.app_released || c.pins != 0) {
     return;
   }
   // Every timer referencing the conn was cancelled on the way to kClosed and
@@ -397,19 +449,8 @@ void NetStack::RetxFire(TcpConn* c) {
   machine_.exec().Spawn(ResendWindow(c));
 }
 
-Task<> NetStack::ResendWindow(TcpConn* c) {
-  PinGuard pin(this, c);
-  std::vector<TcpConn::SentSeg> window(c->unacked.begin(), c->unacked.end());
-  for (const TcpConn::SentSeg& seg : window) {
-    if (c->state == TcpState::kClosed) {
-      break;
-    }
-    co_await SendTcpRaw(*c, seg.seq, seg.flags, seg.data.data(), seg.data.size());
-  }
-}
-
 void NetStack::Release(TcpConn* conn) {
-  if (conn == nullptr || !lifecycle_.enabled || conn->state == TcpState::kLegacy) {
+  if (conn == nullptr) {
     return;
   }
   conn->app_released = true;
@@ -417,27 +458,20 @@ void NetStack::Release(TcpConn* conn) {
 }
 
 Task<bool> NetStack::WaitReadable(TcpConn& conn, Cycles timeout) {
-  if (timeout == 0 || !lifecycle_.enabled || conn.state == TcpState::kLegacy) {
-    while (conn.rx.empty() && !conn.peer_closed) {
-      co_await conn.readable.Wait();
-    }
-    co_return true;
-  }
   conn.wait_timed_out = false;
   if (conn.rx.empty() && !conn.peer_closed) {
-    TcpConn* cp = &conn;
-    conn.wait_id = wheel_.Schedule(timeout, [cp] {
-      cp->wait_id = TimerWheel::kNoTimer;
-      cp->wait_timed_out = true;
-      cp->readable.Signal();
-    });
+    if (timeout > 0) {
+      TcpConn* cp = &conn;
+      conn.wait_id = wheel_.Schedule(timeout, [cp] {
+        cp->wait_id = TimerWheel::kNoTimer;
+        cp->wait_timed_out = true;
+        cp->readable.Signal();
+      });
+    }
     while (conn.rx.empty() && !conn.peer_closed && !conn.wait_timed_out) {
       co_await conn.readable.Wait();
     }
-    if (conn.wait_id != TimerWheel::kNoTimer) {
-      wheel_.Cancel(conn.wait_id);
-      conn.wait_id = TimerWheel::kNoTimer;
-    }
+    CancelTimer(conn.wait_id);
   }
   co_return !conn.rx.empty() || conn.peer_closed || !conn.wait_timed_out;
 }
@@ -452,20 +486,13 @@ NetStack::Listener& NetStack::TcpListen(std::uint16_t port) {
 
 Task<NetStack::TcpConn*> NetStack::TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst_port,
                                               Cycles timeout) {
+  const std::uint16_t port = AllocEphemeralPort(dst_ip, dst_port);
+  if (port == 0) {
+    co_return nullptr;  // ephemeral range to this destination exhausted
+  }
+  constexpr std::uint32_t kIsn = 1000;  // deterministic ISN
   if (lifecycle_.enabled) {
-    std::uint16_t port = AllocEphemeralPort(dst_ip, dst_port);
-    if (port == 0) {
-      co_return nullptr;  // ephemeral range to this destination exhausted
-    }
-    auto owned = std::make_unique<TcpConn>(machine_.exec());
-    owned->remote_ip = dst_ip;
-    owned->remote_port = dst_port;
-    owned->local_port = port;
-    owned->snd_nxt = 1000;  // deterministic ISN
-    owned->snd_una = 1000;
-    owned->state = TcpState::kSynSent;
-    TcpConn* c = conns_.Insert(ConnKey(dst_ip, dst_port, port), std::move(owned));
-    ++half_open_count_;
+    TcpConn* c = NewConn(dst_ip, dst_port, port, TcpState::kSynSent, kIsn);
     PinGuard pin(this, c);
     if (timeout > 0) {
       c->lifecycle_id = wheel_.Schedule(timeout, [this, c] {
@@ -493,14 +520,7 @@ Task<NetStack::TcpConn*> NetStack::TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst
     }
     co_return c;
   }
-  auto conn = std::make_unique<TcpConn>(machine_.exec());
-  TcpConn* c = conn.get();
-  c->remote_ip = dst_ip;
-  c->remote_port = dst_port;
-  c->local_port = next_ephemeral_++;
-  c->snd_nxt = 1000;  // deterministic ISN
-  c->snd_una = 1000;
-  conns_.Insert(ConnKey(dst_ip, dst_port, c->local_port), std::move(conn));
+  TcpConn* c = NewConn(dst_ip, dst_port, port, TcpState::kLegacy, kIsn);
   const Cycles deadline = machine_.exec().now() + timeout;
   co_await SendTcpSegment(*c, TcpFlags{.syn = true}, nullptr, 0);
   while (!c->established) {
@@ -509,8 +529,8 @@ Task<NetStack::TcpConn*> NetStack::TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst
       // connection. Abandon it in place — the conn object must stay owned
       // by conns_ because the SYN's RetransmitTimer may still hold a
       // reference to it across a Delay; clearing unacked makes that timer
-      // exit at its next wake. Ephemeral ports are never reused, so the
-      // dead map entry can't shadow a future flow.
+      // exit at its next wake. AllocEphemeralPort skips the dead entry's
+      // tuple, so it can't shadow a future flow.
       c->abandoned = true;
       c->unacked.clear();
       co_return nullptr;
@@ -533,264 +553,152 @@ Task<NetStack::TcpConn*> NetStack::TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst
   co_return c;
 }
 
-Task<> NetStack::HandleTcp(const ParsedFrame& f, const Packet& frame) {
+Task<> NetStack::HandleNewFlow(const ParsedFrame& f, const Packet& frame) {
   const TcpHeader& tcp = *f.tcp;
-  TcpConn* cp = conns_.Find(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
-  if (cp == nullptr) {
-    if (lifecycle_.enabled) {
-      auto lit = listeners_.find(tcp.dst_port);
-      if (lit != listeners_.end() && tcp.flags.syn && !tcp.flags.ack &&
-          !tcp.flags.rst) {
-        if (lifecycle_.max_half_open > 0 &&
-            half_open_count_ >= lifecycle_.max_half_open) {
-          // Half-open table full: answer statelessly with a SYN-cookie ISN.
-          // A legitimate client's ACK reconstructs the connection below; a
-          // flood source that never ACKs costs us nothing.
-          std::uint32_t cookie = CookieFor(f.ip.src, tcp.src_port, tcp.dst_port);
-          ++syn_cookies_sent_;
-          trace::Emit<trace::Category::kConn>(
-              trace::EventId::kConnCookieSent, machine_.exec().now(), core_, cookie,
-              ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
-          co_await SendStatelessSegment(f.ip.src, tcp.dst_port, tcp.src_port,
-                                        cookie, tcp.seq + 1,
-                                        TcpFlags{.syn = true, .ack = true});
-          co_return;
-        }
-        // True 3-way handshake: park the connection half-open; accept
-        // completes only on the client's ACK.
-        auto owned = std::make_unique<TcpConn>(machine_.exec());
-        owned->remote_ip = f.ip.src;
-        owned->remote_port = tcp.src_port;
-        owned->local_port = tcp.dst_port;
-        owned->rcv_nxt = tcp.seq + 1;
-        owned->snd_nxt = 5000;  // deterministic ISN
-        owned->snd_una = 5000;
-        owned->state = TcpState::kSynRcvd;
-        TcpConn* c =
-            conns_.Insert(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port),
-                          std::move(owned));
-        ++half_open_count_;
-        trace::Emit<trace::Category::kConn>(
-            trace::EventId::kConnSynRcvd, machine_.exec().now(), core_,
-            ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
-        c->lifecycle_id = wheel_.Schedule(lifecycle_.syn_rcvd_timeout, [this, c] {
-          c->lifecycle_id = TimerWheel::kNoTimer;
-          if (c->state != TcpState::kSynRcvd) {
-            return;
-          }
-          ++half_open_evicted_;
-          trace::Emit<trace::Category::kConn>(
-              trace::EventId::kConnEvict, machine_.exec().now(), core_, 0,
-              ConnKey(c->remote_ip, c->remote_port, c->local_port));
-          c->app_released = true;  // never reached the application
-          CloseConn(*c, CloseCause::kHalfOpenExpiry);
-        });
-        PinGuard pin(this, c);
-        co_await SendTcpSegment(*c, TcpFlags{.syn = true, .ack = true}, nullptr, 0);
-        co_return;
-      }
-      if (lit != listeners_.end() && lifecycle_.max_half_open > 0 &&
-          tcp.flags.ack && !tcp.flags.syn && !tcp.flags.rst && !tcp.flags.fin) {
-        std::uint32_t cookie = CookieFor(f.ip.src, tcp.src_port, tcp.dst_port);
-        if (tcp.ack == cookie + 1) {
-          // Stateless handshake completion: the ACK proves the peer saw our
-          // cookie SYN-ACK; rebuild the connection it encodes.
-          auto owned = std::make_unique<TcpConn>(machine_.exec());
-          owned->remote_ip = f.ip.src;
-          owned->remote_port = tcp.src_port;
-          owned->local_port = tcp.dst_port;
-          owned->rcv_nxt = tcp.seq;
-          owned->snd_nxt = tcp.ack;
-          owned->snd_una = tcp.ack;
-          owned->state = TcpState::kEstablished;
-          owned->established = true;
-          TcpConn* c =
-              conns_.Insert(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port),
-                            std::move(owned));
-          ++established_count_;
-          if (established_count_ > peak_established_) {
-            peak_established_ = established_count_;
-          }
-          ++syn_cookie_accepts_;
-          trace::Emit<trace::Category::kConn>(
-              trace::EventId::kConnCookieAccept, machine_.exec().now(), core_,
-              cookie, ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
-          trace::Emit<trace::Category::kConn>(
-              trace::EventId::kConnEstablished, machine_.exec().now(), core_,
-              ConnKey(f.ip.src, tcp.src_port, tcp.dst_port), 1);
-          lit->second->accepted.push_back(c);
-          lit->second->ready.Signal();
-          // The ACK may already carry request bytes; run it through the
-          // established-path handler so they are buffered and acked.
-          co_await HandleTcpLifecycle(f, frame, *c);
-          co_return;
-        }
-        ++syn_cookie_rejects_;
-      }
-      // Unknown flow in lifecycle mode: reset unconditionally. Cleanly-closed
-      // connections are erased from the table, so a late segment deserves to
-      // learn the flow is gone.
-      if (!tcp.flags.rst) {
-        co_await SendRstForSegment(f);
-      }
-      ++drops_no_listener_;
+  const std::uint64_t key = ConnKey(f.ip.src, tcp.src_port, tcp.dst_port);
+  auto lit = listeners_.find(tcp.dst_port);
+  Listener* listener = lit == listeners_.end() ? nullptr : lit->second.get();
+  const bool cookies = lifecycle_.enabled && lifecycle_.max_half_open > 0;
+  if (listener != nullptr && tcp.flags.syn && !tcp.flags.ack && !tcp.flags.rst) {
+    constexpr std::uint32_t kIsn = 5000;  // deterministic ISN
+    if (!lifecycle_.enabled) {
+      // Legacy 2-way accept: established once the SYN-ACK is out, trusting
+      // the client's ACK to arrive (a lossless link).
+      TcpConn* c = NewConn(f.ip.src, tcp.src_port, tcp.dst_port, TcpState::kLegacy, kIsn);
+      c->rcv_nxt = tcp.seq + 1;
+      co_await SendTcpSegment(*c, TcpFlags{.syn = true, .ack = true}, nullptr, 0);
+      c->established = true;
+      listener->accepted.push_back(c);
+      listener->ready.Signal();
       co_return;
     }
-    // New connection? Only if someone listens and this is a SYN.
-    auto lit = listeners_.find(tcp.dst_port);
-    if (lit == listeners_.end() || !tcp.flags.syn) {
-      if (!tcp.flags.rst) {
-        // A mid-flow segment for a connection we never saw (typically an
-        // orphaned flow re-steered here after its shard died). Reset it so
-        // the client can retry with a fresh SYN against this stack's
-        // listener.
-        co_await SendRstForSegment(f);
-      }
-      ++drops_no_listener_;
+    if (cookies && half_open_count_ >= lifecycle_.max_half_open) {
+      // Half-open table full: answer statelessly with a SYN-cookie ISN.
+      // A legitimate client's ACK reconstructs the connection below; a
+      // flood source that never ACKs costs us nothing.
+      std::uint32_t cookie = CookieFor(f.ip.src, tcp.src_port, tcp.dst_port);
+      ++syn_cookies_sent_;
+      trace::Emit<trace::Category::kConn>(trace::EventId::kConnCookieSent,
+                                          machine_.exec().now(), core_, cookie, key);
+      Packet synack = TcpFrame(f.ip.src,
+                               {.src_port = tcp.dst_port,
+                                .dst_port = tcp.src_port,
+                                .seq = cookie,
+                                .ack = tcp.seq + 1,
+                                .flags = {.syn = true, .ack = true}},
+                               nullptr, 0);
+      co_await Emit(std::move(synack), 0);
       co_return;
     }
-    auto conn = std::make_unique<TcpConn>(machine_.exec());
-    TcpConn* c = conn.get();
-    c->remote_ip = f.ip.src;
-    c->remote_port = tcp.src_port;
-    c->local_port = tcp.dst_port;
+    // True 3-way handshake: park the connection half-open; accept
+    // completes only on the client's ACK.
+    TcpConn* c = NewConn(f.ip.src, tcp.src_port, tcp.dst_port, TcpState::kSynRcvd, kIsn);
     c->rcv_nxt = tcp.seq + 1;
-    c->snd_nxt = 5000;  // deterministic ISN
-    c->snd_una = 5000;
-    conns_.Insert(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port), std::move(conn));
-    co_await SendTcpSegment(*c, TcpFlags{.syn = true, .ack = true}, nullptr, 0);
-    c->established = true;  // completes on the client's ACK (lossless link)
-    lit->second->accepted.push_back(c);
-    lit->second->ready.Signal();
-    co_return;
-  }
-  if (cp->state != TcpState::kLegacy) {
-    co_await HandleTcpLifecycle(f, frame, *cp);
-    co_return;
-  }
-  TcpConn& c = *cp;
-  // A late segment — typically the SYN-ACK a retransmitted SYN provoked —
-  // for a handshake this side already gave up on. Reset it: the peer (often
-  // a survivor that adopted the flow) holds a half-open connection no one
-  // will ever write to, and without the RST it would pin one of the server's
-  // admission workers until the end of the run.
-  if (c.abandoned && !tcp.flags.rst) {
-    co_await SendRstForSegment(f);
-    co_return;
-  }
-  // RST aborts the connection outright: no more retransmissions (the peer
-  // told us the flow is dead), readers see peer-closed.
-  if (tcp.flags.rst) {
-    ++tcp_rsts_received_;
-    c.peer_closed = true;
-    c.unacked.clear();
-    c.readable.Signal();
-    c.closed_ev.Signal();
-    co_return;
-  }
-  // ACK processing: advance snd_una and retire acknowledged segments. Pure
-  // bookkeeping — no events are scheduled, so lossless runs are unaffected.
-  if (tcp.flags.ack) {
-    if (SeqLt(c.snd_una, tcp.ack) && SeqLe(tcp.ack, c.snd_nxt)) {
-      c.snd_una = tcp.ack;
-      c.dup_acks = 0;
-      while (!c.unacked.empty() &&
-             SeqLe(c.unacked.front().seq + c.unacked.front().seq_len, c.snd_una)) {
-        c.unacked.pop_front();
+    trace::Emit<trace::Category::kConn>(trace::EventId::kConnSynRcvd,
+                                        machine_.exec().now(), core_, key);
+    c->lifecycle_id = wheel_.Schedule(lifecycle_.syn_rcvd_timeout, [this, c] {
+      c->lifecycle_id = TimerWheel::kNoTimer;
+      if (c->state != TcpState::kSynRcvd) {
+        return;
       }
-    } else if (tcp.ack == c.snd_una && !c.unacked.empty() && f.payload_len == 0 &&
-               !tcp.flags.syn && !tcp.flags.fin) {
-      ++c.dup_acks;  // recovery itself is timer-driven (go-back-N)
+      ++half_open_evicted_;
+      trace::Emit<trace::Category::kConn>(
+          trace::EventId::kConnEvict, machine_.exec().now(), core_, 0,
+          ConnKey(c->remote_ip, c->remote_port, c->local_port));
+      c->app_released = true;  // never reached the application
+      CloseConn(*c, CloseCause::kHalfOpenExpiry);
+    });
+    PinGuard pin(this, c);
+    co_await SendTcpSegment(*c, TcpFlags{.syn = true, .ack = true}, nullptr, 0);
+    co_return;
+  }
+  if (listener != nullptr && cookies && tcp.flags.ack && !tcp.flags.syn &&
+      !tcp.flags.rst && !tcp.flags.fin) {
+    std::uint32_t cookie = CookieFor(f.ip.src, tcp.src_port, tcp.dst_port);
+    if (tcp.ack == cookie + 1) {
+      // Stateless handshake completion: the ACK proves the peer saw our
+      // cookie SYN-ACK; rebuild the half-open connection it encodes and
+      // establish it.
+      TcpConn* c =
+          NewConn(f.ip.src, tcp.src_port, tcp.dst_port, TcpState::kSynRcvd, tcp.ack);
+      c->rcv_nxt = tcp.seq;
+      ++syn_cookie_accepts_;
+      trace::Emit<trace::Category::kConn>(trace::EventId::kConnCookieAccept,
+                                          machine_.exec().now(), core_, cookie, key);
+      Establish(*c, /*via_cookie=*/true);
+      // The ACK may already carry request bytes; run it through the
+      // connection's handler so they are buffered and acked.
+      co_await HandleConnSegment(f, frame, *c);
+      co_return;
     }
+    ++syn_cookie_rejects_;
   }
-  if (tcp.flags.syn && tcp.flags.ack && !c.established) {
-    // Our SYN was answered: complete the client side.
-    c.rcv_nxt = tcp.seq + 1;
-    c.established = true;
-    co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
-    c.readable.Signal();
-    co_return;
+  // Unknown flow: reset it. A mid-flow segment for a connection this stack
+  // never saw (typically an orphaned flow re-steered here after its shard
+  // died) makes the client retry with a fresh SYN against this stack's
+  // listener; a late segment for an erased lifecycle connection learns the
+  // flow is gone.
+  if (!tcp.flags.rst) {
+    co_await Emit(RstFor(f), 0);
   }
-  bool advanced = false;
-  if (f.payload_len > 0 && tcp.seq == c.rcv_nxt) {
-    c.rx.insert(c.rx.end(),
-                frame.begin() + static_cast<std::ptrdiff_t>(f.payload_offset),
-                frame.begin() + static_cast<std::ptrdiff_t>(f.payload_offset +
-                                                            f.payload_len));
-    c.rcv_nxt += static_cast<std::uint32_t>(f.payload_len);
-    advanced = true;
-  }
-  // In-order FIN (rcv_nxt was already advanced past any payload above).
-  if (tcp.flags.fin &&
-      tcp.seq + static_cast<std::uint32_t>(f.payload_len) == c.rcv_nxt) {
-    c.rcv_nxt += 1;
-    c.peer_closed = true;
-    advanced = true;
-    c.closed_ev.Signal();
-  }
-  if (advanced) {
-    co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
-    c.readable.Signal();
-    co_return;
-  }
-  // A sequence-consuming segment that did not advance rcv_nxt is either a
-  // retransmitted duplicate or arrived past a loss-created hole. Re-announce
-  // rcv_nxt so the peer's go-back-N machinery converges.
-  if (f.payload_len > 0 || tcp.flags.syn || tcp.flags.fin) {
-    co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
-  }
+  ++drops_no_listener_;
 }
 
-Task<> NetStack::HandleTcpLifecycle(const ParsedFrame& f, const Packet& frame,
-                                    TcpConn& c) {
+Task<> NetStack::HandleConnSegment(const ParsedFrame& f, const Packet& frame,
+                                   TcpConn& c) {
   PinGuard pin(this, &c);
   const TcpHeader& tcp = *f.tcp;
   if (tcp.flags.rst) {
     ++tcp_rsts_received_;
-    CloseConn(c, CloseCause::kReset);
+    if (c.state == TcpState::kLegacy) {
+      // A legacy connection is never closed: the RST ends the stream and
+      // stops retransmission (the peer told us the flow is dead).
+      c.peer_closed = true;
+      c.unacked.clear();
+      c.readable.Signal();
+      c.closed_ev.Signal();
+    } else {
+      CloseConn(c, CloseCause::kReset);
+    }
     co_return;
   }
   if (c.state == TcpState::kClosed) {
     co_return;  // late segment for a connection awaiting reap
   }
+  if (c.abandoned) {
+    // A late segment — typically the SYN-ACK a retransmitted SYN provoked —
+    // for a legacy handshake this side already gave up on (an abandoned
+    // lifecycle connect is kClosed). Reset it: the peer (often a survivor
+    // that adopted the flow) holds a half-open connection no one will ever
+    // write to, and without the RST it would pin one of the server's
+    // admission workers until the end of the run.
+    co_await Emit(RstFor(f), 0);
+    co_return;
+  }
   // Retransmitted SYN for a half-open connection: the SYN-ACK was lost.
   // Re-send it verbatim (half-open connections arm no retransmit timer).
   if (c.state == TcpState::kSynRcvd && tcp.flags.syn && !tcp.flags.ack) {
-    co_await SendTcpRaw(c, c.snd_una, TcpFlags{.syn = true, .ack = true},
-                        nullptr, 0);
+    Packet synack = TcpFrame(
+        c.remote_ip, ConnHeader(c, c.snd_una, {.syn = true, .ack = true}), nullptr, 0);
+    co_await Emit(std::move(synack), 0);
     co_return;
   }
-  // Client side: the SYN-ACK completes our active open.
+  // Lifecycle client: the SYN-ACK completes our active open.
   if (c.state == TcpState::kSynSent) {
     if (tcp.flags.syn && tcp.flags.ack && tcp.ack == c.snd_nxt) {
       c.rcv_nxt = tcp.seq + 1;
       c.snd_una = tcp.ack;
       c.unacked.clear();
-      if (c.retx_id != TimerWheel::kNoTimer) {
-        wheel_.Cancel(c.retx_id);
-        c.retx_id = TimerWheel::kNoTimer;
-      }
-      if (c.lifecycle_id != TimerWheel::kNoTimer) {  // connect deadline
-        wheel_.Cancel(c.lifecycle_id);
-        c.lifecycle_id = TimerWheel::kNoTimer;
-      }
-      LeaveState(c);
-      c.state = TcpState::kEstablished;
-      c.established = true;
-      ++established_count_;
-      if (established_count_ > peak_established_) {
-        peak_established_ = established_count_;
-      }
-      trace::Emit<trace::Category::kConn>(
-          trace::EventId::kConnEstablished, machine_.exec().now(), core_,
-          ConnKey(c.remote_ip, c.remote_port, c.local_port), 0);
+      CancelTimer(c.retx_id);
+      Establish(c, /*via_cookie=*/false);
       co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
       c.readable.Signal();
     }
     co_return;
   }
   // ACK processing: advance snd_una, retire acknowledged segments, settle
-  // the retransmit timer and any in-flight FIN of ours.
+  // the retransmit timer and any in-flight FIN of ours. Pure bookkeeping —
+  // a legacy connection schedules no events here.
   if (tcp.flags.ack) {
     if (SeqLt(c.snd_una, tcp.ack) && SeqLe(tcp.ack, c.snd_nxt)) {
       c.snd_una = tcp.ack;
@@ -800,36 +708,17 @@ Task<> NetStack::HandleTcpLifecycle(const ParsedFrame& f, const Packet& frame,
         c.unacked.pop_front();
       }
       if (c.unacked.empty() && c.retx_id != TimerWheel::kNoTimer) {
-        wheel_.Cancel(c.retx_id);
-        c.retx_id = TimerWheel::kNoTimer;
+        CancelTimer(c.retx_id);
         c.retx_tries = 0;
       }
     } else if (tcp.ack == c.snd_una && !c.unacked.empty() && f.payload_len == 0 &&
                !tcp.flags.syn && !tcp.flags.fin) {
-      ++c.dup_acks;
+      ++c.dup_acks;  // recovery itself is timer-driven (go-back-N)
     }
     if (c.state == TcpState::kSynRcvd && c.snd_una == c.snd_nxt) {
       // The client's ACK covers our SYN-ACK: promote the half-open
       // connection and complete the accept.
-      if (c.lifecycle_id != TimerWheel::kNoTimer) {  // SYN_RCVD expiry
-        wheel_.Cancel(c.lifecycle_id);
-        c.lifecycle_id = TimerWheel::kNoTimer;
-      }
-      LeaveState(c);
-      c.state = TcpState::kEstablished;
-      c.established = true;
-      ++established_count_;
-      if (established_count_ > peak_established_) {
-        peak_established_ = established_count_;
-      }
-      trace::Emit<trace::Category::kConn>(
-          trace::EventId::kConnEstablished, machine_.exec().now(), core_,
-          ConnKey(c.remote_ip, c.remote_port, c.local_port), 0);
-      auto lit = listeners_.find(c.local_port);
-      if (lit != listeners_.end()) {
-        lit->second->accepted.push_back(&c);
-        lit->second->ready.Signal();
-      }
+      Establish(c, /*via_cookie=*/false);
     }
     if (c.fin_sent && SeqLt(c.fin_seq, c.snd_una)) {
       // Our FIN is acknowledged.
@@ -847,6 +736,15 @@ Task<> NetStack::HandleTcpLifecycle(const ParsedFrame& f, const Packet& frame,
           break;
       }
     }
+  }
+  if (c.state == TcpState::kLegacy && tcp.flags.syn && tcp.flags.ack &&
+      !c.established) {
+    // Legacy client: our SYN was answered (and retired above).
+    c.rcv_nxt = tcp.seq + 1;
+    c.established = true;
+    co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
+    c.readable.Signal();
+    co_return;
   }
   bool advanced = false;
   if (f.payload_len > 0 && tcp.seq == c.rcv_nxt) {
@@ -884,52 +782,12 @@ Task<> NetStack::HandleTcpLifecycle(const ParsedFrame& f, const Packet& frame,
     c.readable.Signal();
     co_return;
   }
-  // Out-of-order or duplicate sequence-consuming segment (including a peer's
-  // retransmitted FIN while we sit in TIME_WAIT): re-announce rcv_nxt so the
-  // peer's go-back-N converges. Unconditional in lifecycle mode — loss is a
-  // first-class citizen here, not an injector-only artifact.
+  // Out-of-order or duplicate sequence-consuming segment (a retransmission,
+  // data past a loss-created hole, or a peer's retransmitted FIN while we sit
+  // in TIME_WAIT): re-announce rcv_nxt so the peer's go-back-N converges.
   if (f.payload_len > 0 || tcp.flags.syn || tcp.flags.fin) {
     co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
   }
-}
-
-Task<> NetStack::SendRstForSegment(const ParsedFrame& f) {
-  const TcpHeader& tcp = *f.tcp;
-  EthHeader eth;
-  eth.src = mac_;
-  eth.dst = ResolveMac(f.ip.src);
-  IpHeader ip;
-  ip.src = ip_;
-  ip.dst = f.ip.src;
-  ip.ident = ip_ident_++;
-  TcpHeader rst;
-  rst.src_port = tcp.dst_port;
-  rst.dst_port = tcp.src_port;
-  rst.seq = tcp.flags.ack ? tcp.ack : 0;
-  rst.ack = tcp.seq + static_cast<std::uint32_t>(f.payload_len) +
-            (tcp.flags.syn ? 1 : 0) + (tcp.flags.fin ? 1 : 0);
-  rst.flags = TcpFlags{.ack = true, .rst = true};
-  ++tcp_rsts_sent_;
-  co_await Emit(BuildTcpFrame(eth, ip, rst, nullptr, 0), 0);
-}
-
-Task<> NetStack::SendStatelessSegment(Ipv4Addr dst_ip, std::uint16_t src_port,
-                                      std::uint16_t dst_port, std::uint32_t seq,
-                                      std::uint32_t ack, TcpFlags flags) {
-  EthHeader eth;
-  eth.src = mac_;
-  eth.dst = ResolveMac(dst_ip);
-  IpHeader ip;
-  ip.src = ip_;
-  ip.dst = dst_ip;
-  ip.ident = ip_ident_++;
-  TcpHeader tcp;
-  tcp.src_port = src_port;
-  tcp.dst_port = dst_port;
-  tcp.seq = seq;
-  tcp.ack = ack;
-  tcp.flags = flags;
-  co_await Emit(BuildTcpFrame(eth, ip, tcp, nullptr, 0), 0);
 }
 
 Task<> NetStack::TcpSend(TcpConn& conn, const std::uint8_t* data, std::size_t len) {
@@ -947,23 +805,24 @@ Task<> NetStack::TcpSend(TcpConn& conn, const std::string& data) {
 }
 
 Task<> NetStack::TcpClose(TcpConn& conn) {
-  if (conn.state != TcpState::kLegacy) {
-    // Full FIN/ACK close handshake. Active close walks FIN_WAIT_1 →
-    // FIN_WAIT_2 → TIME_WAIT; closing after the peer's FIN walks CLOSE_WAIT
-    // → LAST_ACK → CLOSED.
-    if (conn.state == TcpState::kEstablished) {
+  // Legacy: a lone FIN. Lifecycle: the full FIN/ACK close handshake; active
+  // close walks FIN_WAIT_1 → FIN_WAIT_2 → TIME_WAIT, closing after the
+  // peer's FIN walks CLOSE_WAIT → LAST_ACK → CLOSED.
+  switch (conn.state) {
+    case TcpState::kLegacy:
+      break;
+    case TcpState::kEstablished:
       LeaveState(conn);
       conn.state = TcpState::kFinWait1;
-    } else if (conn.state == TcpState::kCloseWait) {
+      break;
+    case TcpState::kCloseWait:
       conn.state = TcpState::kLastAck;
-    } else {
+      break;
+    default:
       co_return;  // half-open, already closing, or closed: nothing to send
-    }
-    conn.fin_sent = true;
-    conn.fin_seq = conn.snd_nxt;
-    co_await SendTcpSegment(conn, TcpFlags{.ack = true, .fin = true}, nullptr, 0);
-    co_return;
   }
+  conn.fin_sent = true;
+  conn.fin_seq = conn.snd_nxt;
   co_await SendTcpSegment(conn, TcpFlags{.ack = true, .fin = true}, nullptr, 0);
 }
 

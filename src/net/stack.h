@@ -9,25 +9,29 @@
 // charged on the L4 payload bytes actually summed (the paper's e1000 driver
 // does not use checksum offload).
 //
-// Two TCP disciplines coexist (DESIGN.md §15):
+// TCP runs one segment path for both of its disciplines (DESIGN.md §15):
+// one receive handler for known connections, one new-flow handler (listener
+// test, SYN-cookie test, RST for unknown flows), one frame builder, one
+// ephemeral-port allocator, and WaitReadable deadlines on the stack's
+// TimerWheel.
+// Every stack answers unknown flows and late segments for abandoned
+// handshakes with RST and re-ACKs out-of-order segments.
 //
-//   * legacy (default) — the paper-bench subset: the server completes accept
-//     on the SYN (2-way), close is a lone FIN, connections are never erased,
-//     and the retransmit timer is a per-connection coroutine armed only
-//     while recover::Armed(). Like lifecycle, it answers unknown flows and
-//     late segments for abandoned handshakes with RST and re-ACKs
-//     out-of-order segments. Byte-identical to every golden transcript
-//     recorded before the lifecycle work.
 //   * lifecycle (SetLifecycle) — connection-scale realism: a true 3-way
 //     handshake with a half-open SYN_RCVD state, FIN/ACK close with bounded
 //     TIME_WAIT, a capped half-open table defended by SYN-cookie stateless
 //     handshake completion, abandoned-connect sweeping, and *every*
 //     per-connection timer (retransmit, connect deadline, SYN_RCVD expiry,
-//     TIME_WAIT reap, read deadlines) carried by one hierarchical TimerWheel
-//     instead of ad-hoc per-connection timers. Connections live in a hashed
-//     connection table and are erased when their state machine terminates
-//     and the application has Release()d them, so 100k-connection churn
-//     leaks neither table entries nor wheel slots.
+//     TIME_WAIT reap, read deadlines) carried by the wheel. Connections are
+//     erased from the hashed connection table when their state machine
+//     terminates and the application has Release()d them, so
+//     100k-connection churn leaks neither table entries nor wheel slots.
+//   * legacy (default) — the paper-bench subset, kept byte-identical to
+//     every golden transcript by five decisions only: the server accepts on
+//     the SYN (2-way); close is a lone FIN; connections are never closed or
+//     erased (a RST only marks the peer gone); a bounded TcpConnect waits
+//     with Event::WaitTimeout; and the retransmit timer is a per-connection
+//     coroutine armed only while recover::Armed().
 #ifndef MK_NET_STACK_H_
 #define MK_NET_STACK_H_
 
@@ -66,8 +70,8 @@ struct StackCosts {
 // consulted only while recover::Armed(); in lifecycle mode the wheel-driven
 // retransmit timer is always armed.
 
-// TCP connection states (lifecycle mode; legacy connections stay kLegacy and
-// bypass the state machine entirely).
+// TCP connection states (lifecycle mode; legacy connections stay kLegacy
+// for their whole life).
 enum class TcpState : std::uint8_t {
   kLegacy,
   kSynSent,      // client, SYN out, handshake pending
@@ -204,13 +208,15 @@ class NetStack {
     std::uint32_t retx_marker = 0;    // snd_una at last (re)arm, for progress
     TimerWheel::TimerId retx_id = TimerWheel::kNoTimer;
     TimerWheel::TimerId lifecycle_id = TimerWheel::kNoTimer;  // connect/SYN_RCVD/TIME_WAIT
-    TimerWheel::TimerId wait_id = TimerWheel::kNoTimer;       // WaitReadable deadline
-    bool wait_timed_out = false;
     // Reap protocol: a terminal connection is erased from the table only
     // when no suspended coroutine still references it (`pins`) and the
     // application has released its pointer (`app_released`).
     int pins = 0;
     bool app_released = false;
+
+    // WaitReadable deadline, on either discipline.
+    TimerWheel::TimerId wait_id = TimerWheel::kNoTimer;
+    bool wait_timed_out = false;
   };
   class Listener {
    public:
@@ -226,7 +232,8 @@ class NetStack {
   // this so a shed SYN cannot wedge a client forever. 0 = wait indefinitely
   // (the original behaviour; schedules no timer events in legacy mode). In
   // lifecycle mode an abandoned connect is swept from the connection table,
-  // so its 4-tuple is immediately reusable.
+  // so its 4-tuple is immediately reusable. Returns nullptr at once, sending
+  // nothing, when every ephemeral port to this destination is in use.
   Task<TcpConn*> TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst_port,
                             Cycles timeout = 0);
   Task<> TcpSend(TcpConn& conn, const std::uint8_t* data, std::size_t len);
@@ -237,10 +244,10 @@ class NetStack {
   // The deadline rides the timer wheel, so 100k idle keep-alive connections
   // cost no per-wait heap allocation and no un-cancellable executor events.
   Task<bool> WaitReadable(TcpConn& conn, Cycles timeout);
-  // Lifecycle mode: the application is done with `conn`'s pointer. The table
-  // entry is reaped once the state machine also finishes (and vice versa).
-  // Call after TcpClose (or after observing a close/reset). No-op in legacy
-  // mode, where connections are never erased.
+  // The application is done with `conn`'s pointer. A lifecycle connection's
+  // table entry is reaped once its state machine also finishes (and vice
+  // versa); a legacy connection never finishes, so it stays. Call after
+  // TcpClose (or after observing a close/reset).
   void Release(TcpConn* conn);
 
   // Statistics. Drops are counted by cause; drops() is their sum.
@@ -277,31 +284,44 @@ class NetStack {
 
  private:
   Task<> Emit(Packet frame, std::size_t payload_len);
-  Task<> HandleTcp(const ParsedFrame& f, const Packet& frame);
-  Task<> HandleTcpLifecycle(const ParsedFrame& f, const Packet& frame, TcpConn& c);
+  MacAddr ResolveMac(Ipv4Addr ip) const;
+
+  // --- The TCP segment path, shared by both disciplines ---
+  // Builds one TCP frame from this stack to `dst_ip` and takes one IP ident.
+  Packet TcpFrame(Ipv4Addr dst_ip, const TcpHeader& tcp, const std::uint8_t* data,
+                  std::size_t len);
+  // The RST that answers `f` (an unknown flow, such as one re-steered onto
+  // this stack, or a late segment for an abandoned handshake).
+  Packet RstFor(const ParsedFrame& f);
+  // A segment for a connection in the table, whatever its discipline.
+  Task<> HandleConnSegment(const ParsedFrame& f, const Packet& frame, TcpConn& c);
+  // A segment for no known connection: accept, cookie, or RST.
+  Task<> HandleNewFlow(const ParsedFrame& f, const Packet& frame);
   Task<> SendTcpSegment(TcpConn& conn, TcpFlags flags, const std::uint8_t* data,
                         std::size_t len);
-  // Re-sends a previously sent segment verbatim except for a fresh ack field;
-  // does not advance snd_nxt or touch the unacked queue.
-  Task<> SendTcpRaw(TcpConn& conn, std::uint32_t seq, TcpFlags flags,
-                    const std::uint8_t* data, std::size_t len);
+  // Re-sends the unacked window, each segment verbatim except for a fresh
+  // ack field; does not advance snd_nxt or touch the unacked queue.
+  Task<> ResendWindow(TcpConn* c);
+  // Builds a connection, enters it in the table (and, in SYN_SENT/SYN_RCVD,
+  // in the half-open count) and returns its stable pointer.
+  TcpConn* NewConn(Ipv4Addr remote_ip, std::uint16_t remote_port,
+                   std::uint16_t local_port, TcpState state, std::uint32_t isn);
+  // Wraps 65535 -> 49152 and skips 4-tuples still in the table; 0 = the
+  // whole range to this destination is in use.
+  std::uint16_t AllocEphemeralPort(Ipv4Addr dst_ip, std::uint16_t dst_port);
+  void CancelTimer(TimerWheel::TimerId& id);  // cancels if armed; clears `id`
   // Go-back-N recovery loop for one connection; spawned (at most once per
   // connection at a time) only while recover::Armed(). Legacy mode only —
   // lifecycle retransmits ride the wheel.
   Task<> RetransmitTimer(TcpConn& conn);
-  // Answers the segment described by `f` with a RST (used for unknown flows,
-  // such as those re-steered onto this stack, and for abandoned handshakes).
-  Task<> SendRstForSegment(const ParsedFrame& f);
-  // Stateless segment send to an arbitrary peer (SYN-cookie SYN-ACKs).
-  Task<> SendStatelessSegment(Ipv4Addr dst_ip, std::uint16_t src_port,
-                              std::uint16_t dst_port, std::uint32_t seq,
-                              std::uint32_t ack, TcpFlags flags);
-  MacAddr ResolveMac(Ipv4Addr ip) const;
 
   // --- Lifecycle internals ---
   std::uint32_t CookieFor(Ipv4Addr remote_ip, std::uint16_t remote_port,
                           std::uint16_t local_port) const;
-  std::uint16_t AllocEphemeralPort(Ipv4Addr dst_ip, std::uint16_t dst_port);
+  // The one transition into ESTABLISHED (client SYN-ACK, server ACK, cookie
+  // ACK): settles the connect/SYN_RCVD timer, counts, traces, and completes
+  // a passive open's accept.
+  void Establish(TcpConn& c, bool via_cookie);
   // Single terminal-transition point: cancels timers, drops the unacked
   // queue, counts the cause, wakes readers, and reaps if permitted.
   void CloseConn(TcpConn& c, CloseCause cause);
@@ -311,7 +331,6 @@ class NetStack {
   void MaybeReap(TcpConn& c);
   void ArmRetx(TcpConn& c, Cycles rto);
   void RetxFire(TcpConn* c);
-  Task<> ResendWindow(TcpConn* c);
   // RAII pin: keeps a conn out of the reaper while a coroutine that may
   // suspend still holds a reference to it.
   struct PinGuard {

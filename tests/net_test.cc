@@ -366,6 +366,67 @@ TEST(Stack, TcpSegmentsLargePayloadsByMss) {
   EXPECT_GE(f.a.frames_out(), 5u);
 }
 
+// --- Legacy TCP on the shared segment path ---
+
+TEST(LegacyTcp, WaitReadableTimesOutWithNoData) {
+  StackPair f;
+  ASSERT_FALSE(f.b.lifecycle().enabled);
+  auto& listener = f.b.TcpListen(80);
+  bool readable = true;
+  Cycles waited = 0;
+  f.exec.Spawn([](StackPair& p, NetStack::Listener& l, bool& ok,
+                  Cycles& took) -> Task<> {
+    NetStack::TcpConn* conn = co_await l.Accept();
+    const Cycles start = p.exec.now();
+    ok = co_await p.b.WaitReadable(*conn, 100'000);
+    took = p.exec.now() - start;
+  }(f, listener, readable, waited));
+  f.exec.Spawn([](NetStack& a) -> Task<> {
+    NetStack::TcpConn* conn = co_await a.TcpConnect(kIpB, 80);
+    EXPECT_NE(conn, nullptr);  // connected, then sends nothing
+  }(f.a));
+  f.exec.Run();
+  EXPECT_FALSE(readable);
+  EXPECT_GE(waited, 100'000u);
+  EXPECT_EQ(f.b.wheel().armed(), 0u);
+  EXPECT_EQ(f.exec.live_tasks(), 0u);
+}
+
+TEST(LegacyTcp, EphemeralPortsStayInRangeAndExhaust) {
+  constexpr int kRange = 65535 - 49152 + 1;
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd2x2());
+  NetStack client(m, 0, kIpA, kMacA);
+  client.AddArp(kIpB, kMacB);
+  std::vector<std::uint16_t> syn_ports;
+  client.SetOutput([&syn_ports](Packet p) -> Task<> {  // black hole
+    auto parsed = ParseFrame(p);
+    if (parsed && parsed->tcp && parsed->tcp->flags.syn) {
+      syn_ports.push_back(parsed->tcp->src_port);
+    }
+    co_return;
+  });
+  bool last_refused = false;
+  exec.Spawn([](NetStack& st, bool& refused) -> Task<> {
+    for (int i = 0; i < kRange; ++i) {
+      NetStack::TcpConn* conn = co_await st.TcpConnect(kIpB, 80, /*timeout=*/10'000);
+      EXPECT_EQ(conn, nullptr);  // nothing answers
+    }
+    // Every port to this destination is held by an abandoned connection.
+    NetStack::TcpConn* conn = co_await st.TcpConnect(kIpB, 80, /*timeout=*/10'000);
+    refused = conn == nullptr;
+  }(client, last_refused));
+  exec.Run();
+  std::vector<bool> seen(65536, false);
+  for (std::uint16_t port : syn_ports) {
+    ASSERT_GE(port, 49152) << "SYN sent from a port outside the ephemeral range";
+    ASSERT_FALSE(seen[port]) << "port " << port << " used twice";
+    seen[port] = true;
+  }
+  EXPECT_EQ(syn_ports.size(), static_cast<std::size_t>(kRange));
+  EXPECT_TRUE(last_refused);
+}
+
 // --- Multi-queue NIC: RSS steering, per-queue rings/IRQs/counters ---
 
 Packet FlowFrame(std::uint16_t src_port, std::size_t bytes = 64) {

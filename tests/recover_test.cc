@@ -563,7 +563,8 @@ TEST(FailoverRst, UnknownFlowSegmentDrawsRstWithOrWithoutAnInjector) {
   // survivor receives the instant the RETA re-steers a dead shard's flow.
   const Packet orphan =
       TcpSegmentToB(5555, /*seq=*/1000, /*ack=*/2000, {.ack = true}, "GET");
-  auto expect_rst = [&srv](std::size_t rsts) {
+  auto expect_rst = [&srv](std::size_t rsts, std::uint16_t dst_port,
+                           std::uint32_t seq, std::uint32_t ack) {
     ASSERT_EQ(srv.outs.size(), rsts);
     EXPECT_EQ(srv.stack.tcp_rsts_sent(), rsts);
     auto parsed = net::ParseFrame(srv.outs.back());
@@ -571,18 +572,28 @@ TEST(FailoverRst, UnknownFlowSegmentDrawsRstWithOrWithoutAnInjector) {
     ASSERT_TRUE(parsed->tcp.has_value());
     EXPECT_TRUE(parsed->tcp->flags.rst);
     EXPECT_EQ(parsed->tcp->src_port, 80);
-    EXPECT_EQ(parsed->tcp->dst_port, 5555);
-    EXPECT_EQ(parsed->tcp->seq, 2000u);       // takes the segment's ack
-    EXPECT_EQ(parsed->tcp->ack, 1000u + 3u);  // seq + payload length
+    EXPECT_EQ(parsed->tcp->dst_port, dst_port);
+    EXPECT_EQ(parsed->tcp->seq, seq);
+    EXPECT_EQ(parsed->tcp->ack, ack);
   };
   srv.Input(orphan);
-  expect_rst(1);
+  expect_rst(1, 5555, /*seq=*/2000, /*ack=*/1000 + 3);  // the segment's ack; seq + payload
   {
     fault::FaultPlan plan;
     ScopedInjector s(plan);
     srv.Input(orphan);
-    expect_rst(2);
+    expect_rst(2, 5555, 2000, 1000 + 3);
   }
+  // Only a bare SYN opens a connection on the listener. A SYN+ACK is an
+  // unknown segment like any other (its SYN takes one sequence number)...
+  srv.Input(TcpSegmentToB(5556, /*seq=*/3000, /*ack=*/4000, {.syn = true, .ack = true}, ""));
+  expect_rst(3, 5556, /*seq=*/4000, /*ack=*/3000 + 1);
+  // ...and a SYN+RST draws no reply at all.
+  srv.Input(TcpSegmentToB(5557, /*seq=*/6000, /*ack=*/0, {.syn = true, .rst = true}, ""));
+  EXPECT_EQ(srv.outs.size(), 3u);
+  EXPECT_EQ(srv.stack.tcp_rsts_sent(), 3u);
+  EXPECT_TRUE(srv.stack.TcpListen(80).accepted.empty());
+  EXPECT_EQ(srv.stack.conn_table().live(), 0u);
   EXPECT_EQ(srv.exec.pending_events(), 0u);
 }
 
