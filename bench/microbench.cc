@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "apps/db.h"
+#include "apps/httpd.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "sim/executor.h"
@@ -293,6 +295,21 @@ void BM_RngThroughput(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_RngThroughput);
+
+// The browse query of the section 5.4 web workload against the 8,000-item
+// TPC-W table: one point SELECT by i_id per item, which the engine answers
+// by scanning the whole i_id column.
+void BM_DbSelectById(benchmark::State& state) {
+  apps::Database db;
+  apps::PopulateTpcw(&db, 8000);
+  int i = 0;
+  for (auto _ : state) {
+    auto result = db.Query(apps::TpcwQuery(i++ % 8000));
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DbSelectById);
 
 }  // namespace
 

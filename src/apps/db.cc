@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <functional>
 #include <iterator>
+#include <numeric>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 namespace mk::apps {
@@ -108,18 +111,35 @@ std::optional<DbValue> LiteralValue(const std::string& t) {
   return DbValue{v};
 }
 
-int Compare(const DbValue& a, const DbValue& b) {
-  if (a.index() != b.index()) {
-    return a.index() < b.index() ? -1 : 1;
+// The element type of a column array seen through std::visit.
+template <typename Values>
+using ElementOf = typename std::remove_cvref_t<Values>::value_type;
+
+// Appends the index of every r with pred(values[r], lit) to `out`.
+template <typename T, typename Pred>
+void CollectMatches(const std::vector<T>& values, const T& lit, Pred pred,
+                    std::vector<std::size_t>* out) {
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    if (pred(values[r], lit)) {
+      out->push_back(r);
+    }
   }
-  if (std::holds_alternative<std::int64_t>(a)) {
-    auto x = std::get<std::int64_t>(a);
-    auto y = std::get<std::int64_t>(b);
-    return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+// Drops every values[r] whose keep[r] is false; the rest keep their order.
+template <typename T>
+void Compact(std::vector<T>* values, const std::vector<bool>& keep) {
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < values->size(); ++r) {
+    if (!keep[r]) {
+      continue;
+    }
+    if (w != r) {
+      (*values)[w] = std::move((*values)[r]);
+    }
+    ++w;
   }
-  const auto& x = std::get<std::string>(a);
-  const auto& y = std::get<std::string>(b);
-  return x < y ? -1 : (x > y ? 1 : 0);
+  values->resize(w);
 }
 
 }  // namespace
@@ -140,20 +160,28 @@ int Database::Table::ColumnIndex(const std::string& name) const {
   return -1;
 }
 
-bool Database::WhereClause::Matches(const std::vector<DbValue>& row) const {
-  if (col < 0) {
-    return true;
+std::vector<std::size_t> Database::Scan(const Table& table, const WhereClause& where) {
+  std::vector<std::size_t> out;
+  if (where.col < 0) {
+    out.resize(table.row_count);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return out;
   }
-  const int cmp = Compare(row[static_cast<std::size_t>(col)], val);
-  switch (op) {
-    case WhereOp::kEq: return cmp == 0;
-    case WhereOp::kNe: return cmp != 0;
-    case WhereOp::kLt: return cmp < 0;
-    case WhereOp::kLe: return cmp <= 0;
-    case WhereOp::kGt: return cmp > 0;
-    case WhereOp::kGe: return cmp >= 0;
-  }
-  return false;
+  // The operator is picked once per statement; the loop runs typed.
+  std::visit(
+      [&where, &out](const auto& values) {
+        const auto& lit = std::get<ElementOf<decltype(values)>>(where.val);
+        switch (where.op) {
+          case WhereOp::kEq: return CollectMatches(values, lit, std::equal_to<>(), &out);
+          case WhereOp::kNe: return CollectMatches(values, lit, std::not_equal_to<>(), &out);
+          case WhereOp::kLt: return CollectMatches(values, lit, std::less<>(), &out);
+          case WhereOp::kLe: return CollectMatches(values, lit, std::less_equal<>(), &out);
+          case WhereOp::kGt: return CollectMatches(values, lit, std::greater<>(), &out);
+          case WhereOp::kGe: return CollectMatches(values, lit, std::greater_equal<>(), &out);
+        }
+      },
+      table.columns[static_cast<std::size_t>(where.col)].values);
+  return out;
 }
 
 std::optional<DbError> Database::ParseWhere(DbTokenizer& tok, const Table& table,
@@ -182,6 +210,9 @@ std::optional<DbError> Database::ParseWhere(DbTokenizer& tok, const Table& table
   if (!v.has_value()) {
     return DbError{"integer literal out of range: " + lit};
   }
+  if (!table.columns[static_cast<std::size_t>(out->col)].Holds(*v)) {
+    return DbError{"type mismatch in WHERE column " + col};
+  }
   out->val = std::move(*v);
   return std::nullopt;
 }
@@ -208,7 +239,11 @@ std::optional<DbError> Database::Exec(const std::string& sql) {
       if (col.empty() || (type != "INT" && type != "TEXT")) {
         return DbError{"bad column definition"};
       }
-      table.columns.push_back(Column{col, type == "INT"});
+      Column column{col, {}};  // an INT array unless declared TEXT
+      if (type == "TEXT") {
+        column.values.emplace<std::vector<std::string>>();
+      }
+      table.columns.push_back(std::move(column));
       std::string sep = tok.Next();
       if (sep == ")") {
         break;
@@ -254,16 +289,23 @@ std::optional<DbError> Database::Exec(const std::string& sql) {
         return DbError{"expected , or )"};
       }
     }
-    if (row.size() != it->second.columns.size()) {
+    Table& table = it->second;
+    if (row.size() != table.columns.size()) {
       return DbError{"value count mismatch"};
     }
     for (std::size_t i = 0; i < row.size(); ++i) {
-      bool want_int = it->second.columns[i].is_int;
-      if (want_int != std::holds_alternative<std::int64_t>(row[i])) {
-        return DbError{"type mismatch in column " + it->second.columns[i].name};
+      if (!table.columns[i].Holds(row[i])) {
+        return DbError{"type mismatch in column " + table.columns[i].name};
       }
     }
-    it->second.rows.push_back(std::move(row));
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      std::visit(
+          [&v = row[i]](auto& values) {
+            values.push_back(std::get<ElementOf<decltype(values)>>(std::move(v)));
+          },
+          table.columns[i].values);
+    }
+    ++table.row_count;
     ++rows_inserted_;
     return std::nullopt;
   }
@@ -308,8 +350,7 @@ std::optional<DbError> Database::ExecUpdate(DbTokenizer& tok) {
     if (lit.empty() || !v.has_value()) {
       return DbError{"bad literal in SET: " + lit};
     }
-    if (table.columns[static_cast<std::size_t>(idx)].is_int !=
-        std::holds_alternative<std::int64_t>(*v)) {
+    if (!table.columns[static_cast<std::size_t>(idx)].Holds(*v)) {
       return DbError{"type mismatch in column " + col};
     }
     assignments.emplace_back(idx, std::move(*v));
@@ -330,17 +371,16 @@ std::optional<DbError> Database::ExecUpdate(DbTokenizer& tok) {
   if (!kw.empty() && kw != ";") {
     return DbError{"trailing tokens: " + kw};
   }
-  std::vector<std::size_t> matched;
-  last_exec_scanned_ = table.rows.size();
-  for (std::size_t r = 0; r < table.rows.size(); ++r) {
-    if (where.Matches(table.rows[r])) {
-      matched.push_back(r);
-    }
-  }
-  for (std::size_t r : matched) {
-    for (const auto& [idx, v] : assignments) {
-      table.rows[r][static_cast<std::size_t>(idx)] = v;
-    }
+  last_exec_scanned_ = table.row_count;
+  const std::vector<std::size_t> matched = Scan(table, where);
+  for (const auto& [idx, v] : assignments) {
+    std::visit(
+        [&matched, &v](auto& values) {
+          for (std::size_t r : matched) {
+            values[r] = std::get<ElementOf<decltype(values)>>(v);
+          }
+        },
+        table.columns[static_cast<std::size_t>(idx)].values);
   }
   rows_changed_ = matched.size();
   return std::nullopt;
@@ -368,11 +408,17 @@ std::optional<DbError> Database::ExecDelete(DbTokenizer& tok) {
   if (!kw.empty() && kw != ";") {
     return DbError{"trailing tokens: " + kw};
   }
-  last_exec_scanned_ = table.rows.size();
-  std::size_t before = table.rows.size();
-  std::erase_if(table.rows,
-                [&where](const std::vector<DbValue>& row) { return where.Matches(row); });
-  rows_changed_ = before - table.rows.size();
+  last_exec_scanned_ = table.row_count;
+  const std::vector<std::size_t> matched = Scan(table, where);
+  std::vector<bool> keep(table.row_count, true);
+  for (std::size_t r : matched) {
+    keep[r] = false;
+  }
+  for (Column& column : table.columns) {
+    std::visit([&keep](auto& values) { Compact(&values, keep); }, column.values);
+  }
+  table.row_count -= matched.size();
+  rows_changed_ = matched.size();
   return std::nullopt;
 }
 
@@ -467,28 +513,27 @@ std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sq
     }
   }
 
-  std::vector<const std::vector<DbValue>*> selected;
-  for (const auto& row : table.rows) {
-    ++rs.rows_scanned;
-    if (where.Matches(row)) {
-      selected.push_back(&row);
-    }
-  }
+  rs.rows_scanned = table.row_count;
+  std::vector<std::size_t> selected = Scan(table, where);
   if (order_col >= 0) {
-    std::stable_sort(selected.begin(), selected.end(),
-                     [order_col, order_desc](const auto* a, const auto* b) {
-                       int cmp = Compare((*a)[static_cast<std::size_t>(order_col)],
-                                         (*b)[static_cast<std::size_t>(order_col)]);
-                       return order_desc ? cmp > 0 : cmp < 0;
-                     });
+    // Stable: ties keep table (insertion) order.
+    std::visit(
+        [&selected, order_desc](const auto& values) {
+          std::stable_sort(selected.begin(), selected.end(),
+                           [&values, order_desc](std::size_t a, std::size_t b) {
+                             return order_desc ? values[b] < values[a] : values[a] < values[b];
+                           });
+        },
+        table.columns[static_cast<std::size_t>(order_col)].values);
   }
-  for (const auto* row : selected) {
+  for (std::size_t r : selected) {
     if (limit >= 0 && static_cast<std::int64_t>(rs.rows.size()) >= limit) {
       break;
     }
     std::vector<DbValue> out;
     for (int idx : proj) {
-      out.push_back((*row)[static_cast<std::size_t>(idx)]);
+      out.push_back(std::visit([r](const auto& values) { return DbValue{values[r]}; },
+                               table.columns[static_cast<std::size_t>(idx)].values));
     }
     rs.rows.push_back(std::move(out));
   }
@@ -497,13 +542,13 @@ std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sq
 
 std::size_t Database::TableRows(const std::string& name) const {
   auto it = tables_.find(name);
-  return it == tables_.end() ? 0 : it->second.rows.size();
+  return it == tables_.end() ? 0 : it->second.row_count;
 }
 
 std::size_t Database::TotalRows() const {
   std::size_t total = 0;
   for (const auto& [name, table] : tables_) {
-    total += table.rows.size();
+    total += table.row_count;
   }
   return total;
 }

@@ -3,10 +3,11 @@
 // TPC-W-style browsing queries the paper issues
 // (SELECT cols FROM table WHERE col op value [ORDER BY col [DESC]] [LIMIT n]).
 //
-// Query execution is real (full scan, filter, sort, limit); the simulated
-// cost charged by the serving process is derived from the rows scanned and
-// returned, so the "bottlenecked at the SQLite server core" behavior of the
-// paper reproduces.
+// Tables are stored column by column: one typed array per column, so a
+// WHERE reads one contiguous array. Query execution is real (scan, filter,
+// sort, limit); the simulated cost charged by the serving process is derived
+// from the rows scanned, which is always the table's row count, so the
+// "bottlenecked at the SQLite server core" behavior of the paper reproduces.
 #ifndef MK_APPS_DB_H_
 #define MK_APPS_DB_H_
 
@@ -42,8 +43,9 @@ class Database {
   };
 
   // Executes a SELECT; supports column lists or *, WHERE with = != < <= > >=
-  // on one column, ORDER BY col [DESC], LIMIT n. Any other WHERE operator is
-  // an error here and in UPDATE/DELETE.
+  // on one column, ORDER BY col [DESC], LIMIT n. Any other WHERE operator, or
+  // a WHERE literal whose type is not the column's, is an error here and in
+  // UPDATE/DELETE.
   std::variant<ResultSet, DbError> Query(const std::string& sql) const;
 
   std::size_t TableRows(const std::string& name) const;
@@ -63,22 +65,30 @@ class Database {
   std::uint64_t last_exec_scanned() const { return last_exec_scanned_; }
 
  private:
+  // One typed array per column, INT or TEXT; each holds row_count values.
+  using ColumnData = std::variant<std::vector<std::int64_t>, std::vector<std::string>>;
   struct Column {
     std::string name;
-    bool is_int = true;
+    ColumnData values;
+    bool Holds(const DbValue& v) const {
+      return std::holds_alternative<std::vector<std::int64_t>>(values) ==
+             std::holds_alternative<std::int64_t>(v);
+    }
   };
   struct Table {
     std::vector<Column> columns;
-    std::vector<std::vector<DbValue>> rows;
+    std::size_t row_count = 0;
     int ColumnIndex(const std::string& name) const;
   };
   enum class WhereOp { kEq, kNe, kLt, kLe, kGt, kGe };
   struct WhereClause {
     int col = -1;  // -1: no WHERE, every row matches
     WhereOp op = WhereOp::kEq;
-    DbValue val;
-    bool Matches(const std::vector<DbValue>& row) const;
+    DbValue val;  // of the column's type: ParseWhere rejects a mismatch
   };
+  // Indexes of the rows `where` selects, in table order, from one pass over
+  // the WHERE column. SELECT, UPDATE and DELETE all filter through it.
+  static std::vector<std::size_t> Scan(const Table& table, const WhereClause& where);
   std::optional<DbError> ExecUpdate(class DbTokenizer& tok);
   std::optional<DbError> ExecDelete(class DbTokenizer& tok);
   static std::optional<DbError> ParseWhere(DbTokenizer& tok, const Table& table,

@@ -75,6 +75,14 @@ TEST(Db, OrderByAndLimit) {
   auto asc = MustQuery(db, "SELECT i_id FROM items ORDER BY i_cost LIMIT 3");
   EXPECT_EQ(std::get<std::int64_t>(asc.rows[0][0]), 2);
   EXPECT_EQ(std::get<std::int64_t>(asc.rows[1][0]), 4);
+  // Descending with ties: the 300s still keep insertion order.
+  auto desc = MustQuery(db, "SELECT i_title FROM items ORDER BY i_cost DESC");
+  ASSERT_EQ(desc.rows.size(), 4u);
+  std::vector<std::string> titles;
+  for (const auto& row : desc.rows) {
+    titles.push_back(std::get<std::string>(row[0]));
+  }
+  EXPECT_EQ(titles, (std::vector<std::string>{"gamma", "alpha", "beta", "delta"}));
 }
 
 TEST(Db, ErrorsAreReported) {
@@ -92,6 +100,18 @@ TEST(Db, ErrorsAreReported) {
   EXPECT_TRUE(db.Exec("UPDATE items SET i_cost = 1 WHERE i_id LIKE 1").has_value());
   EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_id LIKE 1").has_value());
   EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 1").rows.size(), 0u);
+  EXPECT_EQ(db.TableRows("ITEMS"), 4u);
+  // A WHERE literal of the wrong type is an error on every path, never a
+  // comparison across types that matches every row or none.
+  auto mismatch = db.Query("SELECT i_id FROM items WHERE i_id = '2'");
+  ASSERT_TRUE(std::holds_alternative<DbError>(mismatch));
+  EXPECT_EQ(std::get<DbError>(mismatch).message, "type mismatch in WHERE column I_ID");
+  EXPECT_TRUE(
+      std::holds_alternative<DbError>(db.Query("SELECT i_id FROM items WHERE i_title = 2")));
+  EXPECT_TRUE(db.Exec("UPDATE items SET i_cost = 0 WHERE i_id < '3'").has_value());
+  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 0").rows.size(), 0u);
+  EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_id <= '2'").has_value());
+  EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_title > 0").has_value());
   EXPECT_EQ(db.TableRows("ITEMS"), 4u);
 }
 
@@ -124,6 +144,13 @@ TEST(Db, UpdateRewritesMatchingRowsInPlace) {
   ASSERT_EQ(rs.rows.size(), 1u);
   EXPECT_EQ(std::get<std::int64_t>(rs.rows[0][0]), 999);
   EXPECT_EQ(db.TableRows("ITEMS"), 4u);  // update never changes cardinality
+  // A copy owns its rows: every store replica starts as one, so a write to
+  // one replica must never show in its source.
+  Database copy = db;
+  EXPECT_FALSE(copy.Exec("UPDATE items SET i_cost = 7, i_title = 'copied'"));
+  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 7").rows.size(), 0u);
+  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_title = 'copied'").rows.size(), 0u);
+  EXPECT_EQ(MustQuery(copy, "SELECT i_id FROM items WHERE i_cost = 7").rows.size(), 4u);
   // Multi-column SET, and no WHERE means every row.
   EXPECT_FALSE(db.Exec("UPDATE items SET i_cost = 1, i_title = 'flat'"));
   EXPECT_EQ(db.rows_changed(), 4u);
@@ -141,10 +168,20 @@ TEST(Db, DeleteRemovesMatchingRows) {
   EXPECT_FALSE(db.Exec("DELETE FROM items WHERE i_cost = 300"));
   EXPECT_EQ(db.rows_changed(), 2u);
   EXPECT_EQ(db.TableRows("ITEMS"), 2u);
+  // Every column of a survivor stays in its row, and survivors keep their
+  // order.
+  const std::vector<std::vector<DbValue>> survivors = {
+      {DbValue{std::int64_t{1}}, DbValue{"alpha"}, DbValue{std::int64_t{500}}},
+      {DbValue{std::int64_t{3}}, DbValue{"gamma"}, DbValue{std::int64_t{700}}}};
+  EXPECT_EQ(MustQuery(db, "SELECT * FROM items").rows, survivors);
   EXPECT_FALSE(db.Exec("DELETE FROM items WHERE i_cost = 300"));  // idempotent
   EXPECT_EQ(db.rows_changed(), 0u);
+  EXPECT_FALSE(db.Exec("INSERT INTO items VALUES (5, 'eps', 100)"));
+  auto after = MustQuery(db, "SELECT i_id FROM items");
+  ASSERT_EQ(after.rows.size(), 3u);
+  EXPECT_EQ(std::get<std::int64_t>(after.rows[2][0]), 5);  // an insert lands last
   EXPECT_FALSE(db.Exec("DELETE FROM items"));  // no WHERE: empty the table
-  EXPECT_EQ(db.rows_changed(), 2u);
+  EXPECT_EQ(db.rows_changed(), 3u);
   EXPECT_EQ(db.TableRows("ITEMS"), 0u);
   EXPECT_TRUE(db.Exec("DELETE FROM nope").has_value());
 }
@@ -363,10 +400,14 @@ TEST(HttpServerEndToEnd, MalformedBuyWidGets400) {
       });
   // A non-digit in the wid must be a 400, not a silently truncated wid that
   // could collide with another client's write id and answer "dup" for a
-  // write that was never applied. Empty wids are malformed too.
+  // write that was never applied. Empty and out-of-range wids are malformed
+  // too.
   std::string reply = f.Roundtrip("GET /buy?wid=12x&sql=INSERT HTTP/1.0\r\n\r\n");
   EXPECT_EQ(reply.rfind("HTTP/1.0 400", 0), 0u);
   reply = f.Roundtrip("GET /buy?wid=&sql=INSERT HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(reply.rfind("HTTP/1.0 400", 0), 0u);
+  // A wid past 64 bits must not wrap: 2^64 + 1 would be write id 1.
+  reply = f.Roundtrip("GET /buy?wid=18446744073709551617&sql=INSERT HTTP/1.0\r\n\r\n");
   EXPECT_EQ(reply.rfind("HTTP/1.0 400", 0), 0u);
   EXPECT_FALSE(exec_called);
   // A well-formed wid still reaches the store.
