@@ -70,6 +70,24 @@ class DbTokenizer {
     return t;
   }
 
+  // False when a string literal runs to the end of the statement without its
+  // closing quote. Next() would hand back the rest of the statement as the
+  // literal, so the caller rejects the statement before parsing it.
+  bool LiteralsClosed() const {
+    bool open = false;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      if (s[i] != '\'') {
+        continue;
+      }
+      if (open && i + 1 < s.size() && s[i + 1] == '\'') {
+        ++i;  // '' inside a literal is an escaped quote
+        continue;
+      }
+      open = !open;
+    }
+    return !open;
+  }
+
   const std::string& s;
   std::size_t pos = 0;
 };
@@ -223,6 +241,9 @@ std::optional<DbError> Database::Exec(const std::string& sql) {
   rows_changed_ = 0;
   last_exec_scanned_ = 0;
   DbTokenizer tok(sql);
+  if (!tok.LiteralsClosed()) {
+    return DbError{"unterminated string literal"};
+  }
   std::string verb = tok.Next();
   if (verb == "CREATE") {
     if (tok.Next() != "TABLE") {
@@ -424,6 +445,9 @@ std::optional<DbError> Database::ExecDelete(DbTokenizer& tok) {
 
 std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sql) const {
   DbTokenizer tok(sql);
+  if (!tok.LiteralsClosed()) {
+    return DbError{"unterminated string literal"};
+  }
   if (tok.Next() != "SELECT") {
     return DbError{"expected SELECT"};
   }

@@ -175,10 +175,10 @@ Task<bool> DbReplicaCluster::Respawn(int shard, int spare_db_core) {
   // replica — the construction-time source_ says nothing about rows the
   // donor gained since boot.
   const std::uint64_t bytes = (donor_s.db.TotalRows() + 1) * 64;
-  sim::Addr buf = machine_.mem().AllocLines(
-      machine_.topo().PackageOf(spare_db_core), sim::LinesCovering(0, bytes));
-  co_await machine_.mem().WritePosted(donor_s.placement.db_core, buf, bytes);
-  co_await machine_.mem().Read(spare_db_core, buf, bytes);
+  hw::LineRegion buf(machine_.mem(), machine_.topo().PackageOf(spare_db_core),
+                     sim::LinesCovering(0, bytes));
+  co_await machine_.mem().WritePosted(donor_s.placement.db_core, buf.base(), bytes);
+  co_await machine_.mem().Read(spare_db_core, buf.base(), bytes);
   // Only now does the replacement hold real data: copy the donor's live
   // database (the old code copied source_, silently resurrecting the boot
   // image), open the gate, and point the shard home again.

@@ -111,19 +111,23 @@ bool HttpRequestFramer::PopRequest(std::string* out) {
   return true;
 }
 
-std::string StaticIndexPage() {
-  // ~4.1 KB, matching the paper's static page size.
-  std::string body =
-      "<html><head><title>Barrelfish multikernel reproduction</title></head><body>\n"
-      "<h1>The multikernel: a new OS architecture for scalable multicore systems</h1>\n";
-  while (body.size() < 4096) {
-    body +=
-        "<p>The machine is a network of cores; the OS is a distributed system of\n"
-        "processes communicating by message passing, with replicated state kept\n"
-        "consistent by agreement protocols.</p>\n";
-  }
-  body += "</body></html>\n";
-  return body;
+const std::string& StaticIndexPage() {
+  // ~4.1 KB, matching the paper's static page size. Built once; the static's
+  // initialization is thread-safe, and host threads serve from it in parallel.
+  static const std::string kPage = [] {
+    std::string body =
+        "<html><head><title>Barrelfish multikernel reproduction</title></head><body>\n"
+        "<h1>The multikernel: a new OS architecture for scalable multicore systems</h1>\n";
+    while (body.size() < 4096) {
+      body +=
+          "<p>The machine is a network of cores; the OS is a distributed system of\n"
+          "processes communicating by message passing, with replicated state kept\n"
+          "consistent by agreement protocols.</p>\n";
+    }
+    body += "</body></html>\n";
+    return body;
+  }();
+  return kPage;
 }
 
 HttpServer::HttpServer(hw::Machine& machine, net::NetStack& stack, std::uint16_t port,

@@ -78,7 +78,7 @@ class HttpRequestFramer {
 };
 
 // The static page: paper serves a 4.1 KB page.
-std::string StaticIndexPage();
+const std::string& StaticIndexPage();
 
 class HttpServer {
  public:

@@ -9,15 +9,14 @@ namespace mk::apps {
 namespace {
 
 using proc::OmpRuntime;
-using sim::Addr;
 
 constexpr Cycles kCyclesPerIntOp = 1;
 
 // Allocates one per-thread intermediate bucket region, homed on the package
 // of the core the thread is pinned to (the Metis layout: map output never
 // leaves the mapper's node until the reduce tree pulls it).
-Addr AllocBucket(hw::Machine& m, int core, std::uint64_t bytes) {
-  return m.mem().AllocLines(m.topo().PackageOf(core), sim::LinesCovering(0, bytes));
+hw::LineRegion AllocBucket(hw::Machine& m, int core, std::uint64_t bytes) {
+  return {m.mem(), m.topo().PackageOf(core), sim::LinesCovering(0, bytes)};
 }
 
 // The combining-tree reduce phase, shared by both jobs. At round r thread
@@ -25,7 +24,7 @@ Addr AllocBucket(hw::Machine& m, int core, std::uint64_t bytes) {
 // per tree edge); every round ends at the team barrier. merge(dst, src) does
 // the host-side combine.
 template <typename Merge>
-Task<> TreeReduce(OmpRuntime& omp, int tid, int core, const std::vector<Addr>& bucket,
+Task<> TreeReduce(OmpRuntime& omp, int tid, int core, const std::vector<hw::LineRegion>& bucket,
                   std::uint64_t bucket_bytes, std::uint64_t merge_ops,
                   const Merge& merge) {
   hw::Machine& m = omp.machine();
@@ -35,11 +34,11 @@ Task<> TreeReduce(OmpRuntime& omp, int tid, int core, const std::vector<Addr>& b
       const int partner = tid + span;
       // Pull the partner's bucket across (its lines are homed on the
       // partner's package), combine, and write back into our own bucket.
-      co_await m.mem().Read(core, bucket[static_cast<std::size_t>(partner)],
+      co_await m.mem().Read(core, bucket[static_cast<std::size_t>(partner)].base(),
                             bucket_bytes);
       merge(tid, partner);
       co_await m.Compute(core, merge_ops * kCyclesPerIntOp);
-      co_await m.mem().Write(core, bucket[static_cast<std::size_t>(tid)], bucket_bytes);
+      co_await m.mem().Write(core, bucket[static_cast<std::size_t>(tid)].base(), bucket_bytes);
     }
     co_await omp.barrier().Arrive(core);
   }
@@ -61,10 +60,10 @@ Task<WorkloadResult> RunWordCount(OmpRuntime& omp, WorkloadParams params) {
     w = static_cast<std::uint32_t>(
         std::min(rng.Below(kVocab), rng.Below(kVocab)));
   }
-  Addr corpus = m.mem().AllocLines(0, sim::LinesCovering(0, static_cast<std::uint64_t>(n) * 4));
+  hw::LineRegion corpus(m.mem(), 0, sim::LinesCovering(0, static_cast<std::uint64_t>(n) * 4));
 
   const std::uint64_t bucket_bytes = kVocab * 8;
-  std::vector<Addr> bucket(static_cast<std::size_t>(threads), 0);
+  std::vector<hw::LineRegion> bucket(static_cast<std::size_t>(threads));
   std::vector<std::vector<std::int64_t>> counts(
       static_cast<std::size_t>(threads),
       std::vector<std::int64_t>(static_cast<std::size_t>(kVocab), 0));
@@ -83,13 +82,13 @@ Task<WorkloadResult> RunWordCount(OmpRuntime& omp, WorkloadParams params) {
     }
     co_await omp.Parallel([&](int tid, int core) -> Task<> {
       auto& local = counts[static_cast<std::size_t>(tid)];
-      if (bucket[static_cast<std::size_t>(tid)] == 0) {
+      if (!bucket[static_cast<std::size_t>(tid)]) {
         bucket[static_cast<std::size_t>(tid)] = AllocBucket(m, core, bucket_bytes);
       }
       // Map: count word ids from our corpus chunk into the per-core bucket.
       auto range = omp.ChunkOf(n, tid);
       if (range.begin < range.end) {
-        co_await m.mem().Read(core, corpus + static_cast<std::uint64_t>(range.begin) * 4,
+        co_await m.mem().Read(core, corpus.base() + static_cast<std::uint64_t>(range.begin) * 4,
                               static_cast<std::uint64_t>(range.end - range.begin) * 4);
       }
       for (std::int64_t i = range.begin; i < range.end; ++i) {
@@ -97,7 +96,7 @@ Task<WorkloadResult> RunWordCount(OmpRuntime& omp, WorkloadParams params) {
       }
       co_await m.Compute(core, static_cast<Cycles>(range.end - range.begin) * 6 *
                                    kCyclesPerIntOp);
-      co_await m.mem().Write(core, bucket[static_cast<std::size_t>(tid)], bucket_bytes);
+      co_await m.mem().Write(core, bucket[static_cast<std::size_t>(tid)].base(), bucket_bytes);
       co_await omp.barrier().Arrive(core);
       // Reduce: combine buckets up the tree; thread 0 ends with the total.
       co_await TreeReduce(omp, tid, core, bucket, bucket_bytes,
@@ -127,10 +126,10 @@ Task<WorkloadResult> RunHistogram(OmpRuntime& omp, WorkloadParams params) {
   for (auto& v : values) {
     v = rng.NextDouble();
   }
-  Addr input = m.mem().AllocLines(0, sim::LinesCovering(0, static_cast<std::uint64_t>(n) * 8));
+  hw::LineRegion input(m.mem(), 0, sim::LinesCovering(0, static_cast<std::uint64_t>(n) * 8));
 
   const std::uint64_t bucket_bytes = kBins * 8;
-  std::vector<Addr> bucket(static_cast<std::size_t>(threads), 0);
+  std::vector<hw::LineRegion> bucket(static_cast<std::size_t>(threads));
   std::vector<std::vector<std::int64_t>> bins(
       static_cast<std::size_t>(threads),
       std::vector<std::int64_t>(static_cast<std::size_t>(kBins), 0));
@@ -149,12 +148,12 @@ Task<WorkloadResult> RunHistogram(OmpRuntime& omp, WorkloadParams params) {
     }
     co_await omp.Parallel([&](int tid, int core) -> Task<> {
       auto& local = bins[static_cast<std::size_t>(tid)];
-      if (bucket[static_cast<std::size_t>(tid)] == 0) {
+      if (!bucket[static_cast<std::size_t>(tid)]) {
         bucket[static_cast<std::size_t>(tid)] = AllocBucket(m, core, bucket_bytes);
       }
       auto range = omp.ChunkOf(n, tid);
       if (range.begin < range.end) {
-        co_await m.mem().Read(core, input + static_cast<std::uint64_t>(range.begin) * 8,
+        co_await m.mem().Read(core, input.base() + static_cast<std::uint64_t>(range.begin) * 8,
                               static_cast<std::uint64_t>(range.end - range.begin) * 8);
       }
       for (std::int64_t i = range.begin; i < range.end; ++i) {
@@ -164,7 +163,7 @@ Task<WorkloadResult> RunHistogram(OmpRuntime& omp, WorkloadParams params) {
       }
       co_await m.Compute(core, static_cast<Cycles>(range.end - range.begin) * 4 *
                                    kCyclesPerIntOp);
-      co_await m.mem().Write(core, bucket[static_cast<std::size_t>(tid)], bucket_bytes);
+      co_await m.mem().Write(core, bucket[static_cast<std::size_t>(tid)].base(), bucket_bytes);
       co_await omp.barrier().Arrive(core);
       co_await TreeReduce(omp, tid, core, bucket, bucket_bytes,
                           static_cast<std::uint64_t>(kBins), merge);

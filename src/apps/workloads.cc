@@ -11,7 +11,6 @@ namespace mk::apps {
 namespace {
 
 using proc::OmpRuntime;
-using sim::Addr;
 
 // Calibration: amortized cycles per floating-point op (superscalar core) and
 // per light integer op.
@@ -20,31 +19,27 @@ constexpr Cycles kCyclesPerIntOp = 1;
 // Sparse mat-vec is memory bound: effective cycles per flop are higher.
 constexpr Cycles kSpmvCyclesPerFlop = 3;
 
-// A shared array backed by simulated cache lines.
-struct Region {
-  Region(hw::Machine& m, int node, std::uint64_t bytes)
-      : base(m.mem().AllocLines(node, sim::LinesCovering(0, bytes))), bytes(bytes) {}
-  Addr base;
-  std::uint64_t bytes;
-
-  Addr AddrOf(std::uint64_t byte_off) const { return base + byte_off; }
-};
+// A shared array of `bytes` backed by simulated cache lines on node 0. Its
+// lines leave the directory when the region goes out of scope.
+hw::LineRegion SharedArray(hw::Machine& m, std::uint64_t bytes) {
+  return {m.mem(), 0, sim::LinesCovering(0, bytes)};
+}
 
 // Charges a read of the element range [first, last) x elem_bytes.
-Task<> ChargeRead(hw::Machine& m, int core, const Region& r, std::uint64_t first,
+Task<> ChargeRead(hw::Machine& m, int core, const hw::LineRegion& r, std::uint64_t first,
                   std::uint64_t last, std::uint64_t elem_bytes) {
   if (first >= last) {
     co_return;
   }
-  co_await m.mem().Read(core, r.AddrOf(first * elem_bytes), (last - first) * elem_bytes);
+  co_await m.mem().Read(core, r.base() + first * elem_bytes, (last - first) * elem_bytes);
 }
 
-Task<> ChargeWrite(hw::Machine& m, int core, const Region& r, std::uint64_t first,
+Task<> ChargeWrite(hw::Machine& m, int core, const hw::LineRegion& r, std::uint64_t first,
                    std::uint64_t last, std::uint64_t elem_bytes) {
   if (first >= last) {
     co_return;
   }
-  co_await m.mem().Write(core, r.AddrOf(first * elem_bytes), (last - first) * elem_bytes);
+  co_await m.mem().Write(core, r.base() + first * elem_bytes, (last - first) * elem_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -92,8 +87,8 @@ Task<WorkloadResult> RunCg(OmpRuntime& omp, WorkloadParams params) {
     rho += v * v;
   }
 
-  Region p_region(m, 0, static_cast<std::uint64_t>(n) * 8);
-  Region q_region(m, 0, static_cast<std::uint64_t>(n) * 8);
+  hw::LineRegion p_region = SharedArray(m, static_cast<std::uint64_t>(n) * 8);
+  hw::LineRegion q_region = SharedArray(m, static_cast<std::uint64_t>(n) * 8);
   double alpha_den = 0;
   double rho_new = 0;
   const Cycles t0 = m.exec().now();
@@ -220,7 +215,7 @@ Task<WorkloadResult> RunFt(OmpRuntime& omp, WorkloadParams params) {
   for (auto& v : data) {
     v = {rng.NextDouble() - 0.5, rng.NextDouble() - 0.5};
   }
-  Region grid(m, 0, static_cast<std::uint64_t>(n) * 16);
+  hw::LineRegion grid = SharedArray(m, static_cast<std::uint64_t>(n) * 16);
   const int threads = omp.num_threads();
   const Cycles t0 = m.exec().now();
 
@@ -278,8 +273,8 @@ Task<WorkloadResult> RunIs(OmpRuntime& omp, WorkloadParams params) {
   }
   std::vector<std::uint32_t> sorted(static_cast<std::size_t>(n));
   std::vector<std::int64_t> bucket_count(kBuckets, 0);
-  Region buckets(m, 0, kBuckets * 8);  // the contended shared array
-  Region out(m, 0, static_cast<std::uint64_t>(n) * 4);
+  hw::LineRegion buckets = SharedArray(m, kBuckets * 8);  // the contended shared array
+  hw::LineRegion out = SharedArray(m, static_cast<std::uint64_t>(n) * 4);
   auto bucket_of = [](std::uint32_t key) {
     return static_cast<std::int64_t>(key) * kBuckets / kMaxKey;
   };
@@ -528,7 +523,7 @@ Task<WorkloadResult> RunBarnesHut(OmpRuntime& omp, WorkloadParams params) {
     co_await m.Compute(0, static_cast<Cycles>(n) *
                               static_cast<Cycles>(std::log2(n) + 1) * 24);
     // The tree is shared read-only: each worker pulls it into its cache.
-    Region tree_region(m, 0, tree.node_count() * 64);
+    hw::LineRegion tree_region = SharedArray(m, tree.node_count() * 64);
     co_await omp.Parallel([&](int tid, int core) -> Task<> {
       auto range = omp.ChunkOf(n, tid);
       co_await ChargeRead(m, core, tree_region, 0, tree.node_count(), 64);
@@ -589,7 +584,7 @@ Task<WorkloadResult> RunRadiosity(OmpRuntime& omp, WorkloadParams params) {
       visible[static_cast<std::size_t>(i)].emplace_back(j, rng.NextDouble() / 40.0);
     }
   }
-  Region patches(m, 0, static_cast<std::uint64_t>(n_patches) * 8);
+  hw::LineRegion patches = SharedArray(m, static_cast<std::uint64_t>(n_patches) * 8);
   proc::Mutex queue_lock(m, omp.flavor());
   std::deque<int> queue;
   const Cycles t0 = m.exec().now();

@@ -28,12 +28,17 @@ constexpr std::uint64_t kGroupMul = 0x9E37'79B9'7F4A'7C15;
 }  // namespace
 
 template <typename V>
-std::size_t CoherentMemory::LineTable<V>::Probe(Addr line_addr) const {
+std::size_t CoherentMemory::LineTable<V>::Home(Addr line_addr) const {
   const Addr line = line_addr / sim::kCacheLineBytes;
   const std::size_t group = static_cast<std::size_t>(((line / kGroupLines) * kGroupMul) >>
                                                      group_shift_);
+  return group * kGroupLines + static_cast<std::size_t>(line % kGroupLines);
+}
+
+template <typename V>
+std::size_t CoherentMemory::LineTable<V>::Probe(Addr line_addr) const {
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = group * kGroupLines + static_cast<std::size_t>(line % kGroupLines);
+  std::size_t i = Home(line_addr);
   while (slots_[i].key != line_addr && slots_[i].key != kEmptyKey) {
     i = (i + 1) & mask;
   }
@@ -65,6 +70,30 @@ std::pair<V*, bool> CoherentMemory::LineTable<V>::FindOrInsert(Addr line_addr) {
   slots_[i].key = line_addr;
   ++used_;
   return {&slots_[i].value, true};
+}
+
+template <typename V>
+void CoherentMemory::LineTable<V>::Erase(Addr line_addr) {
+  if (slots_.empty()) {
+    return;
+  }
+  std::size_t hole = Probe(line_addr);
+  if (slots_[hole].key != line_addr) {
+    return;
+  }
+  // Walk the rest of the probe run. An entry moves back into the hole when
+  // its probe passes the hole on the way from its home slot; its own slot
+  // becomes the next hole.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = (hole + 1) & mask; slots_[i].key != kEmptyKey; i = (i + 1) & mask) {
+    if (((i - Home(slots_[i].key)) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  // FindOrInsert hands out an empty slot's value as value-initialized.
+  slots_[hole] = Slot{kEmptyKey, V{}};
+  --used_;
 }
 
 template <typename V>
@@ -102,6 +131,14 @@ Addr CoherentMemory::AllocLines(int node, std::uint64_t lines) {
   return base;
 }
 
+void CoherentMemory::FreeLines(Addr base, std::uint64_t lines) {
+  for (std::uint64_t i = 0; i < lines; ++i) {
+    const Addr line_addr = base + i * sim::kCacheLineBytes;
+    lines_.Erase(line_addr);
+    c2c_busy_until_.Erase(line_addr);
+  }
+}
+
 int CoherentMemory::HomeNode(Addr addr) const {
   if (addr < kNodeRegionBase) {
     return 0;
@@ -121,19 +158,6 @@ CoherentMemory::Line& CoherentMemory::LineAt(Addr line_addr) {
 bool CoherentMemory::HasLine(int core, Addr addr) const {
   const Line* l = lines_.Find(sim::LineBase(addr));
   return l != nullptr && (l->sharers & Bit(core)) != 0;
-}
-
-// The directory never erases: a purged line keeps its slot (and its home and
-// cache-to-cache reservation) with no copies, which reads the same as a line
-// never touched.
-void CoherentMemory::Purge(Addr addr, std::uint64_t bytes) {
-  Addr first = sim::LineBase(addr);
-  for (std::uint64_t i = 0; i < sim::LinesCovering(addr, bytes); ++i) {
-    if (Line* l = lines_.Find(first + i * sim::kCacheLineBytes)) {
-      l->sharers = 0;
-      l->owner = -1;
-    }
-  }
 }
 
 int CoherentMemory::OwnerOf(Addr addr) const {
@@ -265,13 +289,11 @@ Cycles CoherentMemory::ReadLine(int core, Addr line_addr, bool prefetched) {
   if (l.owner >= 0 && l.owner != core) {
     src = l.owner;
   } else if (l.sharers != 0) {
-    // Clean copy supplied by the nearest sharer.
+    // Clean copy supplied by the nearest sharer; ties go to the lowest core.
     int best = -1;
     int best_hops = 1 << 20;
-    for (int s = 0; s < topo_.num_cores(); ++s) {
-      if ((l.sharers & Bit(s)) == 0) {
-        continue;
-      }
+    for (std::uint64_t rest = l.sharers; rest != 0; rest &= rest - 1) {
+      const int s = std::countr_zero(rest);
       int h = topo_.SharesCache(core, s) ? -1 : topo_.HopsBetweenCores(core, s);
       if (h < best_hops) {
         best_hops = h;
@@ -315,12 +337,7 @@ Cycles CoherentMemory::WriteLine(int core, Addr line_addr) {
     if (l.owner >= 0 && l.owner != core) {
       src = l.owner;
     } else if (l.sharers != 0) {
-      for (int s = 0; s < topo_.num_cores(); ++s) {
-        if ((l.sharers & Bit(s)) != 0 && s != core) {
-          src = s;
-          break;
-        }
-      }
+      src = std::countr_zero(l.sharers);  // the lowest sharer; `core` is not one
     }
   }
   const bool from_memory = need_data && src < 0;
@@ -339,10 +356,8 @@ Cycles CoherentMemory::WriteLine(int core, Addr line_addr) {
   // widely-shared line at the ordering point.
   Cycles inval_lat = 0;
   int other_sharers = 0;
-  for (int s = 0; s < topo_.num_cores(); ++s) {
-    if (s == core || (l.sharers & Bit(s)) == 0) {
-      continue;
-    }
+  for (std::uint64_t rest = l.sharers & ~Bit(core); rest != 0; rest &= rest - 1) {
+    const int s = std::countr_zero(rest);
     ++other_sharers;
     ++counters_.core(s).invalidations_recv;
     Cycles rt = TransferLatency(core, s, l.home);

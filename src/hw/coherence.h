@@ -46,8 +46,18 @@ class CoherentMemory {
                  PerfCounters& counters);
 
   // Allocates `lines` consecutive cache lines homed on NUMA node `node`.
-  // Returns the base address (line-aligned).
+  // Returns the base address (line-aligned); no address is ever handed out
+  // twice. Memory that lives as long as the machine (NIC rings, channels,
+  // runtime barrier lines) stays a raw allocation: the directory dies with
+  // the machine, so freeing it at teardown would be work for nothing. Memory
+  // whose addresses die first is held by a LineRegion, which frees it.
   Addr AllocLines(int node, std::uint64_t lines);
+
+  // Erases the `lines` lines from `base` (one AllocLines result) from the
+  // directory. Since no address is reused, no later access sees a freed
+  // line: no simulated number changes, the directory only shrinks to the
+  // live working set. No time is charged.
+  void FreeLines(Addr base, std::uint64_t lines);
 
   // Blocking accesses covering [addr, addr+bytes). Latency is charged to the
   // simulated clock before the task resumes; the latency is also returned.
@@ -69,15 +79,12 @@ class CoherentMemory {
   // "line stays cached until invalidated" behavior without charging time.
   bool HasLine(int core, Addr addr) const;
 
-  // Drops every copy of the lines covering [addr, addr+bytes) (e.g. on
-  // channel teardown). No time is charged.
-  void Purge(Addr addr, std::uint64_t bytes);
-
   int HomeNode(Addr addr) const;
 
   // Diagnostics for invariant tests.
   int OwnerOf(Addr addr) const;
   std::uint64_t SharersOf(Addr addr) const;
+  std::size_t DirectoryLines() const { return lines_.size(); }
 
  private:
   struct Line {
@@ -89,18 +96,19 @@ class CoherentMemory {
   // Open-addressed map from a line address to a value held inline in its
   // slot (see DESIGN.md, "Line directory"). Linear probing; the eight lines
   // of one 512-byte group start probing at eight adjacent slots. Storage is
-  // allocated at the first insert and doubles at 3/4 load. Entries are never
-  // erased.
+  // allocated at the first insert, doubles at 3/4 load and never shrinks.
   template <typename V>
   class LineTable {
    public:
     const V* Find(Addr line_addr) const;
-    V* Find(Addr line_addr) {
-      return const_cast<V*>(std::as_const(*this).Find(line_addr));
-    }
     // Returns the value for `line_addr` and whether this call inserted it
     // (value-initialized).
     std::pair<V*, bool> FindOrInsert(Addr line_addr);
+    // Removes `line_addr` if present, by backward-shift deletion: no
+    // tombstone is left, so later probes are as short as if the line had
+    // never been inserted.
+    void Erase(Addr line_addr);
+    std::size_t size() const { return used_; }
 
    private:
     struct Slot {
@@ -108,6 +116,8 @@ class CoherentMemory {
       V value;
     };
     static_assert(sizeof(Slot) == sizeof(Addr) + sizeof(V), "slot must not pad");
+    // The slot where the probe for `line_addr` starts.
+    std::size_t Home(Addr line_addr) const;
     // Index of the slot holding `line_addr`, or of the empty slot where its
     // probe ends. Requires allocated storage.
     std::size_t Probe(Addr line_addr) const;
@@ -147,6 +157,45 @@ class CoherentMemory {
   LineTable<Cycles> c2c_busy_until_;          // per hot line: supplier busy until
   sim::FifoResource bus_;                     // FSB only
   std::vector<Addr> node_cursor_;             // per-node allocation cursors
+};
+
+// Simulated memory whose addresses die before their machine: allocates on
+// construction and frees on destruction (CoherentMemory::FreeLines). A
+// default-constructed region holds nothing. A region must not outlive the
+// CoherentMemory it came from.
+class LineRegion {
+ public:
+  LineRegion() = default;
+  LineRegion(CoherentMemory& mem, int node, std::uint64_t lines)
+      : mem_(&mem), base_(mem.AllocLines(node, lines)), lines_(lines) {}
+  LineRegion(LineRegion&& other) noexcept
+      : mem_(std::exchange(other.mem_, nullptr)), base_(other.base_), lines_(other.lines_) {}
+  LineRegion& operator=(LineRegion&& other) noexcept {
+    if (this != &other) {
+      Free();
+      mem_ = std::exchange(other.mem_, nullptr);
+      base_ = other.base_;
+      lines_ = other.lines_;
+    }
+    return *this;
+  }
+  LineRegion(const LineRegion&) = delete;
+  LineRegion& operator=(const LineRegion&) = delete;
+  ~LineRegion() { Free(); }
+
+  explicit operator bool() const { return mem_ != nullptr; }
+  Addr base() const { return base_; }
+
+ private:
+  void Free() {
+    if (mem_ != nullptr) {
+      mem_->FreeLines(base_, lines_);
+    }
+  }
+
+  CoherentMemory* mem_ = nullptr;
+  Addr base_ = 0;
+  std::uint64_t lines_ = 0;
 };
 
 }  // namespace mk::hw

@@ -713,10 +713,10 @@ Task<bool> MonitorSystem::OnlineCore(int initiator, int core) {
   // returning core (posted writes, read back on the target).
   const caps::CapDb& source_db = on(initiator).caps();
   std::uint64_t bytes = (source_db.LiveCount() + 1) * 64;
-  sim::Addr buf = machine_.mem().AllocLines(
-      machine_.topo().PackageOf(core), sim::LinesCovering(0, bytes));
-  co_await machine_.mem().WritePosted(initiator, buf, bytes);
-  co_await machine_.mem().Read(core, buf, bytes);
+  hw::LineRegion buf(machine_.mem(), machine_.topo().PackageOf(core),
+                     sim::LinesCovering(0, bytes));
+  co_await machine_.mem().WritePosted(initiator, buf.base(), bytes);
+  co_await machine_.mem().Read(core, buf.base(), bytes);
   on(core).caps_ = source_db;  // the transferred replica
   online_[static_cast<std::size_t>(core)] = true;
   on(core).work_.Signal();

@@ -2,12 +2,11 @@
 
 namespace mk::proc::sync {
 
-McsLock::McsLock(hw::Machine& machine) : machine_(machine) {
-  tail_line_ = machine_.mem().AllocLines(0, 1);
+McsLock::McsLock(hw::Machine& machine)
+    : machine_(machine), tail_line_(machine_.mem(), 0, 1) {
   for (int c = 0; c < machine_.num_cores(); ++c) {
     nodes_.emplace_back(machine_.exec());
-    nodes_.back().line =
-        machine_.mem().AllocLines(machine_.topo().PackageOf(c), 1);
+    nodes_.back().line = hw::LineRegion(machine_.mem(), machine_.topo().PackageOf(c), 1);
   }
 }
 
@@ -17,13 +16,13 @@ sim::Task<> McsLock::Acquire(int core) {
   n.ready = false;
   // Initialize the qnode. The line is homed here but the previous releaser's
   // handoff write may have pulled it away; this write reclaims ownership.
-  co_await machine_.mem().Write(core, n.line);
+  co_await machine_.mem().Write(core, n.line.base());
   // swap(tail, self): the queue position is taken when the RMW on the tail
   // line completes — the executor serializes contenders through the line's
   // FIFO resource, so host-state order equals grant order.
   const int pred = tail_;
   tail_ = core;
-  co_await machine_.mem().Write(core, tail_line_);
+  co_await machine_.mem().Write(core, tail_line_.base());
   if (pred < 0) {
     holder_ = core;
     co_return;
@@ -31,7 +30,7 @@ sim::Task<> McsLock::Acquire(int core) {
   // Link into the predecessor's node (one line transfer into its cache),
   // then spin locally until its release hands the lock over.
   Node& p = nodes_[static_cast<std::size_t>(pred)];
-  co_await machine_.mem().Write(core, p.line);
+  co_await machine_.mem().Write(core, p.line.base());
   p.next = core;  // ordered after the write: visibility == completion
   p.linked.Signal();
   while (!n.ready) {
@@ -39,7 +38,7 @@ sim::Task<> McsLock::Acquire(int core) {
   }
   // The handoff write invalidated our copy of the qnode line; the local spin
   // loop's next read misses and fetches it from the releaser's cache.
-  co_await machine_.mem().Read(core, n.line);
+  co_await machine_.mem().Read(core, n.line.base());
   holder_ = core;
 }
 
@@ -47,13 +46,13 @@ sim::Task<> McsLock::Release(int core) {
   Node& n = nodes_[static_cast<std::size_t>(core)];
   // Check for a successor (a local read unless a successor's link write just
   // took the line).
-  co_await machine_.mem().Read(core, n.line);
+  co_await machine_.mem().Read(core, n.line.base());
   if (n.next < 0 && tail_ == core) {
     // No successor: swing the tail back to empty (the release-side RMW on
     // the shared line).
     tail_ = -1;
     holder_ = -1;
-    co_await machine_.mem().Write(core, tail_line_);
+    co_await machine_.mem().Write(core, tail_line_.base());
     co_return;
   }
   // A successor swapped in but has not linked yet: wait for the link.
@@ -64,7 +63,7 @@ sim::Task<> McsLock::Release(int core) {
   Node& s = nodes_[static_cast<std::size_t>(succ)];
   holder_ = -1;
   // Hand off: one write moving exactly the successor's spin line.
-  co_await machine_.mem().Write(core, s.line);
+  co_await machine_.mem().Write(core, s.line.base());
   s.ready = true;
   s.granted.Signal();
   ++handoffs_;

@@ -46,7 +46,7 @@ class McsLock {
  private:
   struct Node {
     explicit Node(sim::Executor& exec) : granted(exec), linked(exec) {}
-    sim::Addr line = 0;   // the qnode: spin flag + next pointer, homed locally
+    hw::LineRegion line;  // the qnode: spin flag + next pointer, homed locally
     int next = -1;
     bool ready = false;
     sim::Event granted;   // signaled by the predecessor's handoff write
@@ -54,7 +54,7 @@ class McsLock {
   };
 
   hw::Machine& machine_;
-  sim::Addr tail_line_;   // the swap target: the one globally shared line
+  hw::LineRegion tail_line_;  // the swap target: the one globally shared line
   int tail_ = -1;
   int holder_ = -1;
   std::uint64_t handoffs_ = 0;

@@ -63,7 +63,7 @@ Mutex::Mutex(hw::Machine& machine, SyncFlavor flavor, int home_node)
     mcs_ = std::make_unique<sync::McsLock>(machine_);
     return;  // the MCS queue owns all lock state; no central test-and-set line
   }
-  line_ = machine_.mem().AllocLines(home_node, 1);
+  line_ = hw::LineRegion(machine_.mem(), home_node, 1);
 }
 
 Mutex::~Mutex() = default;
@@ -77,7 +77,7 @@ Task<> Mutex::Lock(int core) {
   }
   while (true) {
     // Test-and-set: a coherent write on the lock line.
-    co_await machine_.mem().Write(core, line_);
+    co_await machine_.mem().Write(core, line_.base());
     if (!locked_) {
       locked_ = true;
       co_return;
@@ -103,7 +103,7 @@ Task<> Mutex::Unlock(int core) {
     co_return;
   }
   locked_ = false;
-  co_await machine_.mem().Write(core, line_);
+  co_await machine_.mem().Write(core, line_.base());
   if (waiters_ > 0) {
     if (flavor_ == SyncFlavor::kKernel) {
       co_await machine_.Syscall(core);  // futex_wake
@@ -146,9 +146,9 @@ Task<Cycles> MigrateThread(hw::Machine& machine, int from_core, int to_core) {
   const Cycles t0 = machine.exec().now();
   // The source dispatcher packages the thread state (a couple of lines) and
   // messages the destination dispatcher, which dispatches the thread.
-  Addr state = machine.mem().AllocLines(machine.topo().PackageOf(from_core), 2);
-  co_await machine.mem().Write(from_core, state, 2 * sim::kCacheLineBytes);
-  co_await machine.mem().Read(to_core, state, 2 * sim::kCacheLineBytes);
+  hw::LineRegion state(machine.mem(), machine.topo().PackageOf(from_core), 2);
+  co_await machine.mem().Write(from_core, state.base(), 2 * sim::kCacheLineBytes);
+  co_await machine.mem().Read(to_core, state.base(), 2 * sim::kCacheLineBytes);
   co_await machine.Compute(to_core, machine.cost().dispatch);
   co_return machine.exec().now() - t0;
 }

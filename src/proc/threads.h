@@ -91,7 +91,7 @@ class Mutex {
  private:
   hw::Machine& machine_;
   SyncFlavor flavor_;
-  Addr line_;
+  hw::LineRegion line_;  // the test-and-set line; kUserSpace/kKernel only
   bool locked_ = false;
   int waiters_ = 0;
   sim::Event available_;

@@ -102,10 +102,10 @@ Task<> Skb::MeasureUrpcLatencies() {
   // pair inside each package. The probe replays the URPC fast path: receiver
   // primes the line, sender writes (invalidate), receiver fetches.
   auto probe = [&](int a, int b) -> Task<Cycles> {
-    sim::Addr line = mem.AllocLines(topo.PackageOf(a), 1);
-    co_await mem.Read(b, line);
-    Cycles lat = co_await mem.Write(a, line);
-    lat += co_await mem.Read(b, line);
+    hw::LineRegion line(mem, topo.PackageOf(a), 1);
+    co_await mem.Read(b, line.base());
+    Cycles lat = co_await mem.Write(a, line.base());
+    lat += co_await mem.Read(b, line.base());
     co_return lat;
   };
   for (int pa = 0; pa < topo.num_packages(); ++pa) {

@@ -4,7 +4,9 @@
 // is checked against a record the test keeps itself.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "hw/machine.h"
@@ -217,6 +219,13 @@ struct Ring {
   Addr base = 0;
   std::vector<int> frame_lines;     // per buffer
   std::vector<LineRecord> expect;   // per line of the ring
+
+  Addr LineAddr(std::size_t i) const { return base + i * sim::kCacheLineBytes; }
+  // Lines past a frame's end are the untouched neighbours: they must read as
+  // never cached.
+  bool InFrame(std::size_t i) const {
+    return static_cast<int>(i % kBufferLines) < frame_lines[i / kBufferLines];
+  }
 };
 
 // Per buffer: one core writes the frame (the device side), then two cores
@@ -255,81 +264,139 @@ Task<> RingTraffic(Machine& m, Ring& ring, std::uint64_t seed) {
   }
 }
 
+// One ring of `buffers` buffers per node, each filled by its own RingTraffic
+// task, run to the end.
+std::vector<Ring> RunRings(sim::Executor& exec, Machine& m, std::size_t buffers) {
+  std::vector<Ring> rings(static_cast<std::size_t>(m.topo().num_packages()));
+  for (std::size_t n = 0; n < rings.size(); ++n) {
+    Ring& ring = rings[n];
+    ring.base = m.mem().AllocLines(static_cast<int>(n), buffers * kBufferLines);
+    ring.frame_lines.resize(buffers);
+    ring.expect.resize(buffers * kBufferLines);
+    exec.Spawn(RingTraffic(m, ring, 100 + n));
+  }
+  exec.Run();
+  return rings;
+}
+
+// Whether the directory reports `want` for the line at `addr`, and every
+// core's HasLine agrees with it.
+::testing::AssertionResult LineIs(Machine& m, Addr addr, const LineRecord& want) {
+  if (m.mem().SharersOf(addr) != want.sharers) {
+    return ::testing::AssertionFailure()
+           << "sharers " << m.mem().SharersOf(addr) << ", want " << want.sharers;
+  }
+  if (m.mem().OwnerOf(addr) != want.owner) {
+    return ::testing::AssertionFailure()
+           << "owner " << m.mem().OwnerOf(addr) << ", want " << want.owner;
+  }
+  for (int c = 0; c < m.num_cores(); ++c) {
+    if (m.mem().HasLine(c, addr) != (((want.sharers >> c) & 1) != 0)) {
+      return ::testing::AssertionFailure() << "HasLine disagrees on core " << c;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(CoherenceDirectory, NicRingPatternMatchesHostRecord) {
   sim::Executor exec;
   Machine m(exec, Amd8x4());
-  const int nodes = m.topo().num_packages();
-  constexpr int kBuffersPerNode = 160;
-  std::vector<Ring> rings(static_cast<std::size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    Ring& ring = rings[static_cast<std::size_t>(n)];
-    ring.base = m.mem().AllocLines(n, kBuffersPerNode * kBufferLines);
-    ring.frame_lines.resize(kBuffersPerNode);
-    ring.expect.resize(kBuffersPerNode * kBufferLines);
-    exec.Spawn(RingTraffic(m, ring, 100 + static_cast<std::uint64_t>(n)));
-  }
-  exec.Run();
+  const std::vector<Ring> rings = RunRings(exec, m, 160);
 
   std::uint64_t touched = 0;
-  for (int n = 0; n < nodes; ++n) {
-    const Ring& ring = rings[static_cast<std::size_t>(n)];
+  for (std::size_t n = 0; n < rings.size(); ++n) {
+    const Ring& ring = rings[n];
     for (std::size_t i = 0; i < ring.expect.size(); ++i) {
-      const Addr addr = ring.base + i * sim::kCacheLineBytes;
-      const bool in_frame =
-          static_cast<int>(i % kBufferLines) < ring.frame_lines[i / kBufferLines];
-      // Lines past a frame's end are the untouched neighbours: they must read
-      // as never cached.
-      const LineRecord want = in_frame ? ring.expect[i] : LineRecord{};
+      const bool in_frame = ring.InFrame(i);
       touched += in_frame ? 1 : 0;
-      ASSERT_EQ(m.mem().SharersOf(addr), want.sharers) << "node " << n << " line " << i;
-      ASSERT_EQ(m.mem().OwnerOf(addr), want.owner) << "node " << n << " line " << i;
-      for (int c = 0; c < m.num_cores(); ++c) {
-        ASSERT_EQ(m.mem().HasLine(c, addr), ((want.sharers >> c) & 1) != 0)
-            << "node " << n << " line " << i << ", core " << c;
-      }
+      ASSERT_TRUE(LineIs(m, ring.LineAddr(i), in_frame ? ring.expect[i] : LineRecord{}))
+          << "node " << n << " line " << i;
     }
   }
   // Enough distinct lines that the directory grows at least five times, even
   // from a 1024-slot start at 3/4 load (768 << 4 entries).
   EXPECT_GT(touched, std::uint64_t{768} << 4);
+  EXPECT_EQ(m.mem().DirectoryLines(), touched);
 }
 
-// Purge leaves lines that read as never cached, but each line keeps its
-// cache-to-cache reservation: a re-read after the purge still queues behind
-// the supply to readers issued before it.
-TEST(CoherenceDirectory, PurgeReadsEmptyAndKeepsTheReservation) {
+// Freeing shifts the entries behind each freed line back along its probe
+// run. 30 buffers per node put ~3,000 lines in a table that doubled six times
+// from 64 slots, and the frees below shift entries back across the table's
+// end (counted once with an instrumented build). Every kept line must still
+// read as the host recorded it, and every freed line as never cached on
+// every core.
+TEST(CoherenceDirectory, FreeLinesKeepsEveryOtherLine) {
   sim::Executor exec;
   Machine m(exec, Amd8x4());
-  constexpr std::uint64_t kLines = 2;
-  const Addr base = m.mem().AllocLines(2, kLines);
-  const std::uint64_t bytes = kLines * sim::kCacheLineBytes;
-  Cycles reread = 0;
-  exec.Spawn([](Machine& mm, Addr a, std::uint64_t n, Cycles& out) -> Task<> {
-    co_await mm.mem().Write(0, a, n);
-    // Three other packages read the first line at once and queue on its
-    // cache-to-cache supply.
-    for (int core : {4, 8, 12}) {
-      mm.exec().Spawn([](Machine& m2, int c, Addr line) -> Task<> {
-        co_await m2.mem().Read(c, line);
-      }(mm, core, a));
+  constexpr std::size_t kBuffers = 30;
+  const std::vector<Ring> rings = RunRings(exec, m, kBuffers);
+
+  // A seeded random half of all buffers, freed in random order.
+  std::vector<std::pair<std::size_t, std::size_t>> buffers;  // (node, buffer)
+  for (std::size_t n = 0; n < rings.size(); ++n) {
+    for (std::size_t b = 0; b < kBuffers; ++b) {
+      buffers.emplace_back(n, b);
     }
-    co_await mm.exec().Delay(1);
-    mm.mem().Purge(a, n);
-    for (Addr line = a; line < a + n; line += sim::kCacheLineBytes) {
-      EXPECT_EQ(mm.mem().SharersOf(line), 0u);
-      EXPECT_EQ(mm.mem().OwnerOf(line), -1);
-      for (int c = 0; c < mm.num_cores(); ++c) {
-        EXPECT_FALSE(mm.mem().HasLine(c, line)) << "core " << c;
-      }
+  }
+  sim::Rng rng(7);
+  for (std::size_t i = buffers.size() - 1; i > 0; --i) {
+    std::swap(buffers[i], buffers[rng.Below(i + 1)]);
+  }
+  std::vector<std::vector<bool>> freed(rings.size(), std::vector<bool>(kBuffers));
+  for (std::size_t k = 0; k < buffers.size() / 2; ++k) {
+    const auto [n, b] = buffers[k];
+    m.mem().FreeLines(rings[n].LineAddr(b * kBufferLines), kBufferLines);
+    freed[n][b] = true;
+  }
+
+  std::uint64_t kept = 0;
+  for (std::size_t n = 0; n < rings.size(); ++n) {
+    const Ring& ring = rings[n];
+    for (std::size_t i = 0; i < ring.expect.size(); ++i) {
+      const bool live = !freed[n][i / kBufferLines] && ring.InFrame(i);
+      kept += live ? 1 : 0;
+      ASSERT_TRUE(LineIs(m, ring.LineAddr(i), live ? ring.expect[i] : LineRecord{}))
+          << "node " << n << " line " << i << (live ? " (kept)" : " (freed or untouched)");
     }
-    co_await mm.mem().Write(0, a, n);
-    out = co_await mm.mem().Read(16, a, n);
-  }(m, base, bytes, reread));
+  }
+  EXPECT_EQ(m.mem().DirectoryLines(), kept);
+}
+
+// 48 lines fill the first 64-slot table to its 3/4 load limit.
+constexpr std::uint64_t kLines = 48;
+constexpr int kReader = 5;  // holds no copy of the first region's lines
+
+// A freed slot goes back to empty with a never-cached line state, so a new
+// line that lands in it starts clean: its first read is a DRAM fetch that
+// leaves the reader as the only sharer and no owner.
+TEST(CoherenceDirectory, FreedSlotsReadAsNeverCached) {
+  sim::Executor exec;
+  Machine m(exec, Amd4x4());
+  const Addr first = m.mem().AllocLines(0, kLines);
+  Addr second = 0;
+  std::uint64_t fetches = 0;
+  exec.Spawn([](Machine& mm, Addr old_lines, Addr& new_lines,
+                std::uint64_t& dram_fetches) -> Task<> {
+    const std::uint64_t bytes = kLines * sim::kCacheLineBytes;
+    co_await mm.mem().Write(0, old_lines, bytes);
+    for (int core : {1, 2, 3, 8}) {
+      co_await mm.mem().Read(core, old_lines, bytes);
+    }
+    EXPECT_EQ(mm.mem().DirectoryLines(), kLines);
+    mm.mem().FreeLines(old_lines, kLines);
+    EXPECT_EQ(mm.mem().DirectoryLines(), 0u);
+    new_lines = mm.mem().AllocLines(0, kLines);
+    const std::uint64_t before = mm.counters().Total().dram_fetches;
+    co_await mm.mem().Read(kReader, new_lines, bytes);
+    dram_fetches = mm.counters().Total().dram_fetches - before;
+  }(m, first, second, fetches));
   exec.Run();
-  // Two 309-cycle transfers from package 0 to package 4, plus 149 cycles
-  // queued behind the supply to the three earlier readers. Dropping the
-  // reservation at Purge would give 618.
-  EXPECT_EQ(reread, Cycles{767});
+
+  for (std::uint64_t l = 0; l < kLines; ++l) {
+    EXPECT_TRUE(LineIs(m, second + l * sim::kCacheLineBytes, LineRecord{1ULL << kReader, -1}))
+        << "line " << l;
+  }
+  EXPECT_EQ(fetches, kLines);
 }
 
 }  // namespace

@@ -113,6 +113,21 @@ TEST(Db, ErrorsAreReported) {
   EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_id <= '2'").has_value());
   EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_title > 0").has_value());
   EXPECT_EQ(db.TableRows("ITEMS"), 4u);
+  // A literal with no closing quote is an error, never a literal that
+  // swallows the rest of the statement: this UPDATE would otherwise drop its
+  // WHERE and retitle every row.
+  EXPECT_EQ(db.Exec("UPDATE items SET i_title = 'x WHERE i_id = 1")
+                .value_or(DbError{"accepted"})
+                .message,
+            "unterminated string literal");
+  auto open_select = db.Query("SELECT i_id FROM items WHERE i_title = 'beta");
+  const DbError* select_error = std::get_if<DbError>(&open_select);
+  EXPECT_EQ(select_error ? select_error->message : "accepted", "unterminated string literal");
+  std::vector<std::string> titles;
+  for (const auto& row : MustQuery(db, "SELECT i_title FROM items").rows) {
+    titles.push_back(std::get<std::string>(row[0]));
+  }
+  EXPECT_EQ(titles, (std::vector<std::string>{"alpha", "beta", "gamma", "delta"}));
 }
 
 TEST(Db, QuotedStringsWithSpacesAndEscapes) {

@@ -260,17 +260,6 @@ TEST(Coherence, MultiLineOperationsChargePerLine) {
   EXPECT_EQ(m.counters().core(0).stores, 8u);
 }
 
-TEST(Coherence, PurgeDropsAllCopies) {
-  sim::Executor exec;
-  Machine m(exec, Amd4x4());
-  auto addr = m.mem().AllocLines(0, 2);
-  RunSim(exec, m, [addr](Machine& mm) -> Task<> {
-    co_await mm.mem().Read(0, addr, 2 * sim::kCacheLineBytes);
-    mm.mem().Purge(addr, 2 * sim::kCacheLineBytes);
-    EXPECT_FALSE(mm.mem().HasLine(0, addr));
-  });
-}
-
 TEST(Coherence, NumaHomeFollowsAllocationNode) {
   sim::Executor exec;
   Machine m(exec, Amd4x4());

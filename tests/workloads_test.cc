@@ -144,6 +144,35 @@ TEST(Workloads, TableHasAllFiveEntries) {
   EXPECT_EQ(AllWorkloads().size(), 5u);
 }
 
+// A job frees the simulated memory it allocated when it ends: run twice on
+// one machine and runtime, it leaves the line directory as large as after
+// the first run (the runtime's own lines, which live as long as the machine).
+TEST(Workloads, EachJobReturnsItsLines) {
+  std::vector<WorkloadEntry> jobs = AllWorkloads();
+  jobs.insert(jobs.end(), MapReduceWorkloads().begin(), MapReduceWorkloads().end());
+  for (const WorkloadEntry& job : jobs) {
+    for (SyncFlavor flavor :
+         {SyncFlavor::kUserSpace, SyncFlavor::kKernel, SyncFlavor::kScalable}) {
+      sim::Executor exec;
+      hw::Machine machine(exec, hw::Amd4x4());
+      OmpRuntime omp(machine, FirstCores(4), flavor);
+      std::vector<std::size_t> lines;
+      exec.Spawn([](OmpRuntime& rt, const WorkloadEntry& entry,
+                    std::vector<std::size_t>& out) -> Task<> {
+        for (int run = 0; run < 2; ++run) {
+          (void)co_await entry.run(rt, SmallParams());
+          out.push_back(rt.machine().mem().DirectoryLines());
+        }
+      }(omp, job, lines));
+      exec.Run();
+      ASSERT_EQ(lines.size(), 2u) << job.name;
+      EXPECT_GT(lines[0], 0u) << job.name;
+      EXPECT_EQ(lines[1], lines[0])
+          << job.name << " flavor=" << static_cast<int>(flavor);
+    }
+  }
+}
+
 // --- MapReduce (Metis-style word count / histogram) ------------------------
 
 TEST(MapReduce, WordCountChecksumMatchesHostReference) {
