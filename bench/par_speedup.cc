@@ -20,7 +20,8 @@
 // event count (plus serving/gossip totals and the engine's cross-message
 // count) into one value; every thread count must produce the 1-thread
 // digest bit-for-bit, and the bench exits non-zero otherwise. Wall-clock,
-// events/sec, and speedup land in BENCH_parallel.json (--json=PATH).
+// events/sec, speedup and the host time workers spent waiting at the epoch
+// barrier (summed over workers) land in BENCH_parallel.json (--json=PATH).
 // host_cores is recorded because speedup is bounded by the machine this
 // runs on: on a single-core host all thread counts measure the same
 // sequential schedule plus barrier overhead.
@@ -80,6 +81,7 @@ struct RunMeasure {
   std::uint64_t events = 0;
   std::uint64_t cross_messages = 0;
   std::uint64_t epochs = 0;
+  double barrier_wait_ms = 0;  // host time workers waited at the epoch barrier
   std::uint64_t digest = 0;
 };
 
@@ -212,6 +214,7 @@ RunMeasure RunScaleoutPartitioned(int domains, int threads, bool quick) {
   m.events = engine.events_dispatched();
   m.cross_messages = engine.cross_messages();
   m.epochs = engine.epochs();
+  m.barrier_wait_ms = static_cast<double>(engine.barrier_wait_ns()) / 1e6;
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (int d = 0; d < domains; ++d) {
     const ServeWorld& w = *worlds[static_cast<std::size_t>(d)];
@@ -284,6 +287,7 @@ RunMeasure RunFig8Replicas(int domains, int threads, bool quick) {
   m.events = engine.events_dispatched();
   m.cross_messages = engine.cross_messages();
   m.epochs = engine.epochs();
+  m.barrier_wait_ms = static_cast<double>(engine.barrier_wait_ns()) / 1e6;
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (int d = 0; d < domains; ++d) {
     h = DigestMix(h, engine.domain(d).now());
@@ -305,14 +309,14 @@ struct WorkloadReport {
 
 void PrintWorkload(const WorkloadReport& r) {
   std::printf("\n-- %s (%d domains) --\n", r.name.c_str(), r.domains);
-  std::printf("%8s %12s %14s %10s %8s %10s  %s\n", "threads", "wall ms", "events/s",
-              "speedup", "epochs", "cross", "digest");
+  std::printf("%8s %12s %14s %10s %10s %8s %10s  %s\n", "threads", "wall ms", "events/s",
+              "speedup", "wait ms", "epochs", "cross", "digest");
   const double base = r.runs.empty() ? 0 : r.runs.front().wall_ms;
   for (const RunMeasure& m : r.runs) {
-    std::printf("%8d %12.1f %14.0f %9.2fx %8llu %10llu  %016llx\n", m.threads,
+    std::printf("%8d %12.1f %14.0f %9.2fx %10.1f %8llu %10llu  %016llx\n", m.threads,
                 m.wall_ms,
                 m.wall_ms > 0 ? static_cast<double>(m.events) / (m.wall_ms / 1e3) : 0,
-                m.wall_ms > 0 ? base / m.wall_ms : 0,
+                m.wall_ms > 0 ? base / m.wall_ms : 0, m.barrier_wait_ms,
                 static_cast<unsigned long long>(m.epochs),
                 static_cast<unsigned long long>(m.cross_messages),
                 static_cast<unsigned long long>(m.digest));
@@ -342,11 +346,11 @@ void WriteJson(const std::string& path, const std::vector<WorkloadReport>& repor
       std::fprintf(f,
                    "        {\"threads\": %d, \"wall_ms\": %.3f, "
                    "\"events\": %llu, \"events_per_sec\": %.0f, "
-                   "\"speedup\": %.3f, \"epochs\": %llu, "
+                   "\"speedup\": %.3f, \"barrier_wait_ms\": %.3f, \"epochs\": %llu, "
                    "\"cross_messages\": %llu, \"digest\": \"%016llx\"}%s\n",
                    m.threads, m.wall_ms, static_cast<unsigned long long>(m.events),
                    m.wall_ms > 0 ? static_cast<double>(m.events) / (m.wall_ms / 1e3) : 0,
-                   m.wall_ms > 0 ? base / m.wall_ms : 0,
+                   m.wall_ms > 0 ? base / m.wall_ms : 0, m.barrier_wait_ms,
                    static_cast<unsigned long long>(m.epochs),
                    static_cast<unsigned long long>(m.cross_messages),
                    static_cast<unsigned long long>(m.digest),

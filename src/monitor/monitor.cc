@@ -234,18 +234,17 @@ Task<> Monitor::Loop() {
       continue;
     }
     bool any = false;
-    auto in_it = sys_.in_channels_.find(core_);
-    if (in_it != sys_.in_channels_.end()) {
-      auto& vec = in_it->second;
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        urpc::Channel* ch = vec[i].second;
-        int from = vec[i].first;
-        urpc::Message msg;
-        while (ch->HasMessage()) {
-          (void)co_await ch->TryRecv(&msg);
-          co_await Dispatch(msg, from);
-          any = true;
-        }
+    // Indexed, not iterated: a dispatch may register a new channel to this
+    // core and grow the list.
+    auto& in = sys_.in_channels_[static_cast<std::size_t>(core_)];
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      urpc::Channel* ch = in[i].second;
+      int from = in[i].first;
+      urpc::Message msg;
+      while (ch->HasMessage()) {
+        (void)co_await ch->TryRecv(&msg);
+        co_await Dispatch(msg, from);
+        any = true;
       }
     }
     // Broadcast groups: a published line invalidates our copy; re-fetch it
@@ -522,6 +521,10 @@ Task<caps::CapErr> Monitor::SendCap(int dest_core, caps::CapId id) {
 MonitorSystem::MonitorSystem(hw::Machine& machine, skb::Skb& skb,
                              std::vector<std::unique_ptr<kernel::CpuDriver>>& drivers)
     : machine_(machine), skb_(skb), drivers_(drivers),
+      channel_at_(static_cast<std::size_t>(machine.num_cores()) *
+                      static_cast<std::size_t>(machine.num_cores()) *
+                      static_cast<std::size_t>(machine.topo().num_packages() + 1)),
+      in_channels_(static_cast<std::size_t>(machine.num_cores())),
       online_(static_cast<std::size_t>(machine.num_cores()), true),
       failed_(static_cast<std::size_t>(machine.num_cores()), false) {
   for (int c = 0; c < machine.num_cores(); ++c) {
@@ -628,9 +631,12 @@ const skb::MulticastRoute& MonitorSystem::RouteFor(int source, bool numa_aware) 
 }
 
 urpc::Channel& MonitorSystem::GetChannel(int from, int to, int numa_node) {
-  auto key = std::make_tuple(from, to, numa_node);
-  auto it = channels_.find(key);
-  if (it == channels_.end()) {
+  const auto cores = static_cast<std::size_t>(num_cores());
+  const auto nodes = static_cast<std::size_t>(machine_.topo().num_packages() + 1);
+  urpc::Channel*& slot = channel_at_[(static_cast<std::size_t>(from) * cores +
+                                      static_cast<std::size_t>(to)) * nodes +
+                                     static_cast<std::size_t>(numa_node + 1)];
+  if (slot == nullptr) {
     urpc::ChannelOptions opts;
     opts.slots = 8;
     opts.prefetch = true;  // monitors poll channel arrays (section 4.6)
@@ -638,10 +644,11 @@ urpc::Channel& MonitorSystem::GetChannel(int from, int to, int numa_node) {
     auto ch = std::make_unique<urpc::Channel>(machine_, from, to, opts);
     Monitor* receiver = monitors_[static_cast<std::size_t>(to)].get();
     ch->SetDataHook([receiver] { receiver->work_.Signal(); });
-    in_channels_[to].emplace_back(from, ch.get());
-    it = channels_.emplace(key, std::move(ch)).first;
+    in_channels_[static_cast<std::size_t>(to)].emplace_back(from, ch.get());
+    slot = ch.get();
+    channels_.push_back(std::move(ch));
   }
-  return *it->second;
+  return *slot;
 }
 
 int MonitorSystem::OnlineCount() const {

@@ -285,8 +285,12 @@ class MonitorSystem {
   skb::Skb& skb_;
   std::vector<std::unique_ptr<kernel::CpuDriver>>& drivers_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
-  std::map<std::tuple<int, int, int>, std::unique_ptr<urpc::Channel>> channels_;
-  std::map<int, std::vector<std::pair<int, urpc::Channel*>>> in_channels_;  // per receiver
+  // Channels in creation order. channel_at_ indexes them by (from, to,
+  // numa_node + 1), with numa_node in [-1, packages); in_channels_[to] lists
+  // a receiver's channels with their senders, in creation order.
+  std::vector<std::unique_ptr<urpc::Channel>> channels_;
+  std::vector<urpc::Channel*> channel_at_;
+  std::vector<std::vector<std::pair<int, urpc::Channel*>>> in_channels_;
   std::map<int, BroadcastGroup> bcast_;
   std::map<std::pair<int, bool>, skb::MulticastRoute> routes_;
   std::vector<bool> online_;

@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "trace/trace.h"
 
@@ -23,6 +28,24 @@ void EnterDomainTls(int d) {
 void ResetDomainTls() {
   internal::tls_current_domain = 0;
   trace::internal::tls_track_offset = 0;
+}
+
+// One iteration of a polling loop: PAUSE on x86 keeps the spinning
+// hyperthread from starving its sibling; elsewhere a plain re-check.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#endif
+}
+
+// Relaxes between clock reads while polling the barrier: a few microseconds,
+// so the spin bound holds in host time whatever PAUSE costs on this CPU.
+constexpr int kRelaxesPerClockCheck = 256;
+
+using Clock = std::chrono::steady_clock;
+
+std::int64_t NsSince(Clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count();
 }
 
 [[noreturn]] void Fatal(const char* msg, long a = 0, long b = 0, long c = 0) {
@@ -108,7 +131,7 @@ void ParallelEngine::Send(int src, int dst, InlineCallback cb) {
 }
 
 void ParallelEngine::Plan() {
-  // Runs exclusively: barrier completion step (threaded) or inline between
+  // Runs exclusively: the barrier's last arrival (threaded) or inline between
   // epochs (sequential). Inboxes are empty here — every drain preceded this.
   bool any = false;
   Cycles t0 = 0;
@@ -130,12 +153,42 @@ void ParallelEngine::Plan() {
   ++epochs_;
 }
 
-void ParallelEngine::OnBarrierPhase() {
-  // Even phases separate drain from the next run: plan the epoch. Odd
-  // phases separate run from drain: nothing to decide.
-  if ((barrier_phase_++ & 1) == 0) {
-    Plan();
+void ParallelEngine::Place() {
+  // Longest processing time first: the domain with the most host time goes
+  // onto the least-loaded worker, and so on (ties to the lower index).
+  // Placement only decides which host thread runs a domain, so it may read
+  // host clocks; the schedule cannot see it.
+  const std::size_t n = domains_.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  auto cost = [this](std::size_t d) { return domains_[d]->host_ns; };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return cost(a) > cost(b); });
+  std::vector<std::int64_t> load(static_cast<std::size_t>(threads_), 0);
+  std::vector<std::int64_t> current(static_cast<std::size_t>(threads_), 0);
+  std::vector<int> owner(n);
+  for (std::size_t d : order) {
+    const auto w = std::min_element(load.begin(), load.end()) - load.begin();
+    load[static_cast<std::size_t>(w)] += cost(d);
+    owner[d] = static_cast<int>(w);
+    current[static_cast<std::size_t>(owner_[d])] += cost(d);
   }
+  // Keep the current placement unless the new one lowers the busiest
+  // worker's load by a clear margin (1/16): near-equal domains would
+  // otherwise trade places at every pass for no gain.
+  const std::int64_t busiest_now = *std::max_element(current.begin(), current.end());
+  const std::int64_t busiest_new = *std::max_element(load.begin(), load.end());
+  if (busiest_new >= busiest_now - busiest_now / 16) {
+    return;
+  }
+  for (std::size_t d = 0; d < n; ++d) {
+    if (owner[d] != owner_[d]) {
+      // The new worker owns the queue before it next runs the domain.
+      domains_[d]->exec.SetOwnerThread(worker_ids_[static_cast<std::size_t>(owner[d])],
+                                       /*enforce=*/true);
+    }
+  }
+  owner_ = std::move(owner);
 }
 
 void ParallelEngine::RunDomain(int d) {
@@ -181,30 +234,81 @@ void ParallelEngine::RunSequential() {
   }
 }
 
-void ParallelEngine::WorkerLoop(int worker) {
-  // Round-robin domain ownership: worker w runs domains d with d % threads
-  // == w. Owner enforcement turns every cross-domain push that bypasses the
-  // mailboxes into a loud abort instead of a data race.
-  for (int d = worker; d < num_domains(); d += threads_) {
-    domains_[static_cast<std::size_t>(d)]->exec.SetOwnerThread(std::this_thread::get_id(),
-                                                               /*enforce=*/true);
+std::int64_t ParallelEngine::ArriveAndWait(bool plan) {
+  // Read before arriving: the generation cannot move until this arrival is
+  // counted, so `gen` is the current phase's.
+  const std::uint32_t gen = generation_.load(std::memory_order_relaxed);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == threads_) {
+    // Last arrival: every peer's phase work is visible (acquire above).
+    // Run the exclusive step, then publish it with the next generation.
+    arrived_.store(0, std::memory_order_relaxed);
+    if (plan) {
+      Plan();
+      if (place_ && !stop_ && epochs_ % kPlacementEpochs == 0) {
+        Place();
+      }
+    }
+    generation_.store(gen + 1, std::memory_order_release);
+    generation_.notify_all();
+    return 0;
   }
+  const Clock::time_point t0 = Clock::now();
+  if (spin_) {
+    // Poll for about the cost of a park and wake-up, then park. No yield:
+    // a yielding spinner lets the host deschedule it, which is the wake-up
+    // cost the poll exists to avoid.
+    do {
+      for (int i = 0; i < kRelaxesPerClockCheck; ++i) {
+        if (generation_.load(std::memory_order_acquire) != gen) {
+          return NsSince(t0);
+        }
+        CpuRelax();
+      }
+    } while (Clock::now() - t0 < kSpinBound);
+  }
+  generation_.wait(gen, std::memory_order_acquire);
+  return NsSince(t0);
+}
+
+void ParallelEngine::WorkerLoop(int worker) {
+  // Owner enforcement turns every cross-domain push that bypasses the
+  // mailboxes into a loud abort instead of a data race. Place() hands a
+  // moved domain to its new worker's thread id.
+  worker_ids_[static_cast<std::size_t>(worker)] = std::this_thread::get_id();
+  const int n = num_domains();
+  auto mine = [this, worker](int d) { return owner_[static_cast<std::size_t>(d)] == worker; };
+  for (int d = 0; d < n; ++d) {
+    if (mine(d)) {
+      domains_[static_cast<std::size_t>(d)]->exec.SetOwnerThread(std::this_thread::get_id(),
+                                                                 /*enforce=*/true);
+    }
+  }
+  std::int64_t waited = 0;
   for (;;) {
-    barrier_->arrive_and_wait();  // completion step plans the epoch (or stops)
+    waited += ArriveAndWait(/*plan=*/true);  // the last arrival plans the epoch (or stops)
     if (stop_) {
       break;
     }
-    for (int d = worker; d < num_domains(); d += threads_) {
-      RunDomain(d);
+    for (int d = 0; d < n; ++d) {
+      if (!mine(d)) {
+        continue;
+      }
+      if (place_) {
+        const Clock::time_point t0 = Clock::now();
+        RunDomain(d);
+        domains_[static_cast<std::size_t>(d)]->host_ns += NsSince(t0);
+      } else {
+        RunDomain(d);
+      }
     }
-    barrier_->arrive_and_wait();  // all domains reached the epoch edge
-    for (int d = worker; d < num_domains(); d += threads_) {
-      DrainAndPublish(d);
+    waited += ArriveAndWait(/*plan=*/false);  // all domains reached the epoch edge
+    for (int d = 0; d < n; ++d) {
+      if (mine(d)) {
+        DrainAndPublish(d);
+      }
     }
   }
-  for (int d = worker; d < num_domains(); d += threads_) {
-    domains_[static_cast<std::size_t>(d)]->exec.SetOwnerThread({}, /*enforce=*/false);
-  }
+  barrier_wait_ns_.fetch_add(static_cast<std::uint64_t>(waited), std::memory_order_relaxed);
   ResetDomainTls();
 }
 
@@ -216,7 +320,6 @@ Cycles ParallelEngine::Run() {
   }
   running_ = true;
   stop_ = false;
-  barrier_phase_ = 0;
   for (auto& ds : domains_) {
     ds->has_next = ds->exec.NextEventTime(&ds->next_time);
   }
@@ -224,7 +327,18 @@ Cycles ParallelEngine::Run() {
     RunSequential();
     ResetDomainTls();
   } else {
-    barrier_.emplace(threads_, PhaseHook{this});
+    spin_ = static_cast<unsigned>(threads_) <= std::thread::hardware_concurrency();
+    // With one domain per worker there is nothing to place, and on an
+    // oversubscribed host the run-phase clock reads cost measurable wall
+    // time.
+    place_ = threads_ < num_domains();
+    // Round-robin start: worker w runs domains d with d % threads == w.
+    owner_.resize(domains_.size());
+    for (int d = 0; d < num_domains(); ++d) {
+      owner_[static_cast<std::size_t>(d)] = d % threads_;
+      domains_[static_cast<std::size_t>(d)]->host_ns = 0;
+    }
+    worker_ids_.assign(static_cast<std::size_t>(threads_), {});
     {
       std::vector<std::jthread> workers;
       workers.reserve(static_cast<std::size_t>(threads_));
@@ -232,7 +346,9 @@ Cycles ParallelEngine::Run() {
         workers.emplace_back([this, w] { WorkerLoop(w); });
       }
     }
-    barrier_.reset();
+    for (auto& ds : domains_) {
+      ds->exec.SetOwnerThread({}, /*enforce=*/false);
+    }
   }
   running_ = false;
   return max_now();

@@ -28,12 +28,23 @@
 //     destination's owning thread. The merge order is therefore a pure
 //     function of simulated time, never of host scheduling.
 //
-//   * Thread mapping — domains are assigned round-robin to `threads` host
-//     workers. The assignment affects wall-clock only: with 1 thread the
-//     same epoch/drain sequence runs inline on the caller, so
-//     `threads=N` is bit-identical to `threads=1` by construction. A
-//     single-domain engine short-circuits to Executor::Run() and is
-//     byte-identical to not using the engine at all.
+//   * Thread mapping — domains start round-robin on `threads` host workers.
+//     While some worker owns more than one domain, workers time every
+//     domain's run phase, and every kPlacementEpochs epochs the engine
+//     re-places the domains longest-processing-time first on the
+//     least-loaded worker, keeping the new placement only if it clearly
+//     lowers the busiest worker's load. The mapping affects wall-clock
+//     only: with 1 thread the same epoch/drain sequence runs inline on the
+//     caller, so `threads=N` is bit-identical to `threads=1` by
+//     construction. A single-domain engine short-circuits to
+//     Executor::Run() and is byte-identical to not using the engine at all.
+//
+//   * Epoch barrier — workers meet twice per epoch (after drain, where the
+//     last arrival plans the next epoch; after run). A waiter polls the
+//     barrier's generation for up to kSpinBound of host time, about what a
+//     park and wake-up costs, then parks; the paper's URPC receivers follow
+//     the same poll-then-block rule. With more workers than host cores a
+//     spinner would steal the CPU its peer needs, so waiters park at once.
 //
 // Determinism guardrails: multi-threaded runs enable per-domain owner-thread
 // enforcement (a push into a foreign domain's queue aborts), and Post()
@@ -42,10 +53,10 @@
 #ifndef MK_SIM_PARALLEL_H_
 #define MK_SIM_PARALLEL_H_
 
-#include <barrier>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -67,6 +78,14 @@ class ParallelEngine {
   // when they are (independent domains have unbounded lookahead; wider
   // epochs amortize barrier crossings).
   static constexpr Cycles kMaxLookahead = 100'000;
+
+  // Host time a barrier waiter polls before it parks: about what a futex
+  // park and wake-up costs once a virtualized core has idled (DESIGN.md
+  // §11 has the measurements).
+  static constexpr std::chrono::nanoseconds kSpinBound{50'000};
+
+  // Epochs between placement passes.
+  static constexpr std::uint64_t kPlacementEpochs = 256;
 
   // Per-domain trace-track offset stride: domain d's trace records land on
   // tracks [d*stride, (d+1)*stride), keeping every ring single-writer.
@@ -110,6 +129,11 @@ class ParallelEngine {
   // --- Diagnostics ---
   std::uint64_t epochs() const { return epochs_; }
   std::uint64_t cross_messages() const;   // total drained into all domains
+  // Host ns that workers spent waiting at the epoch barrier, summed over
+  // workers and runs; 0 with one thread.
+  std::uint64_t barrier_wait_ns() const {
+    return barrier_wait_ns_.load(std::memory_order_relaxed);
+  }
   std::uint64_t events_dispatched() const;  // sum over domains
   Cycles max_now() const;
 
@@ -129,14 +153,19 @@ class ParallelEngine {
     Cycles next_time = 0;
     bool has_next = false;
     std::uint64_t cross_received = 0;
+    std::int64_t host_ns = 0;  // run-phase host time this run, while placing
   };
 
-  // Barrier completion hook: alternates plan (choose the next epoch window
-  // or stop) with a no-op between the run and drain phases.
-  void OnBarrierPhase();
   void Plan();
+  // Re-places domains on workers from their measured host time; runs in the
+  // barrier's exclusive step.
+  void Place();
   void RunDomain(int d);
   void DrainAndPublish(int d);
+  // Epoch barrier: the last of threads_ arrivals runs Plan() (and Place())
+  // when `plan` is set, then releases the others. Returns the host ns this
+  // arrival waited.
+  std::int64_t ArriveAndWait(bool plan);
   void WorkerLoop(int worker);
   void RunSequential();
 
@@ -146,19 +175,24 @@ class ParallelEngine {
   std::vector<std::unique_ptr<DomainState>> domains_;
   std::vector<Cycles> latency_;  // [src * D + dst]; 0 = no link
 
-  // Epoch state: written only by the barrier completion step (exclusive) or
-  // before workers start; reads are separated by the barrier.
+  // Epoch state: written only by the barrier's exclusive step or before
+  // workers start; reads are separated by the barrier.
   bool running_ = false;
   bool stop_ = false;
   Cycles epoch_end_ = 0;  // exclusive upper bound of the current epoch
   std::uint64_t epochs_ = 0;
-  std::uint64_t barrier_phase_ = 0;
+  bool spin_ = false;   // threads_ fit on the host's cores: poll, then park
+  bool place_ = false;  // some worker owns several domains: time and re-place them
+  std::vector<int> owner_;                   // [domain] -> worker
+  std::vector<std::thread::id> worker_ids_;  // [worker], set before its first arrival
+  std::atomic<std::uint64_t> barrier_wait_ns_{0};  // each worker adds its total as it exits
 
-  struct PhaseHook {
-    ParallelEngine* engine;
-    void operator()() noexcept { engine->OnBarrierPhase(); }
-  };
-  std::optional<std::barrier<PhaseHook>> barrier_;
+  // Barrier state: arrivals in the current phase, and the phase generation
+  // the last arrival publishes (release) to let the waiters go.
+  // Each on its own cache line, so arrivals and the planner's writes do not
+  // disturb the waiters' polling.
+  alignas(64) std::atomic<int> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
 };
 
 }  // namespace mk::sim

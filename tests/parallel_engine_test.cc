@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/domain.h"
@@ -211,6 +213,7 @@ struct FuzzWorld {
   }
   std::optional<ParallelEngine> eng;
   std::vector<std::vector<std::uint64_t>> logs;  // per-domain execution log
+  int heavy_work = 0;  // extra hash rounds per hop in domain 0 (host time only)
 };
 
 // Pure hash so both runs derive the identical itinerary with no shared
@@ -226,8 +229,15 @@ void FuzzHop(FuzzWorld* w, FuzzMsg m) {
   const int d = CurrentDomain();
   Executor& exec = w->eng->domain(d);
   const Cycles t = exec.now();
-  w->logs[static_cast<std::size_t>(d)].push_back(
-      FuzzHash(t, (std::uint64_t{m.id} << 16) | static_cast<unsigned>(m.hop)));
+  std::uint64_t entry = FuzzHash(t, (std::uint64_t{m.id} << 16) | static_cast<unsigned>(m.hop));
+  if (d == 0) {
+    // Skews host time, not simulated time: the rounds fold into the log so
+    // the compiler cannot drop them, and depend only on the hop.
+    for (int i = 0; i < w->heavy_work; ++i) {
+      entry = FuzzHash(entry, static_cast<std::uint64_t>(i));
+    }
+  }
+  w->logs[static_cast<std::size_t>(d)].push_back(entry);
   if (m.ttl == 0) {
     return;
   }
@@ -243,28 +253,105 @@ void FuzzHop(FuzzWorld* w, FuzzMsg m) {
   w->eng->Post(d, next, t + lat + extra, [w, nm] { FuzzHop(w, nm); });
 }
 
-std::vector<std::vector<std::uint64_t>> RunFuzz(int domains, int threads) {
+struct FuzzRun {
+  std::vector<std::vector<std::uint64_t>> logs;
+  std::uint64_t epochs = 0;
+  std::uint64_t barrier_wait_ns = 0;
+};
+
+FuzzRun RunFuzz(int domains, int threads, int ttl = 12, int heavy_work = 0) {
   FuzzWorld w(domains, threads);
+  w.heavy_work = heavy_work;
   for (std::uint32_t id = 0; id < 24; ++id) {
     const int start = static_cast<int>(id) % domains;
     const Cycles at = FuzzHash(id, 99) % 5000;
-    FuzzMsg m{id, 0, 12};
+    FuzzMsg m{id, 0, ttl};
     FuzzWorld* wp = &w;
     w.eng->Post(0, start, at, [wp, m] { FuzzHop(wp, m); });
   }
   w.eng->Run();
-  return w.logs;
+  return {w.logs, w.eng->epochs(), w.eng->barrier_wait_ns()};
 }
 
 TEST(ParallelEngine, FuzzScheduleIsThreadCountInvariant) {
-  const auto base = RunFuzz(4, 1);
+  const auto base = RunFuzz(4, 1).logs;
   std::size_t total = 0;
   for (const auto& l : base) {
     total += l.size();
   }
   EXPECT_EQ(total, 24u * 13u);  // every hop of every message executed
-  EXPECT_EQ(RunFuzz(4, 2), base);
-  EXPECT_EQ(RunFuzz(4, 4), base);
+  EXPECT_EQ(RunFuzz(4, 2).logs, base);
+  EXPECT_EQ(RunFuzz(4, 4).logs, base);
+}
+
+TEST(ParallelEngine, SkewedHostWorkAcrossPlacementPassesIsThreadCountInvariant) {
+  // Seven domains, as in a rack, with domain 0 costing far more host time
+  // per event than the rest, so re-placement moves domains between workers
+  // (and hands their queues to new owner threads). The run spans several
+  // placement passes; 3 threads splits the domains unevenly.
+  constexpr int kTtl = 400;
+  const FuzzRun base = RunFuzz(7, 1, kTtl, /*heavy_work=*/400);
+  ASSERT_GE(base.epochs, 4 * ParallelEngine::kPlacementEpochs);
+  EXPECT_EQ(base.barrier_wait_ns, 0u);  // no barrier at one thread
+  for (int threads : {2, 3, 4}) {
+    const FuzzRun r = RunFuzz(7, threads, kTtl, /*heavy_work=*/400);
+    EXPECT_EQ(r.logs, base.logs) << "threads=" << threads;
+    EXPECT_EQ(r.epochs, base.epochs) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelEngine, OneDomainPerWorkerBeyondHostCoresIsThreadCountInvariant) {
+  // Eight workers: on a host with fewer cores they park at once instead of
+  // polling, and with one domain each there is nothing to re-place.
+  const auto base = RunFuzz(8, 1, /*ttl=*/40).logs;
+  EXPECT_EQ(RunFuzz(8, 8, /*ttl=*/40).logs, base);
+}
+
+// Burns host time well past the barrier's spin bound without advancing
+// simulated time.
+void BurnHostTime(std::chrono::nanoseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+std::array<std::vector<Cycles>, 2> RunSlowPeer(int threads, std::uint64_t* wait_ns) {
+  ParallelEngine::Options opts;
+  opts.domains = 2;
+  opts.threads = threads;
+  ParallelEngine eng(opts);
+  eng.Link(0, 1, 100);
+  eng.Link(1, 0, 100);
+  std::array<std::vector<Cycles>, 2> logs;  // one per domain: single-writer
+  // Domain 0 ticks once per epoch and is slow on the host; domain 1 echoes
+  // each tick back, so its worker waits at every barrier for longer than it
+  // polls, parks, and must be woken.
+  for (Cycles t = 0; t < 20 * 100; t += 100) {
+    eng.Post(0, 0, t, [&eng, &logs] {
+      BurnHostTime(3 * ParallelEngine::kSpinBound);
+      eng.Send(0, 1, [&eng, &logs] {
+        logs[1].push_back(eng.domain(1).now());
+        eng.Send(1, 0, [&eng, &logs] { logs[0].push_back(eng.domain(0).now()); });
+      });
+    });
+  }
+  eng.Run();
+  *wait_ns = eng.barrier_wait_ns();
+  return logs;
+}
+
+TEST(ParallelEngine, WorkerParksBehindASlowPeerAndIsWoken) {
+  std::uint64_t wait_1 = 0;
+  std::uint64_t wait_2 = 0;
+  const auto base = RunSlowPeer(1, &wait_1);
+  EXPECT_EQ(base[0].size(), 20u);
+  EXPECT_EQ(base[1].size(), 20u);
+  EXPECT_EQ(RunSlowPeer(2, &wait_2), base);
+  EXPECT_EQ(wait_1, 0u);
+  // The waits add up to well past the poll: waiters had to park.
+  const auto bound = static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(ParallelEngine::kSpinBound).count());
+  EXPECT_GT(wait_2, 10 * bound);
 }
 
 // ---------------------------------------------------------------------------
