@@ -14,6 +14,7 @@
 #include "apps/httpd.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
+#include "net/timer_wheel.h"
 #include "sim/executor.h"
 #include "sim/random.h"
 #include "skb/skb.h"
@@ -168,6 +169,24 @@ void BM_CoroutineDelayLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_CoroutineDelayLoop);
+
+// One arm/cancel pair on the stack's timer wheel, the pattern every bounded
+// TcpConnect follows: arm a 6M-cycle deadline, cancel it when the SYN-ACK
+// lands. About 1,000 other timers stay armed, spread over 12M cycles, so an
+// earlier wake is always pending and the pair schedules no executor event.
+void BM_TimerWheelArmCancel(benchmark::State& state) {
+  sim::Executor exec;
+  net::TimerWheel wheel(exec);
+  for (int i = 1; i <= 1000; ++i) {
+    wheel.Schedule(static_cast<Cycles>(i) * 12'000, [] {});
+  }
+  for (auto _ : state) {
+    net::TimerWheel::TimerId id = wheel.Schedule(6'000'000, [] {});
+    benchmark::DoNotOptimize(wheel.Cancel(id));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimerWheelArmCancel);
 
 Task<> WriteLoop(hw::Machine& m, sim::Addr addr, int n) {
   for (int i = 0; i < n; ++i) {

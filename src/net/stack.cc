@@ -216,58 +216,20 @@ Task<> NetStack::SendTcpSegment(TcpConn& conn, TcpFlags flags, const std::uint8_
   conn.snd_nxt += seq_len;
   if (seq_len > 0) {
     // Segments that occupy sequence space are kept until acknowledged (pure
-    // ACKs are not retransmittable). This bookkeeping runs on every send; the
-    // timer that retransmits from it exists only while recovery is armed
-    // (legacy) or rides the wheel (lifecycle).
+    // ACKs are not retransmittable), and the wheel's go-back-N timer covers
+    // them. A half-open SYN_RCVD connection never retransmits its SYN-ACK
+    // (the client's SYN retransmit provokes a re-send instead), so a SYN
+    // flood cannot make the server arm 100k timers. A legacy connection
+    // arms only while recovery is armed.
     conn.unacked.push_back(
         {seq, seq_len, flags, std::vector<std::uint8_t>(data, data + len)});
-    if (conn.state != TcpState::kLegacy) {
-      // Lifecycle: wheel-carried go-back-N, always armed. SYN_RCVD is the
-      // exception — a half-open connection never retransmits its SYN-ACK
-      // (the client's SYN retransmit provokes a re-send instead), so a SYN
-      // flood cannot make the server arm 100k timers.
-      if (conn.state != TcpState::kSynRcvd &&
-          conn.retx_id == TimerWheel::kNoTimer) {
-        ArmRetx(conn, recover::Config().tcp_rto);
-      }
-    } else if (recover::Armed() && !conn.retx_timer_running) {
-      conn.retx_timer_running = true;
-      machine_.exec().Spawn(RetransmitTimer(conn));
+    if (conn.retx_id == TimerWheel::kNoTimer && conn.state != TcpState::kSynRcvd &&
+        (conn.state != TcpState::kLegacy || recover::Armed())) {
+      ArmRetx(conn, recover::Config().tcp_rto);
     }
   }
   Packet frame = TcpFrame(conn.remote_ip, ConnHeader(conn, seq, flags), data, len);
   co_await Emit(std::move(frame), len);
-}
-
-Task<> NetStack::RetransmitTimer(TcpConn& conn) {
-  // Go-back-N: on each timeout with no forward progress, re-send everything
-  // outstanding from snd_una. The connection object is owned by conns_ and
-  // never erased (legacy connections only), so the reference stays valid
-  // across suspensions.
-  Cycles rto = recover::Config().tcp_rto;
-  int tries = 0;
-  while (recover::Armed() && !conn.unacked.empty()) {
-    std::uint32_t una_before = conn.snd_una;
-    co_await machine_.exec().Delay(rto);
-    if (conn.unacked.empty()) {
-      break;
-    }
-    if (conn.snd_una != una_before) {
-      rto = recover::Config().tcp_rto;  // forward progress: reset the backoff
-      tries = 0;
-      continue;
-    }
-    if (++tries > recover::Config().tcp_max_retx) {
-      break;  // peer presumed dead; stop re-arming so the executor can drain
-    }
-    ++tcp_retransmits_;
-    trace::Emit<trace::Category::kFault>(trace::EventId::kFaultTcpRetransmit,
-                                         machine_.exec().now(), core_, conn.snd_una,
-                                         static_cast<std::uint64_t>(tries));
-    co_await ResendWindow(&conn);
-    rto *= 2;
-  }
-  conn.retx_timer_running = false;
 }
 
 Task<> NetStack::ResendWindow(TcpConn* c) {
@@ -377,19 +339,23 @@ void NetStack::CloseConn(TcpConn& c, CloseCause cause) {
   if (c.state == TcpState::kClosed) {
     return;
   }
-  LeaveState(c);
   CancelTimer(c.retx_id);
   CancelTimer(c.lifecycle_id);
-  c.state = TcpState::kClosed;
-  c.close_cause = cause;
   c.unacked.clear();
   c.dup_acks = 0;
   c.peer_closed = true;  // readers observe end-of-stream
-  ++closes_[static_cast<std::size_t>(cause)];
-  trace::Emit<trace::Category::kConn>(
-      trace::EventId::kConnClose, machine_.exec().now(), core_,
-      static_cast<std::uint64_t>(cause),
-      ConnKey(c.remote_ip, c.remote_port, c.local_port));
+  // A legacy connection is never closed: it only learns that its peer is
+  // gone, and stays in the table.
+  if (c.state != TcpState::kLegacy) {
+    LeaveState(c);
+    c.state = TcpState::kClosed;
+    c.close_cause = cause;
+    ++closes_[static_cast<std::size_t>(cause)];
+    trace::Emit<trace::Category::kConn>(
+        trace::EventId::kConnClose, machine_.exec().now(), core_,
+        static_cast<std::uint64_t>(cause),
+        ConnKey(c.remote_ip, c.remote_port, c.local_port));
+  }
   c.readable.Signal();
   c.closed_ev.Signal();
   MaybeReap(c);
@@ -427,7 +393,9 @@ void NetStack::ArmRetx(TcpConn& c, Cycles rto) {
 
 void NetStack::RetxFire(TcpConn* c) {
   c->retx_id = TimerWheel::kNoTimer;
-  if (c->state == TcpState::kClosed || c->unacked.empty()) {
+  const bool legacy = c->state == TcpState::kLegacy;
+  if (c->state == TcpState::kClosed || c->unacked.empty() ||
+      (legacy && !recover::Armed())) {
     c->retx_tries = 0;
     return;
   }
@@ -438,7 +406,13 @@ void NetStack::RetxFire(TcpConn* c) {
     return;
   }
   if (++c->retx_tries > recover::Config().tcp_max_retx) {
-    CloseConn(*c, CloseCause::kRetxAbort);
+    // The peer is presumed dead. A legacy connection is never closed: it
+    // only stops re-arming, so the executor can drain.
+    if (legacy) {
+      c->retx_tries = 0;
+    } else {
+      CloseConn(*c, CloseCause::kRetxAbort);
+    }
     return;
   }
   ++tcp_retransmits_;
@@ -491,64 +465,33 @@ Task<NetStack::TcpConn*> NetStack::TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst
     co_return nullptr;  // ephemeral range to this destination exhausted
   }
   constexpr std::uint32_t kIsn = 1000;  // deterministic ISN
-  if (lifecycle_.enabled) {
-    TcpConn* c = NewConn(dst_ip, dst_port, port, TcpState::kSynSent, kIsn);
-    PinGuard pin(this, c);
-    if (timeout > 0) {
-      c->lifecycle_id = wheel_.Schedule(timeout, [this, c] {
-        c->lifecycle_id = TimerWheel::kNoTimer;
-        if (c->state != TcpState::kSynSent) {
-          return;
-        }
-        // Handshake abandoned: sweep the entry so the 4-tuple is reusable.
-        c->abandoned = true;
-        ++abandoned_swept_;
-        trace::Emit<trace::Category::kConn>(
-            trace::EventId::kConnTimeout, machine_.exec().now(), core_, 0,
-            ConnKey(c->remote_ip, c->remote_port, c->local_port));
-        CloseConn(*c, CloseCause::kConnectTimeout);
-      });
-    }
-    co_await SendTcpSegment(*c, TcpFlags{.syn = true}, nullptr, 0);
-    while (c->state == TcpState::kSynSent) {
-      co_await c->readable.Wait();
-    }
-    if (c->state != TcpState::kEstablished) {
-      // Timed out or reset before completion; the pin guard reaps on return.
-      c->app_released = true;
-      co_return nullptr;
-    }
-    co_return c;
-  }
-  TcpConn* c = NewConn(dst_ip, dst_port, port, TcpState::kLegacy, kIsn);
-  const Cycles deadline = machine_.exec().now() + timeout;
-  co_await SendTcpSegment(*c, TcpFlags{.syn = true}, nullptr, 0);
-  while (!c->established) {
-    if (c->peer_closed) {
-      // RST before the handshake completed: the peer refuses this
-      // connection. Abandon it in place — the conn object must stay owned
-      // by conns_ because the SYN's RetransmitTimer may still hold a
-      // reference to it across a Delay; clearing unacked makes that timer
-      // exit at its next wake. AllocEphemeralPort skips the dead entry's
-      // tuple, so it can't shadow a future flow.
+  TcpConn* c = NewConn(dst_ip, dst_port, port,
+                       lifecycle_.enabled ? TcpState::kSynSent : TcpState::kLegacy, kIsn);
+  PinGuard pin(this, c);
+  if (timeout > 0) {
+    // The SYN-ACK and a RST cancel this deadline, so it fires only on a
+    // handshake still pending.
+    c->lifecycle_id = wheel_.Schedule(timeout, [this, c] {
+      c->lifecycle_id = TimerWheel::kNoTimer;
       c->abandoned = true;
-      c->unacked.clear();
-      co_return nullptr;
-    }
-    if (timeout == 0) {
-      co_await c->readable.Wait();
-      continue;
-    }
-    Cycles now = machine_.exec().now();
-    if (now >= deadline ||
-        !co_await c->readable.WaitTimeout(deadline - now)) {
-      if (!c->established) {  // SYN-ACK may have raced the timer
-        c->peer_closed = true;  // abandoned; see RST comment above
-        c->abandoned = true;
-        c->unacked.clear();
-        co_return nullptr;
-      }
-    }
+      trace::Emit<trace::Category::kConn>(
+          trace::EventId::kConnTimeout, machine_.exec().now(), core_, 0,
+          ConnKey(c->remote_ip, c->remote_port, c->local_port));
+      CloseConn(*c, CloseCause::kConnectTimeout);
+    });
+  }
+  co_await SendTcpSegment(*c, TcpFlags{.syn = true}, nullptr, 0);
+  while (!c->established && !c->peer_closed) {
+    co_await c->readable.Wait();
+  }
+  if (!c->established || c->state == TcpState::kClosed) {
+    // Timed out or reset before completion. Late segments for the handshake
+    // draw a RST. A lifecycle connection is closed, and the pin guard sweeps
+    // it from the table on return, so its 4-tuple is reusable; a legacy one
+    // stays, and AllocEphemeralPort skips its tuple.
+    c->abandoned = true;
+    c->app_released = true;
+    co_return nullptr;
   }
   co_return c;
 }
@@ -650,16 +593,7 @@ Task<> NetStack::HandleConnSegment(const ParsedFrame& f, const Packet& frame,
   const TcpHeader& tcp = *f.tcp;
   if (tcp.flags.rst) {
     ++tcp_rsts_received_;
-    if (c.state == TcpState::kLegacy) {
-      // A legacy connection is never closed: the RST ends the stream and
-      // stops retransmission (the peer told us the flow is dead).
-      c.peer_closed = true;
-      c.unacked.clear();
-      c.readable.Signal();
-      c.closed_ev.Signal();
-    } else {
-      CloseConn(c, CloseCause::kReset);
-    }
+    CloseConn(c, CloseCause::kReset);
     co_return;
   }
   if (c.state == TcpState::kClosed) {
@@ -739,7 +673,9 @@ Task<> NetStack::HandleConnSegment(const ParsedFrame& f, const Packet& frame,
   }
   if (c.state == TcpState::kLegacy && tcp.flags.syn && tcp.flags.ack &&
       !c.established) {
-    // Legacy client: our SYN was answered (and retired above).
+    // Legacy client: our SYN was answered (and retired above), which settles
+    // the connect deadline.
+    CancelTimer(c.lifecycle_id);
     c.rcv_nxt = tcp.seq + 1;
     c.established = true;
     co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);

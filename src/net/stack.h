@@ -12,26 +12,27 @@
 // TCP runs one segment path for both of its disciplines (DESIGN.md §15):
 // one receive handler for known connections, one new-flow handler (listener
 // test, SYN-cookie test, RST for unknown flows), one frame builder, one
-// ephemeral-port allocator, and WaitReadable deadlines on the stack's
-// TimerWheel.
+// ephemeral-port allocator, one TcpConnect, and one timer path: every
+// per-connection timer (go-back-N retransmit, connect deadline, read
+// deadline, and lifecycle's SYN_RCVD expiry and TIME_WAIT reap) rides the
+// stack's TimerWheel.
 // Every stack answers unknown flows and late segments for abandoned
 // handshakes with RST and re-ACKs out-of-order segments.
 //
 //   * lifecycle (SetLifecycle) — connection-scale realism: a true 3-way
 //     handshake with a half-open SYN_RCVD state, FIN/ACK close with bounded
 //     TIME_WAIT, a capped half-open table defended by SYN-cookie stateless
-//     handshake completion, abandoned-connect sweeping, and *every*
-//     per-connection timer (retransmit, connect deadline, SYN_RCVD expiry,
-//     TIME_WAIT reap, read deadlines) carried by the wheel. Connections are
+//     handshake completion, and abandoned-connect sweeping. Connections are
 //     erased from the hashed connection table when their state machine
 //     terminates and the application has Release()d them, so
 //     100k-connection churn leaks neither table entries nor wheel slots.
 //   * legacy (default) — the paper-bench subset, kept byte-identical to
-//     every golden transcript by five decisions only: the server accepts on
-//     the SYN (2-way); close is a lone FIN; connections are never closed or
-//     erased (a RST only marks the peer gone); a bounded TcpConnect waits
-//     with Event::WaitTimeout; and the retransmit timer is a per-connection
-//     coroutine armed only while recover::Armed().
+//     every plain golden transcript by three decisions: the server accepts
+//     on the SYN (2-way); close is a lone FIN; and connections are never
+//     closed or erased (a RST, a lapsed connect deadline or a spent
+//     retransmit budget only marks the peer gone or stops the timer). Its
+//     retransmit timer is armed only while recover::Armed(), because the
+//     fixed RTO also fires on segments that are queued, not lost.
 #ifndef MK_NET_STACK_H_
 #define MK_NET_STACK_H_
 
@@ -66,9 +67,9 @@ struct StackCosts {
 };
 
 // TCP retransmission tuning (RTO, max retransmit rounds) lives in
-// recover::RecoveryConfig — see src/recover/config.h. In legacy mode it is
-// consulted only while recover::Armed(); in lifecycle mode the wheel-driven
-// retransmit timer is always armed.
+// recover::RecoveryConfig — see src/recover/config.h. The retransmit timer
+// rides the wheel on both disciplines; a legacy connection arms it only
+// while recover::Armed(), a lifecycle one always.
 
 // TCP connection states (lifecycle mode; legacy connections stay kLegacy
 // for their whole life).
@@ -180,8 +181,9 @@ class NetStack {
     std::uint32_t rcv_nxt = 0;
     // Retransmission state. The bookkeeping (snd_una, the unacked queue,
     // duplicate-ACK count) is maintained unconditionally — it adds no
-    // simulated events — but the timer that consumes it is only armed while
-    // recover::Armed() (legacy) or always (lifecycle, on the wheel).
+    // simulated events. The wheel timer that consumes it (retx_id) is armed
+    // on a legacy connection only while recover::Armed(), on a lifecycle
+    // one always.
     std::uint32_t snd_una = 0;  // oldest unacknowledged sequence number
     struct SentSeg {
       std::uint32_t seq = 0;
@@ -191,23 +193,24 @@ class NetStack {
     };
     std::deque<SentSeg> unacked;
     int dup_acks = 0;
-    bool retx_timer_running = false;  // legacy coroutine timer
     // Set when a bounded TcpConnect gave up on the handshake. Late segments
     // for an abandoned connection are answered with RST: a retransmitted SYN
     // may have built a half-open connection on a server that would otherwise
     // pin an admission worker forever.
     bool abandoned = false;
 
-    // --- Lifecycle-mode state (inert for legacy connections) ---
-    TcpState state = TcpState::kLegacy;
-    CloseCause close_cause = CloseCause::kReset;
-    bool fin_sent = false;
-    std::uint32_t fin_seq = 0;        // sequence number our FIN occupied
+    // Wheel timers, on either discipline.
     int retx_tries = 0;
     Cycles retx_rto = 0;
     std::uint32_t retx_marker = 0;    // snd_una at last (re)arm, for progress
     TimerWheel::TimerId retx_id = TimerWheel::kNoTimer;
     TimerWheel::TimerId lifecycle_id = TimerWheel::kNoTimer;  // connect/SYN_RCVD/TIME_WAIT
+
+    // --- Lifecycle-mode state (inert for legacy connections) ---
+    TcpState state = TcpState::kLegacy;
+    CloseCause close_cause = CloseCause::kReset;
+    bool fin_sent = false;
+    std::uint32_t fin_seq = 0;        // sequence number our FIN occupied
     // Reap protocol: a terminal connection is erased from the table only
     // when no suspended coroutine still references it (`pins`) and the
     // application has released its pointer (`app_released`).
@@ -227,13 +230,15 @@ class NetStack {
   };
   Listener& TcpListen(std::uint16_t port);
   // Connects and waits for the handshake. With `timeout` > 0 the wait is
-  // bounded and nullptr is returned (and the half-open connection torn down)
+  // bounded and nullptr is returned (and the half-open connection abandoned)
   // if the SYN-ACK does not arrive in time — open-loop load generators need
-  // this so a shed SYN cannot wedge a client forever. 0 = wait indefinitely
-  // (the original behaviour; schedules no timer events in legacy mode). In
-  // lifecycle mode an abandoned connect is swept from the connection table,
-  // so its 4-tuple is immediately reusable. Returns nullptr at once, sending
-  // nothing, when every ephemeral port to this destination is in use.
+  // this so a shed SYN cannot wedge a client forever. The deadline rides the
+  // timer wheel, so it rounds up to the wheel's tick (TimerWheel::
+  // tick_cycles()). 0 = wait indefinitely, with no deadline timer. A RST
+  // also ends the wait with nullptr. In lifecycle mode an abandoned connect
+  // is swept from the connection table, so its 4-tuple is immediately
+  // reusable. Returns nullptr at once, sending nothing, when every ephemeral
+  // port to this destination is in use.
   Task<TcpConn*> TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst_port,
                             Cycles timeout = 0);
   Task<> TcpSend(TcpConn& conn, const std::uint8_t* data, std::size_t len);
@@ -278,7 +283,6 @@ class NetStack {
   std::uint64_t syn_cookie_rejects() const { return syn_cookie_rejects_; }
   std::uint64_t half_open_evicted() const { return half_open_evicted_; }
   std::uint64_t time_wait_reaped() const { return time_wait_reaped_; }
-  std::uint64_t abandoned_swept() const { return abandoned_swept_; }
   const ConnTable<TcpConn>& conn_table() const { return conns_; }
   const TimerWheel& wheel() const { return wheel_; }
 
@@ -310,10 +314,16 @@ class NetStack {
   // whole range to this destination is in use.
   std::uint16_t AllocEphemeralPort(Ipv4Addr dst_ip, std::uint16_t dst_port);
   void CancelTimer(TimerWheel::TimerId& id);  // cancels if armed; clears `id`
-  // Go-back-N recovery loop for one connection; spawned (at most once per
-  // connection at a time) only while recover::Armed(). Legacy mode only —
-  // lifecycle retransmits ride the wheel.
-  Task<> RetransmitTimer(TcpConn& conn);
+  // The go-back-N retransmit timer, on the wheel: on each expiry with no
+  // forward progress, re-send everything outstanding from snd_una and
+  // re-arm with a doubled RTO. A full ACK cancels it; the next send re-arms.
+  void ArmRetx(TcpConn& c, Cycles rto);
+  void RetxFire(TcpConn* c);
+  // Single terminal-transition point: cancels timers, drops the unacked
+  // queue, wakes readers, and (lifecycle only) counts the cause and reaps if
+  // permitted. A legacy connection is never closed: it is left in the table
+  // with its peer marked gone.
+  void CloseConn(TcpConn& c, CloseCause cause);
 
   // --- Lifecycle internals ---
   std::uint32_t CookieFor(Ipv4Addr remote_ip, std::uint16_t remote_port,
@@ -322,15 +332,10 @@ class NetStack {
   // ACK): settles the connect/SYN_RCVD timer, counts, traces, and completes
   // a passive open's accept.
   void Establish(TcpConn& c, bool via_cookie);
-  // Single terminal-transition point: cancels timers, drops the unacked
-  // queue, counts the cause, wakes readers, and reaps if permitted.
-  void CloseConn(TcpConn& c, CloseCause cause);
   void EnterTimeWait(TcpConn& c);
   void LeaveState(TcpConn& c);  // decrements the counter c.state occupies
   // Erases the conn from the table iff terminal, unpinned, and released.
   void MaybeReap(TcpConn& c);
-  void ArmRetx(TcpConn& c, Cycles rto);
-  void RetxFire(TcpConn* c);
   // RAII pin: keeps a conn out of the reaper while a coroutine that may
   // suspend still holds a reference to it.
   struct PinGuard {
@@ -384,7 +389,6 @@ class NetStack {
   std::uint64_t syn_cookie_rejects_ = 0;
   std::uint64_t half_open_evicted_ = 0;
   std::uint64_t time_wait_reaped_ = 0;
-  std::uint64_t abandoned_swept_ = 0;
 };
 
 }  // namespace mk::net

@@ -10,12 +10,12 @@ TimerWheel::TimerId TimerWheel::Schedule(Cycles delay, std::function<void()> fn)
   if (armed_ == 0) {
     // Nothing linked: safe to resynchronize the wheel origin so placement
     // deltas stay small after long idle stretches.
-    current_tick_ = exec_.now() >> tick_shift_;
+    current_tick_ = exec_.now() >> kTickShift;
   }
   // Round the deadline UP to a tick boundary: truncating would place a
   // deadline of (k ticks + epsilon) on tick k and fire it epsilon early.
   const Cycles deadline = exec_.now() + delay;
-  std::uint64_t expiry = (deadline + (Cycles{1} << tick_shift_) - 1) >> tick_shift_;
+  std::uint64_t expiry = (deadline + tick_cycles() - 1) >> kTickShift;
   if (expiry <= current_tick_) {
     expiry = current_tick_ + 1;  // never fire inside the caller's frame
   }
@@ -234,7 +234,7 @@ void TimerWheel::ArmWake() {
   }
   std::uint64_t due = NextDueTick();
   assert(due != kNoDue);
-  Cycles at = due << tick_shift_;
+  Cycles at = due << kTickShift;
   if (at < exec_.now()) {
     at = exec_.now();
   }
@@ -252,7 +252,7 @@ void TimerWheel::OnWake(std::uint64_t seq) {
     return;  // superseded by an earlier re-arm; that wake owns the advance
   }
   wake_pending_ = false;
-  AdvanceTo(exec_.now() >> tick_shift_);
+  AdvanceTo(exec_.now() >> kTickShift);
   ArmWake();
 }
 

@@ -11,16 +11,18 @@
 // timer is actually due — an idle wheel arms nothing, and a cancelled timer
 // leaves at most one stale no-op wake behind.
 //
-// Layout: level 0 is 256 slots of one tick each (tick = 2^tick_shift cycles,
-// default 4096); levels 1..3 are 64 slots each covering successively
+// Layout: level 0 is 256 slots of one tick each (tick = 2^kTickShift =
+// 4096 cycles); levels 1..3 are 64 slots each covering successively
 // 256-tick, 16384-tick, and 1M-tick ranges, for a total span of 2^26 ticks
-// (~275 G cycles at the default tick — further deadlines are clamped and
-// re-cascade). Each level keeps an occupancy bitmap so finding the next due
-// tick skips idle slots; crossing a level boundary cascades that slot's
-// timers down by their exact expiry tick. Timers therefore fire at tick
-// granularity: a deadline rounds up to the next tick boundary. Expiry order
-// is deterministic — slots fire in tick order and within a slot in
-// scheduling order (cascades preserve relative order).
+// (~275 G cycles — further deadlines are clamped and re-cascade). Each
+// level keeps an occupancy bitmap so finding the next due tick skips idle
+// slots; crossing a level boundary cascades that slot's timers down by
+// their exact expiry tick. Timers therefore fire at tick granularity: a
+// deadline rounds up to the next tick boundary. That includes every TCP
+// connect deadline (NetStack::TcpConnect), so the tick is also the rounding
+// of a bounded connect's give-up time. Expiry order is deterministic —
+// slots fire in tick order and within a slot in scheduling order (cascades
+// preserve relative order).
 //
 // The wheel never fires a callback synchronously from Schedule or Cancel;
 // callbacks run from the executor's event loop at the due tick's cycle, so
@@ -47,11 +49,12 @@ class TimerWheel {
   using TimerId = std::uint64_t;
   static constexpr TimerId kNoTimer = 0;
 
-  // `tick_shift` sets the tick to 2^tick_shift cycles. The default (4096
-  // cycles) resolves the stack's timers (RTOs and idle timeouts are 10^5+
-  // cycles) with slack while keeping the wheel span near 10^11 cycles.
-  explicit TimerWheel(sim::Executor& exec, unsigned tick_shift = 12)
-      : exec_(exec), tick_shift_(tick_shift) {}
+  // The tick is 2^kTickShift = 4096 cycles: it resolves the stack's timers
+  // (RTOs and idle timeouts are 10^5+ cycles) with slack while keeping the
+  // wheel span near 10^11 cycles.
+  static constexpr unsigned kTickShift = 12;
+
+  explicit TimerWheel(sim::Executor& exec) : exec_(exec) {}
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
@@ -64,7 +67,7 @@ class TimerWheel {
   // already fired or was already cancelled).
   bool Cancel(TimerId id);
 
-  Cycles tick_cycles() const { return Cycles{1} << tick_shift_; }
+  static constexpr Cycles tick_cycles() { return Cycles{1} << kTickShift; }
 
   // --- Accounting (leak gates assert armed() == 0 after a drained run) ---
   std::size_t armed() const { return armed_; }
@@ -107,7 +110,6 @@ class TimerWheel {
   void OnWake(std::uint64_t seq);
 
   sim::Executor& exec_;
-  unsigned tick_shift_;
   std::uint64_t current_tick_ = 0;  // last processed tick
   // Slot lists: head/tail per slot, level-major. L0 first, then L1..L3.
   Node* head_[kL0Slots + 3 * kLxSlots] = {};

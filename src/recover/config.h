@@ -16,10 +16,12 @@
 //   only after a kill;
 // - the retry budgets bound their loops in every run (a plain 2PC still
 //   retries on lock conflicts);
-// - lifecycle TCP arms its retransmit timer from tcp_rto and tcp_max_retx in
+// - TCP retransmits ride the stack's timer wheel on both disciplines.
+//   Lifecycle TCP arms its retransmit timer from tcp_rto and tcp_max_retx in
 //   every run, so a plain run that overrides them (conn_scale, perfbench
-//   conn_keepalive) changes its schedule. Legacy TCP reads them only when
-//   armed.
+//   conn_keepalive) changes its schedule. Legacy TCP arms it only while
+//   Armed() and stops re-arming once Armed() turns false, so a plain legacy
+//   run never reads them.
 #ifndef MK_RECOVER_CONFIG_H_
 #define MK_RECOVER_CONFIG_H_
 
@@ -91,7 +93,8 @@ inline RecoveryConfig& MutableRecoveryConfig() {
 inline const RecoveryConfig& Config() { return MutableRecoveryConfig(); }
 
 // True while a fault::Injector is installed: the recovery machinery (bounded
-// waits, the monitor heartbeat, legacy TCP retransmits) runs only then.
+// waits, the monitor heartbeat, legacy TCP's wheel retransmits) runs only
+// then.
 inline bool Armed() { return fault::Injector::active() != nullptr; }
 
 // The wait bound for a recovery timeout `c`: `c` when armed, sim::kForever

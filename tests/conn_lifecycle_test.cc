@@ -236,7 +236,6 @@ TEST(ConnLifecycle, AbandonedConnectSweptAndTupleReusable) {
   }
   f.exec.Run();
   EXPECT_EQ(null_returns, kRange);
-  EXPECT_EQ(f.a.abandoned_swept(), static_cast<std::uint64_t>(kRange));
   EXPECT_EQ(f.a.closes(CloseCause::kConnectTimeout),
             static_cast<std::uint64_t>(kRange));
   // Every half-open entry was swept, so the table is empty and the wrapped

@@ -372,14 +372,17 @@ TEST(TcpRetransmit, GoBackNDeliversEverythingOverALossyLink) {
   }
   EXPECT_GT(s.inj.injected(fault::FaultKind::kNicRxDrop), 0u);
   EXPECT_GT(f.a.tcp_retransmits(), 0u);
-  // Recovery quiesced: no timer left an event behind.
+  // Recovery quiesced: no timer left an event behind or a wheel slot armed.
   EXPECT_EQ(f.exec.pending_events(), 0u);
   EXPECT_EQ(f.exec.live_tasks(), 0u);
+  EXPECT_EQ(f.a.wheel().armed(), 0u);
+  EXPECT_EQ(f.b.wheel().armed(), 0u);
 }
 
 TEST(TcpRetransmit, LosslessRunsScheduleNoTimerAndRetransmitNothing) {
-  // Same transfer with an injector installed but an empty plan: the timer
-  // coroutine may arm, but nothing is lost, so nothing retransmits.
+  // Same transfer with an injector installed but an empty plan: the
+  // retransmit timer arms on the wheel, but nothing is lost, so nothing
+  // retransmits.
   fault::FaultPlan plan;
   ScopedInjector s(plan);
   LossyStackPair f;
@@ -401,6 +404,45 @@ TEST(TcpRetransmit, LosslessRunsScheduleNoTimerAndRetransmitNothing) {
     co_await stack.TcpSend(*conn, big.data(), big.size());
   }(f.a));
   f.exec.Run();
+  EXPECT_EQ(total, 5000u);
+  EXPECT_EQ(f.a.tcp_retransmits(), 0u);
+  EXPECT_EQ(f.b.tcp_retransmits(), 0u);
+}
+
+TEST(TcpRetransmit, LosslessLegacyTransferArmsTheWheelAndDisarmsOnTheLastAck) {
+  fault::FaultPlan plan;
+  ScopedInjector s(plan);
+  LossyStackPair f;
+  ASSERT_FALSE(f.a.lifecycle().enabled);
+  auto& listener = f.b.TcpListen(80);
+  std::size_t total = 0;
+  f.exec.Spawn([](net::NetStack::Listener& l, std::size_t& out) -> Task<> {
+    net::NetStack::TcpConn* conn = co_await l.Accept();
+    while (out < 5000) {
+      auto chunk = co_await conn->Read();
+      if (chunk.empty()) {
+        break;
+      }
+      out += chunk.size();
+    }
+  }(listener, total));
+  bool checked = false;
+  f.exec.Spawn([](LossyStackPair& p, bool& done) -> Task<> {
+    net::NetStack::TcpConn* conn = co_await p.a.TcpConnect(kIpB, 80);
+    std::vector<std::uint8_t> big(5000, 0x42);
+    co_await p.a.TcpSend(*conn, big.data(), big.size());
+    // The link delivers in line, so the last ACK is already in: every
+    // retransmit timer was cancelled by a full ACK, not left to expire.
+    EXPECT_EQ(conn->snd_una, conn->snd_nxt);
+    EXPECT_GT(p.a.wheel().scheduled(), 0u);
+    EXPECT_GT(p.b.wheel().scheduled(), 0u);  // the 2-way accept's SYN-ACK
+    EXPECT_EQ(p.a.wheel().armed(), 0u);
+    EXPECT_EQ(p.b.wheel().armed(), 0u);
+    EXPECT_EQ(p.a.wheel().fired(), 0u);
+    done = true;
+  }(f, checked));
+  f.exec.Run();
+  EXPECT_TRUE(checked);
   EXPECT_EQ(total, 5000u);
   EXPECT_EQ(f.a.tcp_retransmits(), 0u);
   EXPECT_EQ(f.b.tcp_retransmits(), 0u);

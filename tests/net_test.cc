@@ -392,6 +392,45 @@ TEST(LegacyTcp, WaitReadableTimesOutWithNoData) {
   EXPECT_EQ(f.exec.live_tasks(), 0u);
 }
 
+TEST(LegacyTcp, BoundedConnectGivesUpAtTheFirstWheelTickPastItsDeadline) {
+  ASSERT_EQ(fault::Injector::active(), nullptr);
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd2x2());
+  NetStack client(m, 0, kIpA, kMacA);
+  client.AddArp(kIpB, kMacB);
+  int syns = 0;
+  client.SetOutput([&syns](Packet p) -> Task<> {  // black hole
+    auto parsed = ParseFrame(p);
+    if (parsed && parsed->tcp && parsed->tcp->flags.syn) {
+      ++syns;
+    }
+    co_return;
+  });
+  constexpr Cycles kTimeout = 10'000;
+  const Cycles tick = client.wheel().tick_cycles();
+  ASSERT_NE(kTimeout % tick, 0u);  // the deadline falls between two ticks
+  Cycles start = 0;
+  Cycles gave_up = 0;
+  bool refused = false;
+  exec.Spawn([](sim::Executor& ex, NetStack& st, Cycles& t0, Cycles& t1,
+                bool& failed) -> Task<> {
+    t0 = ex.now();
+    NetStack::TcpConn* conn = co_await st.TcpConnect(kIpB, 80, kTimeout);
+    t1 = ex.now();
+    failed = conn == nullptr;
+  }(exec, client, start, gave_up, refused));
+  exec.Run();
+  EXPECT_TRUE(refused);
+  // The deadline rides the wheel: it rounds up to the next tick boundary.
+  EXPECT_EQ(gave_up, (start + kTimeout + tick - 1) / tick * tick);
+  EXPECT_GT(gave_up, start + kTimeout);
+  EXPECT_EQ(syns, 1);
+  EXPECT_EQ(client.tcp_retransmits(), 0u);
+  EXPECT_EQ(client.wheel().scheduled(), 1u);  // the deadline, and no retransmit
+  EXPECT_EQ(client.wheel().armed(), 0u);
+  EXPECT_EQ(exec.live_tasks(), 0u);
+}
+
 TEST(LegacyTcp, EphemeralPortsStayInRangeAndExhaust) {
   constexpr int kRange = 65535 - 49152 + 1;
   sim::Executor exec;

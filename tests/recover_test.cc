@@ -535,6 +535,23 @@ Packet TcpSegmentToB(std::uint16_t src_port, std::uint32_t seq, std::uint32_t ac
                             payload.size());
 }
 
+// The mirror image: a payload-less segment from host B's port 80 to host A.
+Packet TcpSegmentToA(std::uint16_t dst_port, std::uint32_t seq, std::uint32_t ack,
+                     net::TcpFlags flags) {
+  net::EthHeader eth{kMacA, kMacB, net::kEtherTypeIpv4};
+  net::IpHeader ip;
+  ip.protocol = net::kIpProtoTcp;
+  ip.src = kIpB;
+  ip.dst = kIpA;
+  net::TcpHeader tcp;
+  tcp.src_port = 80;
+  tcp.dst_port = dst_port;
+  tcp.seq = seq;
+  tcp.ack = ack;
+  tcp.flags = flags;
+  return net::BuildTcpFrame(eth, ip, tcp, nullptr, 0);
+}
+
 // A legacy stack on host B listening on port 80 that records what it sends.
 struct RecordingServer {
   RecordingServer() : m(exec, hw::Amd2x2()), stack(m, 0, kIpB, kMacB) {
@@ -625,20 +642,9 @@ void ExpectLateSynAckDrawsRst() {
       ADD_FAILURE() << "first emitted frame was not a SYN";
       co_return;
     }
-    net::EthHeader eth{kMacA, kMacB, net::kEtherTypeIpv4};
-    net::IpHeader ip;
-    ip.protocol = net::kIpProtoTcp;
-    ip.src = kIpB;
-    ip.dst = kIpA;
-    net::TcpHeader synack;
-    synack.src_port = 80;
-    synack.dst_port = syn->tcp->src_port;
-    synack.seq = 0xBEEF;
-    synack.ack = syn->tcp->seq + 1;
-    synack.flags.syn = true;
-    synack.flags.ack = true;
     const std::size_t outs_before = sent.size();
-    co_await cli.Input(net::BuildTcpFrame(eth, ip, synack, nullptr, 0));
+    co_await cli.Input(TcpSegmentToA(syn->tcp->src_port, /*seq=*/0xBEEF,
+                                     /*ack=*/syn->tcp->seq + 1, {.syn = true, .ack = true}));
     EXPECT_EQ(sent.size(), outs_before + 1);
     auto rst = net::ParseFrame(sent.back());
     if (!rst.has_value() || !rst->tcp.has_value()) {
@@ -651,9 +657,11 @@ void ExpectLateSynAckDrawsRst() {
   exec.Run();
   EXPECT_TRUE(connect_failed);
   EXPECT_EQ(client.tcp_rsts_sent(), 1u);
-  // Regression for the abandonment path: under an injector the retransmit
-  // timer spawned for the SYN must find the connection alive (never erased)
-  // and exit cleanly.
+  EXPECT_EQ(client.tcp_retransmits(), 0u);
+  // Regression for the abandonment path: under an injector the lapsed
+  // deadline also cancels the SYN's retransmit timer, so nothing is left
+  // armed on the wheel and no event or task outlives the run.
+  EXPECT_EQ(client.wheel().armed(), 0u);
   EXPECT_EQ(exec.pending_events(), 0u);
   EXPECT_EQ(exec.live_tasks(), 0u);
 }
@@ -662,7 +670,53 @@ TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
   ExpectLateSynAckDrawsRst();  // plain run: no retransmit timer
   fault::FaultPlan plan;
   ScopedInjector s(plan);
-  ExpectLateSynAckDrawsRst();  // armed: the SYN's retransmit timer runs too
+  ExpectLateSynAckDrawsRst();  // armed: the SYN's retransmit timer arms too
+}
+
+// A RST answering a legacy SYN while recovery is armed cancels the SYN's
+// retransmit timer and the connect deadline at once: nothing is resent.
+TEST(LegacyTcp, RstAnsweringTheSynCancelsItsTimersAtOnce) {
+  fault::FaultPlan plan;
+  ScopedInjector s(plan);
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd2x2());
+  net::NetStack client(m, 0, kIpA, kMacA);
+  client.AddArp(kIpB, kMacB);
+  std::vector<Packet> outs;
+  client.SetOutput([&outs](Packet p) -> Task<> {
+    outs.push_back(std::move(p));
+    co_return;
+  });
+  bool refused = false;
+  exec.Spawn([](net::NetStack& cli, bool& failed) -> Task<> {
+    net::NetStack::TcpConn* conn = co_await cli.TcpConnect(kIpB, 80, /*timeout=*/1'000'000);
+    failed = conn == nullptr;
+  }(client, refused));
+  exec.Spawn([](sim::Executor& ex, net::NetStack& cli,
+                std::vector<Packet>& sent) -> Task<> {
+    co_await ex.Delay(10'000);
+    EXPECT_EQ(cli.wheel().armed(), 2u);  // the SYN's retransmit and the deadline
+    if (sent.size() != 1) {
+      ADD_FAILURE() << "expected exactly the SYN on the wire, saw " << sent.size();
+      co_return;
+    }
+    auto syn = net::ParseFrame(sent.front());
+    if (!syn.has_value() || !syn->tcp.has_value() || !syn->tcp->flags.syn) {
+      ADD_FAILURE() << "first emitted frame was not a SYN";
+      co_return;
+    }
+    co_await cli.Input(TcpSegmentToA(syn->tcp->src_port, /*seq=*/0,
+                                     /*ack=*/syn->tcp->seq + 1, {.ack = true, .rst = true}));
+    EXPECT_EQ(cli.wheel().armed(), 0u);
+  }(exec, client, outs));
+  exec.Run();
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(client.tcp_rsts_received(), 1u);
+  EXPECT_EQ(client.tcp_retransmits(), 0u);
+  EXPECT_EQ(outs.size(), 1u);  // the SYN only: no resend, no RST back
+  EXPECT_EQ(client.wheel().fired(), 0u);
+  EXPECT_EQ(exec.pending_events(), 0u);
+  EXPECT_EQ(exec.live_tasks(), 0u);
 }
 
 TEST(LegacyTcp, OutOfOrderSegmentIsReAckedWithoutAnInjector) {
