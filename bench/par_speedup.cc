@@ -6,8 +6,8 @@
 //
 //   * scaleout-partitioned — the section 5.4 serving path partitioned the
 //     multikernel way: 8 domains, each owning a complete machine (client
-//     stack, server stack, httpd, closed-loop clients — the sec54_scaleout
-//     crosscheck pipeline), plus a gossip NIC bridged to the next domain by
+//     stack, server stack, httpd, closed-loop clients — sec54_webserver's
+//     pipeline), plus a gossip NIC bridged to the next domain by
 //     net::CrossWire in a ring. The gossip frames are real cross-domain
 //     traffic through the engine's mailboxes; the serving load is the
 //     per-domain compute that parallelism should win back.
@@ -88,7 +88,7 @@ struct RunMeasure {
 // ---------------------------------------------------------------------------
 // Workload 1: partitioned section 5.4 serving ring.
 
-// One domain's world: the sec54_scaleout crosscheck pipeline (client stack
+// One domain's world: sec54_webserver's static-page pipeline (client stack
 // and server stack wired back-to-back through a driver-core charge, httpd,
 // closed-loop clients) plus a gossip NIC facing the inter-domain ring.
 struct ServeWorld {

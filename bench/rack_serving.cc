@@ -177,11 +177,11 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
   // Backends: every shard stack binds the VIP (direct server return; the
   // stack demuxes inbound by destination IP, so shards share it) plus its
   // machine's MAC; a stack answers a flow it never saw with RST, so adopted
-  // flows reset without any arming. Shard drivers park on a plain wait (no
-  // stop flag): under a machine-scoped halt (HaltMachine) a driver dies on
-  // its next wakeup — frames the balancer steers there before the view
-  // change commits guarantee one — exactly as a fail-stop machine's driver
-  // would.
+  // flows reset without any arming. Shard drivers park on the RX interrupt
+  // like every RX loop: under a machine-scoped halt (HaltMachine) a driver
+  // dies on its next wakeup — frames the balancer steers there before the
+  // view change commits guarantee one — exactly as a fail-stop machine's
+  // driver would.
   std::vector<std::unique_ptr<net::NetStack>> stacks;
   std::vector<std::unique_ptr<apps::HttpServer>> servers;
   for (int b = 0; b < cfg.machines; ++b) {

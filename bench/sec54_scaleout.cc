@@ -173,14 +173,6 @@ int main(int argc, char** argv) {
              /*interval_per_shard=*/1'250'000);
   }
 
-  // Crosscheck: sec54_webserver's Barrelfish static-page scenario, run
-  // through the same bench::RunWebServer, so it prints that bench's figure by
-  // construction. It builds no NIC and pins nothing about this bench's
-  // shards; the line stays only to keep the golden transcript unchanged.
-  double xcheck = bench::RunWebServer({});
-  std::printf("\ncrosscheck: 1-shard static config on the 2x2 webserver placement: "
-              "%.0f req/s\n(must match sec54_webserver's \"Barrelfish static 4.1KB "
-              "page\" figure)\n", xcheck);
   std::printf(
       "\nShape: requests/sec grows linearly with serving cores and p50/p99 stay\n"
       "well under the shed deadline (per-shard offered load is constant), because\n"

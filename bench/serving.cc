@@ -92,7 +92,7 @@ Task<> OneRequest(sim::Executor& exec, net::NetStack& client, net::Ipv4Addr serv
         ++st.fail_other;
         break;
       }
-      co_await conn->readable.WaitTimeout(attempt_deadline - now);
+      co_await client.WaitReadable(*conn, attempt_deadline - now);
     }
     co_await client.TcpClose(*conn);
   }
@@ -126,30 +126,23 @@ net::SimNic::Config FleetNic(const hw::Machine& m, int shards,
   return cfg;
 }
 
-// Drains frames the server NIC transmitted into the client cluster's stack
-// until *stop.
-Task<> WireSink(net::SimNic& nic, net::NetStack& client, const bool* stop) {
-  while (!*stop) {
+// Feeds frames the server NIC transmitted into the client cluster's stack;
+// parks on the wire while it is empty.
+Task<> WireSink(net::SimNic& nic, net::NetStack& client) {
+  while (true) {
     net::Packet p;
     while (nic.WirePop(&p)) {
       co_await client.Input(std::move(p));
     }
-    if (!*stop) {
-      co_await nic.wire_out_ready().Wait();
-    }
+    co_await nic.wire_out_ready().Wait();
   }
 }
 
-// Ends a run: once every request has completed or been shed, sets *stop
-// (the shards' RX loops and the wire sink return), then awaits `shutdown`
-// if given.
-Task<> Supervisor(LoadStats& st, net::SimNic& nic, bool* stop,
-                  std::function<Task<>()> shutdown) {
+// Once every request has completed or been shed, awaits `shutdown` if given.
+Task<> Supervisor(LoadStats& st, std::function<Task<>()> shutdown) {
   while (!st.finished) {
     co_await st.all_done.Wait();
   }
-  *stop = true;
-  nic.wire_out_ready().Signal();  // unblock the sink
   if (shutdown) {
     co_await shutdown();
   }
@@ -194,15 +187,14 @@ recover::RecoveryConfig ServingRecoveryConfig() {
 }
 
 Task<> AttachShard(hw::Machine& m, net::SimNic& nic, int queue,
-                   net::NetStack& stack, const bool* stop) {
+                   net::NetStack& stack) {
   const int core = stack.core();
   stack.SetOutput([&m, &nic, core, queue](net::Packet p) -> Task<> {
     co_await m.Compute(core, kDriverFrameCost);
     (void)co_await nic.DriverTxPush(core, std::move(p), queue);
   });
   return nic.ServeRx(core, queue, kDriverFrameCost,
-                     [&stack](net::Packet p) { return stack.Input(std::move(p)); },
-                     stop);
+                     [&stack](net::Packet p) { return stack.Input(std::move(p)); });
 }
 
 RequestSource StaticPage() {
@@ -255,7 +247,7 @@ void Fleet::AddShard(Shard shard) {
   server->SetDbExec(std::move(shard.exec));
   server->SetAdmission(shard.admission);
   m_.exec().Spawn(server->Serve());
-  m_.exec().Spawn(AttachShard(m_, nic_, i, *stack, &stop_));
+  m_.exec().Spawn(AttachShard(m_, nic_, i, *stack));
   stacks_.push_back(std::move(stack));
   servers_.push_back(std::move(server));
 }
@@ -264,12 +256,12 @@ Ledger Fleet::Run(int requests_per_shard, const Mix& mix, RequestSource source,
                   std::function<Task<>()> shutdown) {
   sim::Executor& exec = m_.exec();
   const int shards = nic_.num_queues();
-  exec.Spawn(WireSink(nic_, client_, &stop_));
+  exec.Spawn(WireSink(nic_, client_));
   LoadStats st(exec);
   exec.Spawn(Generator(exec, client_, kServerIp, requests_per_shard * shards,
                        mix.interval_per_shard / static_cast<Cycles>(shards), mix, st,
                        std::move(source)));
-  exec.Spawn(Supervisor(st, nic_, &stop_, std::move(shutdown)));
+  exec.Spawn(Supervisor(st, std::move(shutdown)));
   exec.Run();
   return st;
 }

@@ -2,12 +2,11 @@
 // sec54_failover, store_readwrite, rack_serving): one retrying open-loop
 // HTTP client with an exact ledger, the per-shard NIC attachment, the
 // single-machine serving fleet (NIC, client stack, one stack and HttpServer
-// per shard, and the run that ends once every request is answered), the
+// per shard, and the run that drains once every request is answered), the
 // completion timeline and its recovery-window analyzer, and the booted
 // system (monitors included) that the failover benches and fig8_twopc run
 // on. Client behaviour changes here, once, for every serving bench. It also
-// holds sec54_webserver's single-machine web server, which sec54_scaleout's
-// crosscheck re-runs.
+// holds sec54_webserver's single-machine web server.
 #ifndef MK_BENCH_SERVING_H_
 #define MK_BENCH_SERVING_H_
 
@@ -65,9 +64,10 @@ recover::RecoveryConfig ServingRecoveryConfig();
 // Attaches `stack` (serving on its own core) to RX/TX queue `queue` of
 // `nic`: transmitted frames pay kDriverFrameCost on the stack's core before
 // the descriptor push, and the returned task is the queue's RX service loop
-// (SimNic::ServeRx) feeding the stack. `stop` selects the polling form.
+// (SimNic::ServeRx) feeding the stack. The loop parks on the queue's
+// interrupt when idle and never returns while its core lives.
 Task<> AttachShard(hw::Machine& m, net::SimNic& nic, int queue,
-                   net::NetStack& stack, const bool* stop = nullptr);
+                   net::NetStack& stack);
 
 // --- Open-loop HTTP client ---
 
@@ -152,9 +152,9 @@ struct Shard {
 
 // The serving fleet of sec54_scaleout, sec54_failover and store_readwrite: a
 // multi-queue NIC at 10 Gb/s with queue i's interrupts routed to web core
-// 4i, the client cluster's stack on the machine's last core feeding the
+// 4i, the client cluster's stack on the machine's last core fed by the
 // NIC's wire, and per shard a NetStack plus HttpServer on core 4i attached
-// to queue i in the polling form. Every stack shares one server IP and MAC.
+// to queue i. Every stack shares one server IP and MAC.
 class Fleet {
  public:
   // Builds the NIC from `nic` (the caller picks ring depth and RETA size;
@@ -173,14 +173,17 @@ class Fleet {
   void AddShard(Shard shard);
 
   // Launches requests_per_shard * shards requests from `source`, one every
-  // interval_per_shard / shards cycles, and runs the executor to the end:
-  // once every request has completed or been shed the RX loops and the
-  // client's wire sink stop and `shutdown` (replica groups, monitors), if
-  // given, runs. Returns the ledger.
+  // interval_per_shard / shards cycles, and runs the executor until it
+  // drains: once every request has completed or been shed, `shutdown`
+  // (replica groups, monitors), if given, runs. Nothing is stopped. The RX
+  // loops, the client's wire sink and the accept loops stay parked, so every
+  // frame on the wire is read and every TCP timer ends on its own before the
+  // run does. Returns the ledger.
   Ledger Run(int requests_per_shard, const Mix& mix, RequestSource source,
              std::function<Task<>()> shutdown = nullptr);
 
   net::SimNic& nic() { return nic_; }
+  net::NetStack& client() { return client_; }
   net::NetStack& stack(int shard) { return *stacks_[static_cast<std::size_t>(shard)]; }
   apps::HttpServer& server(int shard) {
     return *servers_[static_cast<std::size_t>(shard)];
@@ -190,7 +193,6 @@ class Fleet {
   hw::Machine& m_;
   net::SimNic nic_;
   net::NetStack client_;
-  bool stop_ = false;
   std::vector<std::unique_ptr<net::NetStack>> stacks_;
   std::vector<std::unique_ptr<apps::HttpServer>> servers_;
 };

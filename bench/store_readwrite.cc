@@ -27,7 +27,6 @@
 //                     shards) composed with random NIC frame loss and an
 //                     interconnect latency spike; invariants, not thresholds
 //   --quick           4x4 machine, 2 shards, shorter run (CI soak)
-#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -336,18 +335,6 @@ bool SameRun(const RunOutput& a, const RunOutput& b) {
          a.rpc_timeouts == b.rpc_timeouts && a.truncated == b.truncated;
 }
 
-// Nearest-index percentile. bench::Percentile takes the floor index instead;
-// switching this bench to it moves its p99 column.
-Cycles NearestPercentile(std::vector<Cycles> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = static_cast<std::size_t>(
-      p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[std::min(idx, v.size() - 1)];
-}
-
 // The exact-ledger verdict, printed in every mode. `exact` (no-fault runs)
 // demands rows == acks; fault runs allow rows to exceed acks by writes whose
 // commit outran their lost HTTP ack, bounded by the request shed count.
@@ -397,7 +384,7 @@ void PrintCounters(const RunOutput& r) {
                           return s;
                         }()) /
                         static_cast<double>(r.load.latencies.size()),
-              static_cast<unsigned long long>(NearestPercentile(r.load.latencies, 0.99)));
+              static_cast<unsigned long long>(bench::Percentile(r.load.latencies, 0.99)));
   std::printf("%-26s %llu shipped, %llu stale dropped, %llu truncated, "
               "%llu fenced, %llu WAL redeliveries\n",
               "replication:", static_cast<unsigned long long>(r.shipped),
@@ -436,12 +423,16 @@ int RunSweep(bench::TraceSession& session, bool quick) {
     session.BeginRun("sweep-" + std::to_string(shards));
     RunOutput r = RunServing(spec, shards, kStoreMix, {}, nullptr, rps,
                              /*print_activations=*/false);
-    const double span = static_cast<double>(r.final_now - r.t0);
+    // Completions over the launch window, the rate sec54_scaleout and
+    // rack_serving report. The run's end would also count the tail after
+    // the last answer, until the last timer lapses.
+    const double window = static_cast<double>(rps) *
+                          static_cast<double>(kStoreMix.interval_per_shard);
     table.AddRow(shards,
                  {static_cast<double>(r.load.completed),
                   static_cast<double>(r.buys_acked),
-                  static_cast<double>(r.load.completed) / (span / 1e6),
-                  static_cast<double>(NearestPercentile(r.load.latencies, 0.99)) / 1e3});
+                  static_cast<double>(r.load.completed) * 1e6 / window,
+                  static_cast<double>(bench::Percentile(r.load.latencies, 0.99)) / 1e3});
     // Clean-run rules: every request served, the ledger exact, and none of
     // the recovery machinery so much as breathed.
     const bool clean = r.load.completed == r.load.launched && r.load.shed == 0 &&

@@ -108,8 +108,10 @@ Task<std::string> ReplicatedStore::RoundTrip(Group& g, bool is_write, std::uint6
                                              const std::string& sql) {
   const int max_attempts = recover::Config().store_max_attempts;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    Replica& r = *g.replicas[static_cast<std::size_t>(g.leader_slot)];
+    // Resolve the leader only once the slot is ours: an RPC queued behind
+    // one in flight at a failover must go to the promoted leader.
     co_await g.rpc_slot.Acquire();
+    Replica& r = *g.replicas[static_cast<std::size_t>(g.leader_slot)];
     WireReqHdr hdr;
     hdr.nonce = ++g.req_nonce;
     hdr.wid = wid;

@@ -220,9 +220,8 @@ Task<std::optional<Packet>> SimNic::DriverRxPop(int core, int queue) {
   co_return frame;
 }
 
-Task<> SimNic::ServeRx(int core, int queue, Cycles frame_cost, RxHandler handler,
-                       const bool* stop) {
-  while (stop == nullptr || !*stop) {
+Task<> SimNic::ServeRx(int core, int queue, Cycles frame_cost, RxHandler handler) {
+  while (true) {
     if (machine_.Halted(core)) {
       co_return;  // the driver dies with its core
     }
@@ -239,12 +238,8 @@ Task<> SimNic::ServeRx(int core, int queue, Cycles frame_cost, RxHandler handler
     if (RxReady(queue)) {
       continue;
     }
-    if (stop == nullptr) {
-      co_await rx_irq(queue).Wait();
-      co_await machine_.Trap(core);
-    } else if (co_await rx_irq(queue).WaitTimeout(kRxPollPeriod) && !*stop) {
-      co_await machine_.Trap(core);
-    }
+    co_await rx_irq(queue).Wait();
+    co_await machine_.Trap(core);
   }
 }
 

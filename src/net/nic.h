@@ -119,23 +119,16 @@ class SimNic {
   // per-frame cost charged (hand it to a stack, forward it, steer it).
   using RxHandler = std::function<Task<>(Packet)>;
 
-  // Idle-wait period of a polling RX loop (ServeRx with a stop flag).
-  static constexpr Cycles kRxPollPeriod = 20'000;
-
   // The e1000-style RX service loop for `queue`, run on `core`: while frames
   // are ready, mask the queue's interrupt, pop one, charge `frame_cost` on
-  // `core` and await `handler`; when idle, re-arm the interrupt and block,
-  // charging a trap on each interrupt wake. This is the one place that owns
-  // the interrupt-mitigation policy. The loop returns once `core` is
-  // fail-stop halted (hw::Machine::Halted): frames already DMA'd into the ring
-  // stay there, like a real NIC whose servicing core died.
-  //
-  // Two wait disciplines, both part of the model. Without `stop` the idle
-  // loop parks on the interrupt and runs for the whole simulation. With
-  // `stop` it wakes every kRxPollPeriod cycles (charging no trap on a
-  // timeout) and returns within one period of *stop becoming true.
-  Task<> ServeRx(int core, int queue, Cycles frame_cost, RxHandler handler,
-                 const bool* stop = nullptr);
+  // `core` and await `handler`; when idle, re-arm the interrupt and park on
+  // it, charging a trap on each interrupt wake. This is the one place that
+  // owns the interrupt-mitigation policy. A parked loop schedules nothing,
+  // so a run ends once its other work does, with the loop still parked.
+  // Once `core` is fail-stop halted (hw::Machine::Halted) the loop returns
+  // at its next wake: frames already DMA'd into the ring stay there, like a
+  // real NIC whose servicing core died.
+  Task<> ServeRx(int core, int queue, Cycles frame_cost, RxHandler handler);
 
   // Queues a frame for transmission on `queue`: charges descriptor + payload
   // writes, then the DMA engine serializes it onto the shared wire at line

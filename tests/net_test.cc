@@ -722,11 +722,9 @@ Task<> RecordFrame(sim::Executor& exec, std::vector<Cycles>* handled) {
 
 // Runs the loop on queue 0 and records when it returned.
 Task<> ServeAndRecordReturn(sim::Executor& exec, SimNic& nic, Cycles frame_cost,
-                            std::vector<Cycles>* handled, const bool* stop,
-                            Cycles* returned_at) {
+                            std::vector<Cycles>* handled, Cycles* returned_at) {
   co_await nic.ServeRx(kRxCore, 0, frame_cost,
-                       [&exec, handled](Packet) { return RecordFrame(exec, handled); },
-                       stop);
+                       [&exec, handled](Packet) { return RecordFrame(exec, handled); });
   *returned_at = exec.now();
 }
 
@@ -747,8 +745,7 @@ TEST(NicRxLoop, DrainsABurstWhilePollingWithOneTrapPerIrqWake) {
   ASSERT_TRUE(nic.RxReady());
   std::vector<Cycles> handled;
   Cycles returned_at = 0;
-  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 50'000, &handled, nullptr,
-                                    &returned_at));
+  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 50'000, &handled, &returned_at));
   // Burst B lands on the parked loop: its first frame's interrupt wakes the
   // loop (one trap), and the rest arrive while that frame's 50k-cycle cost is
   // charged, so polling drains them with the interrupt still masked.
@@ -760,13 +757,12 @@ TEST(NicRxLoop, DrainsABurstWhilePollingWithOneTrapPerIrqWake) {
   EXPECT_EQ(returned_at, 0u) << "the loop runs for the whole simulation";
 }
 
-TEST(NicRxLoop, ParksWithoutAStopFlagAndTheExecutorDrains) {
+TEST(NicRxLoop, ParksOnTheInterruptAndTheExecutorDrains) {
   NicFixture f;
   SimNic nic(f.machine, SimNic::Config{});
   std::vector<Cycles> handled;
   Cycles returned_at = 0;
-  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 100, &handled, nullptr,
-                                    &returned_at));
+  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 100, &handled, &returned_at));
   f.exec.Spawn(InjectBurstAt(f.exec, nic, 300'000, 1));
   f.exec.Run();
   ASSERT_EQ(handled.size(), 1u);
@@ -775,29 +771,6 @@ TEST(NicRxLoop, ParksWithoutAStopFlagAndTheExecutorDrains) {
   EXPECT_EQ(f.exec.now(), handled.back());
   EXPECT_EQ(f.machine.counters().core(kRxCore).traps, 1u);
   EXPECT_EQ(returned_at, 0u);
-}
-
-TEST(NicRxLoop, StopFlagEndsThePollWithinOnePeriod) {
-  NicFixture f;
-  SimNic nic(f.machine, SimNic::Config{});
-  std::vector<Cycles> handled;
-  Cycles returned_at = 0;
-  bool stop = false;
-  Cycles stopped_at = 0;
-  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 100, &handled, &stop,
-                                    &returned_at));
-  f.exec.Spawn(InjectBurstAt(f.exec, nic, 30'000, 1));
-  f.exec.Spawn([](sim::Executor& exec, bool& flag, Cycles& at) -> Task<> {
-    co_await exec.Delay(111'111);
-    flag = true;
-    at = exec.now();
-  }(f.exec, stop, stopped_at));
-  f.exec.Run();
-  EXPECT_EQ(handled.size(), 1u);
-  EXPECT_GE(returned_at, stopped_at);
-  EXPECT_LE(returned_at, stopped_at + SimNic::kRxPollPeriod);
-  // Idle poll timeouts charge no trap; only the frame's interrupt wake does.
-  EXPECT_EQ(f.machine.counters().core(kRxCore).traps, 1u);
 }
 
 TEST(NicRxLoop, ReturnsOnceItsCoreHalts) {
@@ -809,8 +782,7 @@ TEST(NicRxLoop, ReturnsOnceItsCoreHalts) {
   inj.Install();
   std::vector<Cycles> handled;
   Cycles returned_at = 0;
-  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 100, &handled, nullptr,
-                                    &returned_at));
+  f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 100, &handled, &returned_at));
   f.exec.Spawn(InjectBurstAt(f.exec, nic, 100'000, 1));
   // After the halt, the next frame's interrupt wakes the loop, which finds
   // its core dead and returns, leaving the frame in the ring.

@@ -7,11 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "net/nic.h"
 #include "net/stack.h"
 #include "net/wire.h"
+#include "recover/config.h"
 #include "serving.h"
 #include "sim/executor.h"
 #include "sim/random.h"
@@ -215,7 +217,19 @@ TEST(ServingFleet, TwoShardStaticRunServesEveryRequestOnBothQueues) {
   }
 }
 
-TEST(ServingFleet, RunEndsWithTheShutdownHookAndOnlyAcceptLoopsParked) {
+// Every frame the wire delivered was read by its shard's stack, and every
+// TCP timer of the fleet's stacks has ended.
+void ExpectDrained(Fleet& fleet) {
+  for (int q = 0; q < fleet.nic().num_queues(); ++q) {
+    EXPECT_FALSE(fleet.nic().RxReady(q)) << "queue " << q;
+    EXPECT_EQ(fleet.stack(q).frames_in(), fleet.nic().queue_stats(q).rx_frames)
+        << "queue " << q;
+    EXPECT_EQ(fleet.stack(q).wheel().armed(), 0u) << "queue " << q;
+  }
+  EXPECT_EQ(fleet.client().wheel().armed(), 0u);
+}
+
+TEST(ServingFleet, RunEndsWithTheShutdownHookOnceEveryFrameIsRead) {
   sim::Executor exec;
   hw::Machine m(exec, hw::Amd4x4());
   Fleet fleet(m, 2, RingsOf512());
@@ -230,10 +244,34 @@ TEST(ServingFleet, RunEndsWithTheShutdownHookAndOnlyAcceptLoopsParked) {
 
   EXPECT_EQ(load.completed, 20);
   EXPECT_EQ(answered_at_shutdown, 20);
-  // The RX loops, the wire sink and the client have all returned; each
-  // shard's HttpServer accept loop stays parked on its listener.
-  EXPECT_EQ(exec.live_tasks(), 2u);
+  // Nothing is stopped: each shard's accept loop and RX loop, and the
+  // client's wire sink, stay parked once the last frame is read.
+  EXPECT_EQ(exec.live_tasks(), 2u * 2 + 1);
   EXPECT_EQ(exec.pending_events(), 0u);
+  ExpectDrained(fleet);
+}
+
+TEST(ServingFleet, LosslessRunUnderAnInjectorResendsNothing) {
+  // Recovery armed, nothing injected: every segment, the last FIN and ACK
+  // included, reaches its peer, so no retransmit timer ever fires.
+  recover::ScopedRecoveryConfig rcfg(ServingRecoveryConfig());
+  fault::Injector inj{fault::FaultPlan{}};
+  inj.Install();
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd4x4());
+  Fleet fleet(m, 2, RingsOf512());
+  fleet.AddShard({});
+  fleet.AddShard({});
+  const Ledger load = fleet.Run(10, kStaticMix, StaticPage());
+  inj.Uninstall();
+
+  EXPECT_EQ(load.completed, 20);
+  EXPECT_EQ(load.retries, 0);
+  for (int q = 0; q < 2; ++q) {
+    EXPECT_EQ(fleet.stack(q).tcp_retransmits(), 0u) << "queue " << q;
+  }
+  EXPECT_EQ(fleet.client().tcp_retransmits(), 0u);
+  ExpectDrained(fleet);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "monitor/monitor.h"
 #include "recover/config.h"
 #include "recover/recover.h"
+#include "sim/event.h"
 #include "sim/executor.h"
 #include "skb/skb.h"
 #include "urpc/channel.h"
@@ -302,6 +303,52 @@ TEST(Store, LeaderKillPromotesMostCaughtUpFollowerAndRespawns) {
   EXPECT_EQ(store.writes_committed(0), 2u);
   EXPECT_TRUE(store.replica_alive(0, 1));  // the promoted leader
   EXPECT_TRUE(store.replica_alive(0, 0));  // the respawned replacement
+}
+
+TEST(Store, RpcsQueuedBehindAFailoverGoToThePromotedLeader) {
+  // Three reads of one shard: the first is at the leader when its core
+  // halts, and the other two wait behind it on the group's RPC slot. Only
+  // the first waits out the RPC timeout. By the time the queued two take the
+  // slot the view change has promoted the follower, and each resolves the
+  // leader only then.
+  constexpr Cycles kHaltAt = 2'000'000;
+  Fixture f;
+  f.source.Exec(Insert(1, 11));
+  ReplicatedStore& store = f.MakeStore({{0, {1, 2}, 3}});
+  ASSERT_LT(f.exec.now(), kHaltAt - 2'000);
+  fault::FaultPlan plan;
+  plan.HaltCore(1, kHaltAt);  // shard 0's boot leader
+  ScopedInjector s(plan);
+  recover::MembershipService membership(f.sys);
+  membership.Subscribe([&](const recover::View& v, int dead) -> Task<> {
+    co_await store.HandleViewChange(v, dead);
+  });
+  f.exec.Spawn(f.sys.HeartbeatLoop());
+  int answered = 0;
+  sim::Event all_answered(f.exec);
+  f.exec.Spawn([](Fixture& fx, ReplicatedStore& st, int& n, sim::Event& done) -> Task<> {
+    // A read's request reaches the leader well inside 2,000 cycles, and its
+    // statement costs 5,000 there, so the halt lands mid-statement.
+    co_await fx.exec.Delay(kHaltAt - 2'000 - fx.exec.now());
+    for (int i = 0; i < 3; ++i) {
+      fx.exec.Spawn([](ReplicatedStore& rs, int& count, sim::Event& ev) -> Task<> {
+        EXPECT_EQ(co_await rs.Query(0, "SELECT k, v FROM kv WHERE k = 1"), "1|11|\n");
+        if (++count == 3) {
+          ev.Signal();
+        }
+      }(st, n, done));
+    }
+    while (n < 3) {
+      co_await done.Wait();
+    }
+    co_await st.Shutdown();
+    fx.sys.Shutdown();
+  }(f, store, answered, all_answered));
+  f.exec.Run();
+  EXPECT_EQ(answered, 3);
+  EXPECT_EQ(store.promotions(), 1u);
+  EXPECT_EQ(store.leader_slot(0), 1);
+  EXPECT_EQ(store.rpc_timeouts(), 1u);
 }
 
 }  // namespace
