@@ -8,24 +8,20 @@
 // poll-then-block path, giving the trace cross-core IPI flows. The per-core
 // op-arrival table printed alongside is the wave shape the paper describes.
 #include <cstdio>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "bench_util.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
-#include "kernel/cpu_driver.h"
 #include "monitor/monitor.h"
-#include "sim/executor.h"
+#include "serving.h"
 #include "sim/stats.h"
-#include "skb/skb.h"
 #include "urpc/channel.h"
 
 namespace mk {
 namespace {
 
-using kernel::CpuDriver;
+using bench::System;
 using monitor::OpFlags;
 using monitor::Protocol;
 using sim::Cycles;
@@ -33,22 +29,6 @@ using sim::Task;
 
 constexpr Protocol kProtocols[] = {Protocol::kBroadcast, Protocol::kUnicast,
                                    Protocol::kMulticast, Protocol::kNumaMulticast};
-
-struct System {
-  System() : machine(exec, hw::Amd8x4()), drivers(CpuDriver::BootAll(machine)),
-             skb(machine) {
-    skb.PopulateFromHardware();
-    exec.Spawn(skb.MeasureUrpcLatencies());
-    exec.Run();  // boot-time measurement completes before the monitors start
-    sys.emplace(machine, skb, drivers);
-    sys->Boot();
-  }
-  sim::Executor exec;
-  hw::Machine machine;
-  std::vector<std::unique_ptr<CpuDriver>> drivers;
-  skb::Skb skb;
-  std::optional<monitor::MonitorSystem> sys;
-};
 
 Task<> Driver(monitor::MonitorSystem& sys, Protocol proto, int ncores, int iters,
               OpFlags flags, sim::RunningStat& stat) {
@@ -63,12 +43,12 @@ Task<> Driver(monitor::MonitorSystem& sys, Protocol proto, int ncores, int iters
 }
 
 double Measure(Protocol proto, int ncores) {
-  System s;
+  System s(hw::Amd8x4());
   sim::RunningStat stat;
   OpFlags flags;
   flags.raw = true;       // raw messaging mechanism...
   flags.skip_tlb = true;  // ...without TLB invalidation
-  s.exec.Spawn(Driver(*s.sys, proto, ncores, 12, flags, stat));
+  s.exec.Spawn(Driver(s.sys, proto, ncores, 12, flags, stat));
   s.exec.Run();
   return stat.mean();
 }
@@ -77,10 +57,10 @@ double Measure(Protocol proto, int ncores) {
 // trace shows the wave; prints per-core first-op-arrival offsets.
 void TraceProtocol(bench::TraceSession& session, Protocol proto, int ncores) {
   session.BeginRun(monitor::ProtocolName(proto));
-  System s;
+  System s(hw::Amd8x4());
   sim::RunningStat stat;
   OpFlags flags;  // defaults: demux charged, TLB invalidation performed
-  s.exec.Spawn(Driver(*s.sys, proto, ncores, 3, flags, stat));
+  s.exec.Spawn(Driver(s.sys, proto, ncores, 3, flags, stat));
   s.exec.Run();
 
   // The wave: first kMonHandleOp arrival per core, relative to the earliest.
@@ -127,8 +107,8 @@ Task<> IpiWakeupReceiver(System& s, urpc::Channel& ch, int msgs) {
 
 void TraceIpiWakeups(bench::TraceSession& session) {
   session.BeginRun("ipi-wakeup");
-  System s;
-  s.sys->Shutdown();  // only the channel pair below should run
+  System s(hw::Amd8x4());
+  s.sys.Shutdown();  // only the channel pair below should run
   urpc::Channel ch(s.machine, /*sender_core=*/0, /*receiver_core=*/12);
   constexpr int kMsgs = 4;
   s.exec.Spawn(IpiWakeupReceiver(s, ch, kMsgs));

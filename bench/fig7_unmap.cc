@@ -2,8 +2,6 @@
 // system - Barrelfish's message-based shootdown vs the IPI-based paths of
 // Linux (mprotect) and Windows (VirtualProtect).
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "baseline/ipi_shootdown.h"
 #include "bench_util.h"
@@ -11,9 +9,9 @@
 #include "hw/platform.h"
 #include "kernel/cpu_driver.h"
 #include "monitor/monitor.h"
+#include "serving.h"
 #include "sim/executor.h"
 #include "sim/stats.h"
-#include "skb/skb.h"
 
 namespace mk {
 namespace {
@@ -60,18 +58,10 @@ Task<> BarrelfishDriver(monitor::MonitorSystem& sys, int ncores, int iters,
 }
 
 double MeasureBarrelfish(int ncores) {
-  sim::Executor exec;
-  hw::Machine machine(exec, hw::Amd8x4());
-  auto drivers = CpuDriver::BootAll(machine);
-  skb::Skb skb(machine);
-  skb.PopulateFromHardware();
-  exec.Spawn(skb.MeasureUrpcLatencies());
-  exec.Run();
-  monitor::MonitorSystem sys(machine, skb, drivers);
-  sys.Boot();
+  bench::System s(hw::Amd8x4());
   sim::RunningStat stat;
-  exec.Spawn(BarrelfishDriver(sys, ncores, 8, stat));
-  exec.Run();
+  s.exec.Spawn(BarrelfishDriver(s.sys, ncores, 8, stat));
+  s.exec.Run();
   return stat.mean();
 }
 

@@ -114,7 +114,7 @@ struct ServeWorld {
   static net::SimNic::Config GossipConfig() {
     net::SimNic::Config cfg;
     cfg.gbps = 10.0;
-    cfg.irq_core = kDriverCore;
+    cfg.irq_cores = {kDriverCore};
     return cfg;
   }
 

@@ -405,8 +405,9 @@ int RunKillDb(bench::TraceSession& session, bool quick, int shard) {
               static_cast<unsigned long long>(a.events),
               static_cast<unsigned long long>(b.final_now),
               static_cast<unsigned long long>(b.events));
-  // The dip here is bounded by db_rpc_timeout, and the replacement replica
-  // must end up serving: redirects home, nothing left dead, no request lost.
+  // The dip here is bounded by the DB replica RPC timeout, and the
+  // replacement replica must end up serving: redirects home, nothing left
+  // dead, no request lost.
   const bool ok = no_loss && deterministic && a.view_changes == 1 &&
                   a.db_respawns == 1 && a.db_all_home && a.load.shed == 0 &&
                   a.specs_activated && a.replicas_consistent;

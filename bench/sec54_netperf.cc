@@ -127,7 +127,7 @@ double RunEcho(double offered_mbps) {
   sim::Executor exec;
   hw::Machine m(exec, hw::Intel2x4());
   net::SimNic::Config cfg;
-  cfg.irq_core = kDriverCore;
+  cfg.irq_cores = {kDriverCore};
   net::SimNic nic(m, cfg);
   net::NetStack app(m, kAppCore, kServerIp, kServerMac);
   app.AddArp(kClientIp, kClientMac);

@@ -4,8 +4,8 @@
 // single-machine serving fleet (NIC, client stack, one stack and HttpServer
 // per shard, and the run that drains once every request is answered), the
 // completion timeline and its recovery-window analyzer, and the booted
-// system (monitors included) that the failover benches and fig8_twopc run
-// on. Client behaviour changes here, once, for every serving bench. It also
+// system (monitors included) that the failover benches and fig6_shootdown,
+// fig7_unmap and fig8_twopc run on. Client behaviour changes here, once, for every serving bench. It also
 // holds sec54_webserver's single-machine web server.
 #ifndef MK_BENCH_SERVING_H_
 #define MK_BENCH_SERVING_H_
@@ -46,7 +46,10 @@ net::StackCosts FreeCosts();
 
 // Full machine boot: CPU drivers, SKB (populated + measured), monitors. The
 // failover benches need the monitors because failure detection and the
-// membership view change run on them.
+// membership view change run on them; fig6-8 measure the monitors' own
+// protocols. The monitors are constructed before the SKB measurement runs
+// and booted after it; their constructors allocate no simulated memory and
+// schedule nothing, so the order leaves every transcript unchanged.
 struct System {
   explicit System(const hw::PlatformSpec& spec);
   sim::Executor exec;

@@ -8,6 +8,19 @@
 #include "trace/trace.h"
 
 namespace mk::apps {
+namespace {
+
+// How long a web shard waits for its replica's reply before presuming the
+// replica dead and failing over to another live replica. Must exceed the
+// slowest legitimate query end-to-end (a full 30k-row TPC-W scan costs
+// ~755k cycles on the replica core alone), or healthy replicas get declared
+// dead under load.
+constexpr sim::Cycles kRpcTimeout = 2'000'000;
+// Replica-failover retry budget: distinct replicas a query will try before
+// giving up (first attempt included).
+constexpr int kMaxAttempts = 3;
+
+}  // namespace
 
 DbReplicaCluster::DbReplicaCluster(hw::Machine& machine, const Database& source,
                                    std::vector<ShardPlacement> placements)
@@ -46,8 +59,7 @@ Task<> DbReplicaCluster::Serve(int shard) {
 }
 
 Task<std::string> DbReplicaCluster::Query(int shard, std::string sql) {
-  const int max_attempts = recover::Config().db_max_attempts;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     const int target = redirect_[static_cast<std::size_t>(shard)];
     if (target < 0) {
       break;  // no live replica anywhere
@@ -67,7 +79,7 @@ Task<std::string> DbReplicaCluster::Query(int shard, std::string sql) {
     co_await s.rpc_slot.Acquire();
     co_await SendSql(s.queries, sql);
     std::optional<net::Packet> reply =
-        co_await s.replies.RecvTimeout(recover::Bound(recover::Config().db_rpc_timeout));
+        co_await s.replies.RecvTimeout(recover::Bound(kRpcTimeout));
     s.rpc_slot.Release();
     if (reply.has_value()) {
       co_return std::string(reply->begin(), reply->end());

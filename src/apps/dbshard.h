@@ -58,9 +58,9 @@ class DbReplicaCluster {
   // Web-side query: runs `sql` on the shard's replica, returns rendered
   // rows. One outstanding RPC per shard (the reply channel carries no
   // request ids), as a connection pool of size one would. The reply wait is
-  // recover::Bound(RecoveryConfig::db_rpc_timeout); a timeout marks the
-  // replica dead and the query retries against the redirect target, up to
-  // db_max_attempts distinct replicas.
+  // recover::Bound(kRpcTimeout); a timeout marks the replica dead and the
+  // query retries against the redirect target, up to kMaxAttempts distinct
+  // replicas (both constants in dbshard.cc).
   Task<std::string> Query(int shard, std::string sql);
 
   // Poisons every shard's request channel; their Serve() loops drain and

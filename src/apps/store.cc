@@ -16,6 +16,22 @@ namespace {
 constexpr std::uint64_t kReqHdrTag = 4;
 constexpr std::uint64_t kAckTag = 5;
 
+// How long the web tier waits for the shard leader's reply before retrying.
+// Writes pay WAL append (a machine-wide collective) plus log shipping plus
+// a follower durability ack before the leader responds, so this sits above
+// apps/dbshard's replica RPC timeout.
+constexpr sim::Cycles kRpcTimeout = 3'000'000;
+// Write/read retry budget at the web tier (first attempt included). Retries
+// reuse the client write id, so a write that committed but lost its ack is
+// answered "dup" rather than applied twice.
+constexpr int kMaxAttempts = 4;
+// Leader's per-wait bound on follower durability acks; each expiry
+// re-checks which followers are still live before waiting again.
+constexpr sim::Cycles kCommitTimeout = 500'000;
+// Respawned-replica catch-up: pause between WAL replay rounds while the
+// follower closes the gap to the leader's last assigned lsn.
+constexpr sim::Cycles kCatchupPoll = 100'000;
+
 // Every request opens with this header so the reply can be paired with the
 // attempt that is actually waiting: a reply is "<nonce>|<body>", and the web
 // side drains replies whose nonce belongs to a superseded (timed-out)
@@ -106,8 +122,7 @@ void ReplicatedStore::MakeLink(Group& g, Replica* follower) {
 
 Task<std::string> ReplicatedStore::RoundTrip(Group& g, bool is_write, std::uint64_t wid,
                                              const std::string& sql) {
-  const int max_attempts = recover::Config().store_max_attempts;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     // Resolve the leader only once the slot is ours: an RPC queued behind
     // one in flight at a failover must go to the promoted leader.
     co_await g.rpc_slot.Acquire();
@@ -126,7 +141,7 @@ Task<std::string> ReplicatedStore::RoundTrip(Group& g, bool is_write, std::uint6
     // nonce. An unarmed wait never times out, so it never sees a stale nonce.
     while (true) {
       std::optional<net::Packet> reply =
-          co_await r.replies.RecvTimeout(recover::Bound(recover::Config().store_rpc_timeout));
+          co_await r.replies.RecvTimeout(recover::Bound(kRpcTimeout));
       if (!reply.has_value()) {
         break;  // timeout: give up on this attempt
       }
@@ -295,8 +310,7 @@ Task<std::string> ReplicatedStore::HandleWrite(Group& g, Replica* r, std::uint64
     if (all_acked) {
       break;
     }
-    (void)co_await g.commit_ev.WaitTimeout(
-        recover::Bound(recover::Config().store_commit_timeout));
+    (void)co_await g.commit_ev.WaitTimeout(recover::Bound(kCommitTimeout));
   }
   if (machine_.Halted(r->core)) {
     co_return "";  // fail-stop after commit, before ack: the retry sees "dup"
@@ -408,7 +422,7 @@ Task<> ReplicatedStore::CatchUp(Group& g, Replica* r) {
     }
     // New records may land while we replay; poll until the gap closes. Only
     // reachable after a kill, so the injector (and its timers) are active.
-    (void)co_await g.commit_ev.WaitTimeout(recover::Config().store_catchup_poll);
+    (void)co_await g.commit_ev.WaitTimeout(kCatchupPoll);
   }
   if (r->alive) {
     r->caught_up = true;

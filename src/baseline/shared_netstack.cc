@@ -1,11 +1,20 @@
 #include "baseline/shared_netstack.h"
 
-namespace mk::baseline {
+#include "net/stack.h"
 
-SharedKernelLoopback::SharedKernelLoopback(hw::Machine& machine, int node,
-                                           LoopbackCosts costs)
-    : machine_(machine), costs_(costs), lock_free_(machine.exec()),
-      data_ready_(machine.exec()) {
+namespace mk::baseline {
+namespace {
+
+// The same protocol work as the user-space stack (net::StackCosts' defaults).
+constexpr Cycles kStackIn = net::StackCosts{}.per_packet_in;
+constexpr Cycles kStackOut = net::StackCosts{}.per_packet_out;
+constexpr Cycles kSkbAlloc = 450;     // kernel buffer management per packet
+constexpr double kPerByteCopy = 0.5;  // each user<->kernel copy, per byte
+
+}  // namespace
+
+SharedKernelLoopback::SharedKernelLoopback(hw::Machine& machine, int node)
+    : machine_(machine), lock_free_(machine.exec()), data_ready_(machine.exec()) {
   lock_line_ = machine_.mem().AllocLines(node, 1);
   meta_line_ = machine_.mem().AllocLines(node, 1);
   skb_meta_line_ = machine_.mem().AllocLines(node, 1);
@@ -35,9 +44,8 @@ Task<> SharedKernelLoopback::Send(int core, net::Packet packet) {
   // Trap into the kernel, run the protocol stack, allocate an skb.
   co_await machine_.Syscall(core);
   co_await machine_.Compute(
-      core, costs_.stack_out + costs_.skb_alloc +
-                static_cast<Cycles>(static_cast<double>(packet.size()) *
-                                    costs_.per_byte_copy));
+      core, kStackOut + kSkbAlloc +
+                static_cast<Cycles>(static_cast<double>(packet.size()) * kPerByteCopy));
   co_await LockQueue(core);
   // skb allocation touches the shared freelist; socket accounting too.
   co_await machine_.mem().Write(core, skb_meta_line_);
@@ -73,8 +81,8 @@ Task<net::Packet> SharedKernelLoopback::Recv(int core) {
   co_await machine_.mem().Write(core, meta_line_);
   co_await UnlockQueue(core);
   co_await machine_.Compute(
-      core, costs_.stack_in + static_cast<Cycles>(static_cast<double>(packet.size()) *
-                                                  costs_.per_byte_copy));
+      core, kStackIn + static_cast<Cycles>(static_cast<double>(packet.size()) *
+                                           kPerByteCopy));
   co_return packet;
 }
 

@@ -25,17 +25,9 @@ namespace mk::baseline {
 using sim::Cycles;
 using sim::Task;
 
-struct LoopbackCosts {
-  Cycles stack_in = 2600;   // same protocol work as the user-space stack
-  Cycles stack_out = 2200;
-  Cycles skb_alloc = 450;   // kernel buffer management per packet
-  double per_byte_copy = 0.5;  // each user<->kernel copy, per byte
-};
-
 class SharedKernelLoopback {
  public:
-  SharedKernelLoopback(hw::Machine& machine, int node = 0,
-                       LoopbackCosts costs = LoopbackCosts());
+  explicit SharedKernelLoopback(hw::Machine& machine, int node = 0);
 
   // Sender side: syscall, lock, copy into the kernel buffer, enqueue.
   Task<> Send(int core, net::Packet packet);
@@ -50,7 +42,6 @@ class SharedKernelLoopback {
   Task<> UnlockQueue(int core);
 
   hw::Machine& machine_;
-  LoopbackCosts costs_;
   sim::Addr lock_line_;
   sim::Addr meta_line_;      // head/tail indices
   sim::Addr skb_meta_line_;  // sk_buff freelist/accounting

@@ -3,13 +3,16 @@
 #include <utility>
 
 namespace mk::cluster {
+namespace {
+
+// Per-frame switching work, charged on the forwarding core.
+constexpr sim::Cycles kForwardCost = 300;
+
+}  // namespace
 
 DcFabric::DcFabric(sim::ParallelEngine& engine, int switch_domain,
-                   hw::Machine& switch_machine, sim::Cycles forward_cost)
-    : engine_(engine),
-      switch_domain_(switch_domain),
-      machine_(switch_machine),
-      forward_cost_(forward_cost) {}
+                   hw::Machine& switch_machine)
+    : engine_(engine), switch_domain_(switch_domain), machine_(switch_machine) {}
 
 int DcFabric::AddPort(int remote_domain, net::SimNic& remote_nic, double gbps,
                       sim::Cycles latency, int queues) {
@@ -53,7 +56,7 @@ void DcFabric::Start() {
     for (int q = 0; q < port->sw_nic->num_queues(); ++q) {
       const int core = port->cores[static_cast<std::size_t>(q)];
       machine_.exec().Spawn(port->sw_nic->ServeRx(
-          core, q, forward_cost_, [this, core, q](net::Packet frame) {
+          core, q, kForwardCost, [this, core, q](net::Packet frame) {
             return Forward(std::move(frame), core, q);
           }));
     }

@@ -56,10 +56,9 @@ namespace mk::cluster {
 class DcFabric {
  public:
   // The switch lives in `switch_domain` on `switch_machine` (whose executor
-  // must be that domain's). `forward_cost` is the per-frame switching work
-  // charged on the handling core.
+  // must be that domain's).
   DcFabric(sim::ParallelEngine& engine, int switch_domain,
-           hw::Machine& switch_machine, sim::Cycles forward_cost = 300);
+           hw::Machine& switch_machine);
 
   // Wires `remote_nic` (living in engine domain `remote_domain`) to a new
   // switch port: builds the switch-side NIC paced at `gbps` with `queues`
@@ -104,7 +103,6 @@ class DcFabric {
   sim::ParallelEngine& engine_;
   int switch_domain_;
   hw::Machine& machine_;
-  sim::Cycles forward_cost_;
   int next_core_ = 0;  // round-robin forwarding-core assignment
   std::vector<std::unique_ptr<Port>> ports_;
   std::map<net::MacAddr, int> routes_;

@@ -116,11 +116,11 @@ sim::Task<> ClusterMembership::RecvLoop() {
 sim::Task<> ClusterMembership::SweepLoop(sim::Cycles horizon) {
   sim::Executor& exec = machine_.exec();
   while (exec.now() < horizon) {
-    co_await exec.Delay(opts_.sweep_period);
+    co_await exec.Delay(kSweepPeriod);
     const sim::Cycles now = exec.now();
     for (int i = 0; i < opts_.backends; ++i) {
       Backend& b = backends_[static_cast<std::size_t>(i)];
-      if (b.alive && now > b.last_heard + opts_.heartbeat_timeout) {
+      if (b.alive && now > b.last_heard + kHeartbeatTimeout) {
         b.alive = false;
         view_.epoch += 1;
         view_.live[static_cast<std::size_t>(i)] = false;
@@ -135,8 +135,7 @@ sim::Task<> ClusterMembership::SweepLoop(sim::Cycles horizon) {
 sim::Task<> RunHeartbeatSender(hw::Machine& machine, int core,
                                net::NetStack& stack, int id,
                                std::uint32_t incarnation, net::Ipv4Addr dst_ip,
-                               std::uint16_t dst_port, sim::Cycles period,
-                               sim::Cycles horizon) {
+                               std::uint16_t dst_port, sim::Cycles horizon) {
   sim::Executor& exec = machine.exec();
   std::uint64_t seq = 0;
   while (exec.now() < horizon) {
@@ -146,7 +145,7 @@ sim::Task<> RunHeartbeatSender(hw::Machine& machine, int core,
     co_await stack.UdpSendTo(dst_port, dst_ip, dst_port,
                              EncodeHeartbeat(static_cast<std::uint32_t>(id),
                                              incarnation, ++seq));
-    co_await exec.Delay(period);
+    co_await exec.Delay(ClusterMembership::kHeartbeatPeriod);
   }
 }
 

@@ -7,7 +7,7 @@
 // sender (RunHeartbeatSender) that periodically sends a small UDP datagram
 // [id, incarnation, seq] to the balancer machine; ClusterMembership, living
 // on the balancer, receives them and runs a timeout sweep. A backend that
-// misses `heartbeat_timeout` worth of beats is declared dead in an
+// misses kHeartbeatTimeout worth of beats is declared dead in an
 // epoch-numbered view change, and subscribers (the L4 steering tier) are
 // notified in order.
 //
@@ -45,11 +45,15 @@ bool DecodeHeartbeat(const std::vector<std::uint8_t>& payload, std::uint32_t* id
 
 class ClusterMembership {
  public:
+  // Every backend's RunHeartbeatSender beats this often.
+  static constexpr sim::Cycles kHeartbeatPeriod = 100'000;
+  // Declared dead after this long without an accepted beat.
+  static constexpr sim::Cycles kHeartbeatTimeout = 400'000;
+  // How often the sweep looks for backends past the timeout.
+  static constexpr sim::Cycles kSweepPeriod = 100'000;
+
   struct Options {
     int backends = 0;
-    // Declared dead after this long without an accepted beat.
-    sim::Cycles heartbeat_timeout = 400'000;
-    sim::Cycles sweep_period = 100'000;
     std::uint16_t port = 7100;  // UDP port the receive loop binds
   };
 
@@ -102,17 +106,17 @@ class ClusterMembership {
   std::uint64_t stale_dropped_ = 0;
 };
 
-// Heartbeat source for one backend machine: every `period` cycles (until the
-// simulated `horizon`) sends [id, incarnation, seq++] from `stack` to the
-// membership service at `dst_ip`:`dst_port`. Checks hw::Machine::Halted on
+// Heartbeat source for one backend machine: every
+// ClusterMembership::kHeartbeatPeriod cycles (until the simulated `horizon`)
+// sends [id, incarnation, seq++] from `stack` to the membership service at
+// `dst_ip`:`dst_port`. Checks hw::Machine::Halted on
 // `core` each round, so a machine-scoped kill silences the machine's beats
 // exactly as a real fail-stop would (and the halt spec records an
 // activation). Spawn on the backend machine's executor.
 sim::Task<> RunHeartbeatSender(hw::Machine& machine, int core,
                                net::NetStack& stack, int id,
                                std::uint32_t incarnation, net::Ipv4Addr dst_ip,
-                               std::uint16_t dst_port, sim::Cycles period,
-                               sim::Cycles horizon);
+                               std::uint16_t dst_port, sim::Cycles horizon);
 
 }  // namespace mk::cluster
 

@@ -8,7 +8,6 @@ namespace {
 constexpr sim::Cycles kPortLatency = 10'000;  // ~3.3 us switch hop = the lookahead
 constexpr double kBackendGbps = 10.0;
 constexpr double kUplinkGbps = 40.0;  // client and balancer ports
-constexpr sim::Cycles kSwitchForwardCost = 300;
 // Forwarding loops (RSS-steered RX rings) per switch port. A frame pop reads
 // the whole payload through the coherence model (~23 lines for a full data
 // frame), so payload-bearing ports need the copy cost spread over several
@@ -18,8 +17,6 @@ constexpr sim::Cycles kSwitchForwardCost = 300;
 // worth.
 constexpr int kSwitchPortQueues = 2;
 constexpr int kUplinkPortQueues = 4;
-constexpr sim::Cycles kHeartbeatPeriod = 100'000;
-constexpr sim::Cycles kHeartbeatTimeout = 400'000;
 constexpr std::uint16_t kHeartbeatPort = 7100;
 
 }  // namespace
@@ -45,8 +42,7 @@ ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
         engine_->domain(BackendDomain(b)), opts_.backend_spec));
   }
 
-  fabric_ = std::make_unique<DcFabric>(*engine_, kSwitchDomain, switch_machine(),
-                                       kSwitchForwardCost);
+  fabric_ = std::make_unique<DcFabric>(*engine_, kSwitchDomain, switch_machine());
 
   const sim::Cycles irq_wire = switch_machine().cost().ipi_wire;
 
@@ -127,7 +123,6 @@ ClusterTopology::ClusterTopology(Options opts) : opts_(std::move(opts)) {
 
   ClusterMembership::Options mem_opts;
   mem_opts.backends = opts_.backends;
-  mem_opts.heartbeat_timeout = kHeartbeatTimeout;
   mem_opts.port = kHeartbeatPort;
   membership_ = std::make_unique<ClusterMembership>(balancer_machine(),
                                                     *balancer_stack_, mem_opts);
@@ -163,8 +158,7 @@ void ClusterTopology::Start(sim::Cycles horizon) {
     engine_->domain(BackendDomain(b))
         .Spawn(RunHeartbeatSender(backend_machine(b), kBackendMgmtCore,
                                   backend_mgmt_stack(b), b, /*incarnation=*/1,
-                                  kBalancerIp, kHeartbeatPort,
-                                  kHeartbeatPeriod, horizon));
+                                  kBalancerIp, kHeartbeatPort, horizon));
   }
 }
 

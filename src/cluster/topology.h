@@ -20,11 +20,12 @@
 //                       heartbeats
 //
 // All NICs are wired to switch ports; the port wire latency (kPortLatency)
-// is the engine's conservative lookahead. The link rates, switch costs and
-// heartbeat timing are fixed constants in topology.cc. "Machine" in fault
-// plans (FaultSpec::machine, HaltMachine) is exactly the engine domain id,
-// so killing backend b means HaltMachine(ClusterTopology::BackendDomain(b),
-// at).
+// is the engine's conservative lookahead. The link rates and port queue
+// counts are fixed constants in topology.cc; the switch's forwarding cost
+// is DcFabric's, and the heartbeat timing ClusterMembership's. "Machine" in
+// fault plans (FaultSpec::machine, HaltMachine) is exactly the engine domain
+// id, so killing backend b means
+// HaltMachine(ClusterTopology::BackendDomain(b), at).
 //
 // Addressing: clients reach the service at the VIP, ARP-resolved to the
 // balancer MAC; backend shard stacks all bind the VIP and their machine's

@@ -5,6 +5,14 @@
 namespace mk::monitor {
 namespace {
 
+// How long a 2PC/collective initiator waits for a phase's acks before
+// presuming abort. Comfortably exceeds the slowest observed collective on
+// the modeled machines.
+constexpr Cycles kPhaseTimeout = 500'000;
+// 2PC conflict-retry budget: rounds of prepare/abort an initiator plays
+// before reporting kRetriesExhausted.
+constexpr int kMaxAttempts = 12;
+
 // Shootdown-wave flow id: one arrow per (op, replica core). op_ids embed the
 // initiator core in the top 16 bits, so the low 16 of the serial part plus
 // the source core keep concurrent initiators' waves distinct.
@@ -357,7 +365,7 @@ Task<Monitor::CollectiveResult> Monitor::RunCollective(OpMsg msg) {
   // answer: presume abort, detect the dead core(s), and exclude them from
   // subsequent rounds.
   const bool timed_out =
-      !co_await done.WaitTimeout(recover::Bound(recover::Config().phase_timeout));
+      !co_await done.WaitTimeout(recover::Bound(kPhaseTimeout));
   CollectiveResult result;
   result.latency = m.exec().now() - t0;
   if (timed_out) {
@@ -438,8 +446,7 @@ Task<Monitor::TwoPcResult> Monitor::TwoPhase(OpMsg msg) {
   // A phase timeout (dead participant, fault injection) counts as retryable:
   // the timed-out round excluded the dead cores, so the next attempt can
   // commit among the survivors.
-  const int max_attempts = recover::Config().max_attempts;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     ++result.attempts;
     msg.kind = OpKind::kPrepare;
     const Cycles prep_start = m.exec().now();
@@ -508,7 +515,7 @@ Task<caps::CapErr> Monitor::SendCap(int dest_core, caps::CapId id) {
   ops_[msg.op_id] = st;
   co_await sys_.GetChannel(core_, dest_core, -1).Send(urpc::Pack(kTagOp, msg));
   // The destination may be dead; bound the wait and report it distinctly.
-  if (!co_await done.WaitTimeout(recover::Bound(recover::Config().phase_timeout))) {
+  if (!co_await done.WaitTimeout(recover::Bound(kPhaseTimeout))) {
     ops_.erase(msg.op_id);
     sys_.ExcludeHaltedCores();
     co_return caps::CapErr::kTimeout;
@@ -548,7 +555,7 @@ void MonitorSystem::Boot() {
 
 Task<> MonitorSystem::HeartbeatLoop() {
   while (running_) {
-    co_await machine_.exec().Delay(recover::Config().heartbeat_period);
+    co_await machine_.exec().Delay(kHeartbeatPeriod);
     if (!running_) {
       break;
     }

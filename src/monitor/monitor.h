@@ -43,9 +43,12 @@ namespace mk::monitor {
 using sim::Cycles;
 using sim::Task;
 
-// Recovery timing (phase timeout, heartbeat period, 2PC retry budget) lives
-// in recover::RecoveryConfig — see src/recover/config.h. Phase waits are
-// bounded by recover::Bound, so they are unbounded unless recovery is armed.
+// How often non-initiating monitors sweep for dead peers (and how often the
+// membership service can first observe an exclusion). The sweep runs only
+// while recovery is armed. The phase timeout and the 2PC retry budget
+// (kPhaseTimeout, kMaxAttempts) live in monitor.cc; phase waits are bounded
+// by recover::Bound, so they are unbounded unless recovery is armed.
+constexpr Cycles kHeartbeatPeriod = 50'000;
 
 class MonitorSystem;
 

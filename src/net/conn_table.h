@@ -41,13 +41,7 @@ constexpr std::uint64_t ConnKey(std::uint32_t remote_ip, std::uint16_t remote_po
 template <typename Conn>
 class ConnTable {
  public:
-  explicit ConnTable(std::size_t initial_capacity = 1024) {
-    std::size_t cap = 16;
-    while (cap < initial_capacity) {
-      cap <<= 1;
-    }
-    slots_.resize(cap);
-  }
+  ConnTable() { slots_.resize(kInitialSlots); }
   ConnTable(const ConnTable&) = delete;
   ConnTable& operator=(const ConnTable&) = delete;
 
@@ -162,6 +156,8 @@ class ConnTable {
     State state = State::kEmpty;
   };
   static constexpr std::size_t kNpos = ~std::size_t{0};
+  // The first size class; MaybeGrow doubles from here.
+  static constexpr std::size_t kInitialSlots = 1024;
 
   // splitmix64 finalizer: full-avalanche 64-bit mix, cheap and fixed.
   static std::uint64_t Mix(std::uint64_t x) {

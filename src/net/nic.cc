@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "fault/fault.h"
 
@@ -30,6 +31,10 @@ std::uint64_t TxFlow(int queue, std::uint64_t seq) {
 
 SimNic::SimNic(hw::Machine& machine, Config config)
     : machine_(machine), config_(config), wire_out_ready_(machine.exec()) {
+  if (!config_.irq_cores.empty() &&
+      config_.irq_cores.size() != static_cast<std::size_t>(config_.queues)) {
+    throw std::invalid_argument("SimNic: irq_cores must name one core per queue");
+  }
   auto descs = static_cast<std::uint64_t>(config_.rx_descs);
   queues_.reserve(static_cast<std::size_t>(config_.queues));
   for (int q = 0; q < config_.queues; ++q) {
@@ -43,9 +48,9 @@ SimNic::SimNic(hw::Machine& machine, Config config)
         machine_.mem().AllocLines(config_.node, descs * kBufBytes / sim::kCacheLineBytes);
     queue->tx_buf_region =
         machine_.mem().AllocLines(config_.node, descs * kBufBytes / sim::kCacheLineBytes);
-    queue->irq_core = q < static_cast<int>(config_.irq_cores.size())
-                          ? config_.irq_cores[static_cast<std::size_t>(q)]
-                          : config_.irq_core;
+    if (!config_.irq_cores.empty()) {
+      queue->irq_core = config_.irq_cores[static_cast<std::size_t>(q)];
+    }
     queues_.push_back(std::move(queue));
   }
   // Identity RETA: reta_[hash % slots] == hash % queues when slots == queues,

@@ -35,7 +35,6 @@ class SimNic {
     int tx_descs = 256;  // per TX queue
     double gbps = 1.0;   // line rate (shared by all queues: one wire)
     int node = 0;        // NUMA node of rings and buffers
-    int irq_core = 0;    // where queue 0's interrupts go (single-queue compat)
 
     // --- Multi-queue (82576-class) ---
     int queues = 1;  // RX/TX queue pairs; flows steered by RSS over 4-tuples
@@ -47,8 +46,9 @@ class SimNic {
     // from `hash % q` for non-power-of-2 q). Failover reprograms entries at
     // runtime to move a dead queue's flows onto survivors.
     int reta_slots = 0;
-    // Per-queue interrupt routing; empty means every queue -> irq_core,
-    // shorter than `queues` falls back to irq_core for the tail.
+    // Per-queue interrupt routing: queue q's interrupts go to irq_cores[q].
+    // Empty sends every queue to core 0; any other list must name one core
+    // per queue, or the constructor throws std::invalid_argument.
     std::vector<int> irq_cores;
     // MSI-style delivery delay between the frame landing in the ring and the
     // IRQ reaching its core (the same fabric hop an IPI pays). 0 = the IRQ is

@@ -1,4 +1,5 @@
-// Synchronization primitives for simulated tasks: Event, Semaphore, Mailbox.
+// Synchronization primitives for simulated tasks: Event, Semaphore and
+// FifoResource.
 //
 // These are *simulation-level* primitives (they cost zero simulated cycles to
 // use); they model control-flow coupling inside one simulated component.
@@ -230,47 +231,6 @@ class Semaphore {
   Executor& exec_;
   std::size_t count_;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-// An unbounded single-consumer mailbox carrying values of type T. Used for
-// zero-cost intra-component queues (e.g. a CPU driver's pending-trap queue).
-template <typename T>
-class Mailbox {
- public:
-  explicit Mailbox(Executor& exec) : exec_(exec), ready_(exec) {}
-  Mailbox(const Mailbox&) = delete;
-  Mailbox& operator=(const Mailbox&) = delete;
-
-  void Send(T value) {
-    items_.push_back(std::move(value));
-    ready_.SignalOne();
-  }
-
-  Task<T> Recv() {
-    while (items_.empty()) {
-      co_await ready_.Wait();
-    }
-    T value = std::move(items_.front());
-    items_.pop_front();
-    co_return value;
-  }
-
-  bool TryRecv(T* out) {
-    if (items_.empty()) {
-      return false;
-    }
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  bool empty() const { return items_.empty(); }
-  std::size_t size() const { return items_.size(); }
-
- private:
-  Executor& exec_;
-  Event ready_;
-  std::deque<T> items_;
 };
 
 // A serially-occupied resource (a memory controller, an interconnect link, a

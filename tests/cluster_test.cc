@@ -31,7 +31,7 @@ using sim::Task;
 net::SimNic::Config HostNicConfig() {
   net::SimNic::Config cfg;
   cfg.gbps = 100.0;
-  cfg.irq_core = 0;
+  cfg.irq_cores = {0};
   return cfg;
 }
 
@@ -100,11 +100,7 @@ struct SteerWorld {
         nic(machine, HostNicConfig()),
         stack(machine, 0, cluster::ClusterTopology::kBalancerIp,
               cluster::ClusterTopology::BalancerMac(), net::StackCosts{}),
-        membership(machine, stack,
-                   {.backends = backends,
-                    .heartbeat_timeout = 400'000,
-                    .sweep_period = 100'000,
-                    .port = 7100}) {
+        membership(machine, stack, {.backends = backends, .port = 7100}) {
     std::vector<net::MacAddr> macs;
     for (int b = 0; b < backends; ++b) {
       macs.push_back(cluster::ClusterTopology::BackendMac(b));

@@ -31,7 +31,7 @@ net::SimNic::Config WireNicConfig() {
   // 100 Gb/s on a 2.8 GHz machine truncates to 0 cycles/byte, so pacing adds
   // nothing and arrival times are pure wire latency.
   cfg.gbps = 100.0;
-  cfg.irq_core = kCore;
+  cfg.irq_cores = {kCore};
   return cfg;
 }
 

@@ -784,7 +784,7 @@ TEST(TwoPcRecovery, HeartbeatDetectsHaltWithoutAnInitiator) {
   MonitorFixture f;
   f.exec.Spawn([](MonitorFixture& fx) -> Task<> {
     // Nobody initiates anything; only the heartbeat sweep is running.
-    co_await fx.exec.Delay(recover::Config().heartbeat_period * 3);
+    co_await fx.exec.Delay(monitor::kHeartbeatPeriod * 3);
     EXPECT_TRUE(fx.sys.CoreFailed(13));
     EXPECT_FALSE(fx.sys.IsOnline(13));
     fx.sys.Shutdown();

@@ -3,6 +3,7 @@
 // baseline.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -625,7 +626,6 @@ TEST(Nic, PerQueueIrqRoutingAndMasking) {
   NicFixture f;
   SimNic::Config cfg;
   cfg.queues = 2;
-  cfg.irq_core = 1;
   cfg.irq_cores = {2, 5};
   SimNic nic(f.machine, cfg);
   EXPECT_EQ(nic.irq_core(0), 2);
@@ -655,6 +655,31 @@ TEST(Nic, PerQueueIrqRoutingAndMasking) {
   EXPECT_TRUE(irq0);
   EXPECT_FALSE(irq1);
   EXPECT_TRUE(nic.RxReady(1));  // the frame is in the ring, silently
+}
+
+TEST(Nic, IrqCoresMustNameOneCorePerQueue) {
+  NicFixture f;
+  SimNic::Config cfg;
+  cfg.queues = 4;
+  cfg.irq_cores = {2, 5};  // too short: no core for queues 2 and 3
+  EXPECT_THROW(SimNic(f.machine, cfg), std::invalid_argument);
+  cfg.irq_cores = {1, 2, 3, 4, 5};  // too long
+  EXPECT_THROW(SimNic(f.machine, cfg), std::invalid_argument);
+  cfg.queues = 1;
+  cfg.irq_cores = {1, 2};
+  EXPECT_THROW(SimNic(f.machine, cfg), std::invalid_argument);
+  cfg.irq_cores = {3};
+  EXPECT_EQ(SimNic(f.machine, cfg).irq_core(0), 3);
+}
+
+TEST(Nic, EmptyIrqCoresRouteEveryQueueToCoreZero) {
+  NicFixture f;
+  SimNic::Config cfg;
+  cfg.queues = 4;
+  SimNic nic(f.machine, cfg);
+  for (int q = 0; q < nic.num_queues(); ++q) {
+    EXPECT_EQ(nic.irq_core(q), 0) << "queue " << q;
+  }
 }
 
 TEST(Nic, IrqLatencyDelaysDelivery) {

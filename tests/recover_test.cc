@@ -58,13 +58,13 @@ TEST(RecoveryConfig, ScopedOverrideRestoresOnExitAndNests) {
     EXPECT_EQ(recover::Config().tcp_max_retx, 4);
     {
       recover::RecoveryConfig inner = recover::Config();
-      inner.heartbeat_period = 10'000;
+      inner.tcp_max_retx = 2;
       recover::ScopedRecoveryConfig si(inner);
-      EXPECT_EQ(recover::Config().heartbeat_period, 10'000u);
+      EXPECT_EQ(recover::Config().tcp_max_retx, 2);
       EXPECT_EQ(recover::Config().tcp_rto, 1'000'000u);  // outer still applies
     }
     // Inner scope restored the outer values, not the defaults.
-    EXPECT_NE(recover::Config().heartbeat_period, 10'000u);
+    EXPECT_EQ(recover::Config().tcp_max_retx, 4);
     EXPECT_EQ(recover::Config().tcp_rto, 1'000'000u);
   }
   EXPECT_EQ(recover::Config().tcp_rto, default_rto);
@@ -222,7 +222,7 @@ TEST(Membership, InitialViewReflectsBootedCoresAtEpochOne) {
   EXPECT_EQ(svc.view().NumLive(), f.machine.num_cores());
   EXPECT_EQ(svc.view_changes_committed(), 0u);
   f.exec.Spawn([](MonitorFixture& fx) -> Task<> {
-    co_await fx.exec.Delay(recover::Config().heartbeat_period * 3);
+    co_await fx.exec.Delay(monitor::kHeartbeatPeriod * 3);
     fx.sys.Shutdown();
   }(f));
   f.exec.Run();
@@ -253,7 +253,7 @@ TEST(Membership, HeartbeatExclusionCommitsAViewChangeAndNotifiesInOrder) {
     co_return;
   });
   f.exec.Spawn([](MonitorFixture& fx) -> Task<> {
-    co_await fx.exec.Delay(recover::Config().heartbeat_period * 6);
+    co_await fx.exec.Delay(monitor::kHeartbeatPeriod * 6);
     fx.sys.Shutdown();
   }(f));
   f.exec.Run();
@@ -285,7 +285,7 @@ TEST(Membership, ConcurrentExclusionsCommitDistinctEpochsSerially) {
     co_return;
   });
   f.exec.Spawn([](MonitorFixture& fx) -> Task<> {
-    co_await fx.exec.Delay(recover::Config().heartbeat_period * 8);
+    co_await fx.exec.Delay(monitor::kHeartbeatPeriod * 8);
     fx.sys.Shutdown();
   }(f));
   f.exec.Run();

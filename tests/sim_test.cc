@@ -336,34 +336,6 @@ TEST(Semaphore, LimitsConcurrencyFifo) {
   EXPECT_EQ(exec.now(), 30u);  // fully serialized
 }
 
-TEST(Mailbox, DeliversInOrderAndBlocksWhenEmpty) {
-  Executor exec;
-  Mailbox<int> box(exec);
-  std::vector<int> got;
-  exec.Spawn([](Mailbox<int>& b, std::vector<int>& out) -> Task<> {
-    for (int i = 0; i < 3; ++i) {
-      out.push_back(co_await b.Recv());
-    }
-  }(box, got));
-  exec.CallAt(5, [&] { box.Send(1); });
-  exec.CallAt(6, [&] {
-    box.Send(2);
-    box.Send(3);
-  });
-  exec.Run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Mailbox, TryRecvDoesNotBlock) {
-  Executor exec;
-  Mailbox<int> box(exec);
-  int v = 0;
-  EXPECT_FALSE(box.TryRecv(&v));
-  box.Send(9);
-  EXPECT_TRUE(box.TryRecv(&v));
-  EXPECT_EQ(v, 9);
-}
-
 TEST(FifoResource, QueuesArrivalsFifo) {
   FifoResource r;
   EXPECT_EQ(r.ReserveAt(0, 10), 10u);
