@@ -1,13 +1,11 @@
 // Distributed services demo: the multikernel as a distributed system.
 //
-//  1. The SKB's Datalog subset derives interconnect reachability from
-//     discovered facts (section 4.9).
-//  2. A typed service is exported through the name service and called from
+//  1. A typed service is exported through the name service and called from
 //     another core over a monitor-established URPC binding (section 4.6).
-//  3. A replicated in-memory file system (section 7's future-work direction):
+//  2. A replicated in-memory file system (section 7's future-work direction):
 //     reads are replica-local, writes are sequenced and propagated with a
 //     one-phase-commit collective.
-//  4. Core hotplug (section 3.3): a core powers down, global state moves on
+//  3. Core hotplug (section 3.3): a core powers down, global state moves on
 //     without it, and the returning core catches up by state transfer.
 //
 // Build & run:  ./build/examples/distributed_services
@@ -23,7 +21,6 @@
 #include "kernel/cpu_driver.h"
 #include "monitor/monitor.h"
 #include "sim/executor.h"
-#include "skb/datalog.h"
 #include "skb/skb.h"
 
 using namespace mk;
@@ -43,19 +40,8 @@ std::vector<std::uint8_t> Bytes(const std::string& s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
-Task<> Demo(hw::Machine& machine, skb::Skb& skb, monitor::MonitorSystem& sys,
-            idc::NameService& names, idc::Service<TimeReq, TimeResp>& clock_svc,
-            fs::ReplicatedFs& rfs) {
-  // --- Datalog over the SKB ---
-  skb::Datalog dl(skb.facts());
-  dl.AddRuleText("conn(X, Y) :- link(X, Y).");
-  dl.AddRuleText("conn(X, Y) :- link(Y, X).");
-  dl.AddRuleText("reach(X, Y) :- conn(X, Y).");
-  dl.AddRuleText("reach(X, Z) :- reach(X, Y), conn(Y, Z).");
-  std::size_t derived = dl.Evaluate();
-  std::printf("datalog: derived %zu connectivity facts; pkg0 reaches pkg7: %s\n", derived,
-              skb.facts().Query("reach", {0, 7}).empty() ? "no" : "yes");
-
+Task<> Demo(hw::Machine& machine, monitor::MonitorSystem& sys, idc::NameService& names,
+            idc::Service<TimeReq, TimeResp>& clock_svc, fs::ReplicatedFs& rfs) {
   // --- Typed service via the name service ---
   std::map<std::string, std::string> props = {{"class", "clock"}};
   co_await clock_svc.Export(std::move(props));
@@ -106,7 +92,7 @@ int main() {
       });
   fs::ReplicatedFs rfs(sys);
   exec.Spawn(clock_svc.Serve());
-  exec.Spawn(Demo(machine, skb, sys, names, clock_svc, rfs));
+  exec.Spawn(Demo(machine, sys, names, clock_svc, rfs));
   exec.Run();
   std::printf("done at simulated time %llu cycles\n",
               static_cast<unsigned long long>(exec.now()));

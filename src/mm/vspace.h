@@ -1,13 +1,14 @@
 // Virtual address spaces: x86-64-style 4-level page tables manipulated by
 // user-level code through capabilities (section 4.7).
 //
-// To map memory, a user task retypes RAM capabilities into page-table
-// capabilities (storage for table nodes) and frame capabilities (the memory
-// to map); the CPU driver's sole role is checking those capabilities. A
-// VSpace may be shared by dispatchers on several cores; each core's TLB
-// caches translations, and any mapping removal or rights reduction must run a
-// TLB shootdown before it is complete — the monitors drive that (section 5.1)
-// through the OnShootdown hook.
+// To map memory, a user task retypes RAM capabilities into frame capabilities
+// (the memory to map); the CPU driver's sole role is checking those
+// capabilities. (Barrelfish also backs page-table nodes with PageTable
+// capabilities; here the nodes are created on demand.) A VSpace may be shared
+// by dispatchers on several cores; each core's TLB caches translations, and
+// any mapping removal or rights reduction must run a TLB shootdown before it
+// is complete — the monitors drive that (section 5.1) through the hook that
+// SetShootdownHook installs.
 #ifndef MK_MM_VSPACE_H_
 #define MK_MM_VSPACE_H_
 
@@ -61,8 +62,8 @@ class VSpace {
   VSpace(hw::Machine& machine, caps::CapDb& caps, std::vector<int> cores);
 
   // Maps `frame_cap` (a Frame capability) at [vaddr, vaddr+frame.bytes).
-  // Page-table nodes are allocated transparently from `pt_cap` storage (a
-  // PageTable capability); its size bounds how many nodes may be created.
+  // Missing page-table nodes are created on demand (counted by
+  // table_nodes()); no PageTable capability backs or bounds them.
   MapErr Map(caps::CapId frame_cap, std::uint64_t vaddr, Perms perms);
 
   // Removes the mapping at [vaddr, vaddr+bytes). Collects the affected cores

@@ -180,55 +180,4 @@ MulticastRoute Skb::BuildMulticastRoute(int source, bool numa_aware) const {
   return route;
 }
 
-std::vector<int> Skb::UnicastOrder(int source, bool farthest_first) const {
-  std::vector<int> order;
-  for (int c = 0; c < machine_.topo().num_cores(); ++c) {
-    if (c != source) {
-      order.push_back(c);
-    }
-  }
-  if (farthest_first) {
-    std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
-      return UrpcLatency(source, x) > UrpcLatency(source, y);
-    });
-  }
-  return order;
-}
-
-int Skb::PlaceDriver(int device_package) const {
-  const hw::Topology& topo = machine_.topo();
-  // Least-loaded core in the device's package; load facts: load(core, n).
-  int best = device_package * topo.cores_per_package();
-  std::int64_t best_load = INT64_MAX;
-  for (int c : topo.CoresOf(device_package)) {
-    std::int64_t load = 0;
-    auto rows = facts_.Query("load", {c, FactStore::kWildcard});
-    if (!rows.empty()) {
-      load = rows.back()[1];
-    }
-    if (load < best_load) {
-      best_load = load;
-      best = c;
-    }
-  }
-  return best;
-}
-
-int Skb::BufferNode(int core_a, int core_b) const {
-  const hw::Topology& topo = machine_.topo();
-  int pa = topo.PackageOf(core_a);
-  int pb = topo.PackageOf(core_b);
-  // Cheapest combined reach; ties favor the receiver side (core_b fetches).
-  int best = pb;
-  int best_cost = INT32_MAX;
-  for (int p = 0; p < topo.num_packages(); ++p) {
-    int cost = topo.Hops(pa, p) + 2 * topo.Hops(pb, p);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = p;
-    }
-  }
-  return best;
-}
-
 }  // namespace mk::skb

@@ -6,10 +6,9 @@
 //      running probes over the simulated machine at boot),
 //   3. pre-asserted facts (quirks and board data that cannot be discovered).
 //
-// Queries over this repository drive policy: constructing the per-source
-// NUMA-aware multicast trees used for TLB shootdown (section 5.1), choosing
-// message transports, placing device drivers near their devices, and advising
-// NUMA-local buffer allocation.
+// Queries over this repository drive policy: the per-source NUMA-aware
+// multicast routes that the monitors' one- and two-phase-commit collectives
+// (TLB shootdown, capability retype) send along (section 5.1).
 #ifndef MK_SKB_SKB_H_
 #define MK_SKB_SKB_H_
 
@@ -96,18 +95,6 @@ class Skb {
   // package; if `numa_aware`, nodes are ordered by decreasing latency and the
   // route records each node's package for local buffer allocation.
   MulticastRoute BuildMulticastRoute(int source, bool numa_aware) const;
-
-  // All other cores ordered for unicast sends from `source` (NUMA-aware:
-  // farthest first).
-  std::vector<int> UnicastOrder(int source, bool farthest_first) const;
-
-  // Driver placement: the core closest to `device_package` currently marked
-  // least loaded (load facts default to 0).
-  int PlaceDriver(int device_package) const;
-
-  // NUMA advice: the package whose memory both cores reach cheapest (used for
-  // shared buffer placement).
-  int BufferNode(int core_a, int core_b) const;
 
  private:
   hw::Machine& machine_;

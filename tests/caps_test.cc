@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "caps/capability.h"
-#include "caps/cspace.h"
 
 namespace mk::caps {
 namespace {
@@ -206,62 +205,6 @@ TEST(CapTypes, TransferabilityMatrix) {
   EXPECT_FALSE(TransferableType(CapType::kPageTable));
   EXPECT_FALSE(TransferableType(CapType::kCNode));
   EXPECT_FALSE(TransferableType(CapType::kDispatcher));
-}
-
-TEST(CSpace, PutLookupDeleteInRoot) {
-  CapDb db;
-  CSpace cs(db);
-  CapId root = db.InstallRoot(0, kMiB);
-  EXPECT_EQ(cs.Lookup(CapPath::Of({3})), kNoCap);
-  EXPECT_EQ(cs.Put(CapPath::Of({3}), root), CapErr::kOk);
-  EXPECT_EQ(cs.Lookup(CapPath::Of({3})), root);
-  // Occupied slot refuses a second put.
-  EXPECT_EQ(cs.Put(CapPath::Of({3}), root), CapErr::kConflict);
-  // Out-of-range slot and bad cap are rejected.
-  EXPECT_EQ(cs.Put(CapPath::Of({9999}), root), CapErr::kBadRange);
-  EXPECT_EQ(cs.Put(CapPath::Of({4}), 777), CapErr::kBadCap);
-  EXPECT_EQ(cs.Delete(CapPath::Of({3})), CapErr::kOk);
-  EXPECT_EQ(cs.Lookup(CapPath::Of({3})), kNoCap);
-}
-
-TEST(CSpace, CopyAndMintTrackDerivation) {
-  CapDb db;
-  CSpace cs(db);
-  CapId root = db.InstallRoot(0, kMiB);
-  auto frame = db.Retype(root, CapType::kFrame, 4096, 1);
-  ASSERT_EQ(cs.Put(CapPath::Of({0}), frame.children[0]), CapErr::kOk);
-  ASSERT_EQ(cs.Copy(CapPath::Of({0}), CapPath::Of({1})), CapErr::kOk);
-  ASSERT_EQ(cs.Mint(CapPath::Of({0}), CapPath::Of({2}), Rights{true, false, false}),
-            CapErr::kOk);
-  CapId minted = cs.Lookup(CapPath::Of({2}));
-  ASSERT_NE(minted, kNoCap);
-  EXPECT_FALSE(db.Get(minted)->rights.write);
-  // Revoking the frame kills both derived slots (Lookup sees the death).
-  ASSERT_EQ(db.Revoke(frame.children[0]), CapErr::kOk);
-  EXPECT_EQ(cs.Lookup(CapPath::Of({1})), kNoCap);
-  EXPECT_EQ(cs.Lookup(CapPath::Of({2})), kNoCap);
-  EXPECT_NE(cs.Lookup(CapPath::Of({0})), kNoCap);  // the original survives
-}
-
-TEST(CSpace, NestedCNodeAddressing) {
-  CapDb db;
-  CSpace cs(db);
-  CapId root = db.InstallRoot(0, 16 * kMiB);
-  auto regions = db.Retype(root, CapType::kRam, kMiB, 3);
-  ASSERT_EQ(regions.err, CapErr::kOk);
-  // Build a second-level CNode at root slot 5, then store through it.
-  ASSERT_EQ(cs.MakeCNode(CapPath::Of({5}), regions.children[0], 64), CapErr::kOk);
-  auto frame = db.Retype(regions.children[1], CapType::kFrame, 4096, 1);
-  ASSERT_EQ(cs.Put(CapPath::Of({5, 7}), frame.children[0]), CapErr::kOk);
-  EXPECT_EQ(cs.Lookup(CapPath::Of({5, 7})), frame.children[0]);
-  EXPECT_EQ(cs.Lookup(CapPath::Of({5, 64})), kNoCap);   // out of range
-  EXPECT_EQ(cs.Lookup(CapPath::Of({6, 7})), kNoCap);    // no such child
-  // A third level nests the same way.
-  ASSERT_EQ(cs.MakeCNode(CapPath::Of({5, 8}), regions.children[2], 16), CapErr::kOk);
-  ASSERT_EQ(cs.Copy(CapPath::Of({5, 7}), CapPath::Of({5, 8, 3})), CapErr::kOk);
-  EXPECT_NE(cs.Lookup(CapPath::Of({5, 8, 3})), kNoCap);
-  // Occupied slot cannot take a CNode.
-  EXPECT_EQ(cs.MakeCNode(CapPath::Of({5}), regions.children[1], 8), CapErr::kConflict);
 }
 
 // Property sweep: retyping N frames then revoking restores the initial state

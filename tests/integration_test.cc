@@ -13,7 +13,6 @@
 #include "idc/name_service.h"
 #include "idc/service.h"
 #include "kernel/cpu_driver.h"
-#include "mm/buddy.h"
 #include "mm/vspace.h"
 #include "monitor/monitor.h"
 #include "sim/executor.h"
@@ -52,14 +51,11 @@ TEST(Integration, BootMeasuresLatenciesAndBuildsRoutes) {
 }
 
 TEST(Integration, UserLevelMemoryManagementLifecycle) {
-  // The full section 4.7 flow: RAM caps from a buddy-backed memory server,
+  // The full section 4.7 flow: a RAM cap for 1 MiB of physical memory,
   // two-phase retype agreement, map, touch from many cores, unmap with a
   // monitor-driven shootdown, revoke.
   System s;
-  mm::BuddyAllocator phys(0x40000000, 64 << 20);
-  auto region = phys.Alloc(1 << 20);
-  ASSERT_TRUE(region.has_value());
-  caps::CapId root = s.sys.InstallRootCap(*region, 1 << 20);
+  caps::CapId root = s.sys.InstallRootCap(0x40000000, 1 << 20);
 
   std::vector<int> all_cores;
   for (int c = 0; c < 32; ++c) {

@@ -1,95 +1,15 @@
-// Tests for memory management: buddy allocator and virtual address spaces.
+// Tests for memory management: virtual address spaces.
 #include <gtest/gtest.h>
 
 #include "hw/machine.h"
 #include "hw/platform.h"
-#include "mm/buddy.h"
 #include "mm/vspace.h"
 #include "sim/executor.h"
-#include "sim/random.h"
 
 namespace mk::mm {
 namespace {
 
 using sim::Task;
-
-TEST(Buddy, AllocatesAndFreesFullRange) {
-  BuddyAllocator b(0x10000, 1 << 20, 4096);
-  EXPECT_EQ(b.free_bytes(), 1u << 20);
-  auto a = b.Alloc(4096);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(*a % 4096, 0u);
-  EXPECT_EQ(b.free_bytes(), (1u << 20) - 4096);
-  b.Free(*a, 4096);
-  EXPECT_EQ(b.free_bytes(), 1u << 20);
-  EXPECT_EQ(b.LargestFree(), 1u << 20);  // buddies fully merged
-}
-
-TEST(Buddy, RoundsUpToPowerOfTwo) {
-  BuddyAllocator b(0, 1 << 20);
-  auto a = b.Alloc(5000);  // rounds to 8192
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(b.free_bytes(), (1u << 20) - 8192);
-  b.Free(*a, 5000);
-  EXPECT_EQ(b.free_bytes(), 1u << 20);
-}
-
-TEST(Buddy, ExhaustionReturnsNullopt) {
-  BuddyAllocator b(0, 16 * 4096);
-  std::vector<std::uint64_t> blocks;
-  for (int i = 0; i < 16; ++i) {
-    auto a = b.Alloc(4096);
-    ASSERT_TRUE(a.has_value());
-    blocks.push_back(*a);
-  }
-  EXPECT_FALSE(b.Alloc(4096).has_value());
-  // All blocks distinct.
-  std::sort(blocks.begin(), blocks.end());
-  EXPECT_EQ(std::unique(blocks.begin(), blocks.end()), blocks.end());
-}
-
-TEST(Buddy, SplitAndMergeSequence) {
-  BuddyAllocator b(0, 1 << 16);  // 64 KiB
-  auto big = b.Alloc(1 << 15);   // 32 KiB
-  auto small1 = b.Alloc(4096);
-  auto small2 = b.Alloc(4096);
-  ASSERT_TRUE(big && small1 && small2);
-  b.Free(*small1, 4096);
-  b.Free(*big, 1 << 15);
-  b.Free(*small2, 4096);
-  EXPECT_EQ(b.LargestFree(), 1u << 16);
-}
-
-TEST(Buddy, RejectsBadConstruction) {
-  EXPECT_THROW(BuddyAllocator(0, 5000, 4096), std::invalid_argument);   // not pow2
-  EXPECT_THROW(BuddyAllocator(100, 8192, 4096), std::invalid_argument); // misaligned
-}
-
-TEST(Buddy, RandomizedAllocFreeNeverLosesMemory) {
-  BuddyAllocator b(0, 1 << 20);
-  sim::Rng rng(99);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> held;
-  for (int step = 0; step < 2000; ++step) {
-    if (held.empty() || rng.Chance(0.6)) {
-      std::uint64_t bytes = 4096u << rng.Below(4);
-      auto a = b.Alloc(bytes);
-      if (a) {
-        held.emplace_back(*a, bytes);
-      }
-    } else {
-      auto idx = rng.Below(held.size());
-      b.Free(held[idx].first, held[idx].second);
-      held.erase(held.begin() + static_cast<std::ptrdiff_t>(idx));
-    }
-  }
-  for (auto [addr, bytes] : held) {
-    b.Free(addr, bytes);
-  }
-  EXPECT_EQ(b.free_bytes(), 1u << 20);
-  EXPECT_EQ(b.LargestFree(), 1u << 20);
-}
-
-// --- VSpace ---
 
 struct VsFixture {
   VsFixture() : machine(exec, hw::Amd4x4()) {

@@ -2,6 +2,10 @@
 // and route construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "sim/executor.h"
@@ -44,15 +48,48 @@ struct SkbFixture {
   Skb skb;
 };
 
+using Tuples = std::vector<std::vector<std::int64_t>>;
+
+Tuples Sorted(Tuples tuples) {
+  std::sort(tuples.begin(), tuples.end());
+  return tuples;
+}
+
 TEST(Skb, DiscoveryPopulatesTopologyFacts) {
-  SkbFixture f;
-  EXPECT_EQ(f.skb.facts().All("core").size(), 32u);
-  EXPECT_EQ(f.skb.facts().All("core_speed_milli").size(), 32u);
-  EXPECT_EQ(f.skb.facts().Query("core_speed_milli", {0, 1000}).size(), 1u);
-  EXPECT_EQ(f.skb.facts().All("package").size(), 8u);
-  EXPECT_FALSE(f.skb.facts().All("link").empty());
-  // shares_cache holds exactly for same-package pairs: 8 * C(4,2) = 48.
-  EXPECT_EQ(f.skb.facts().All("shares_cache").size(), 48u);
+  for (const hw::PlatformSpec& spec : hw::PaperPlatforms()) {
+    SCOPED_TRACE(spec.name);
+    sim::Executor exec;
+    hw::Machine machine(exec, spec);
+    Skb skb(machine);
+    skb.PopulateFromHardware();
+    const hw::Topology& topo = machine.topo();
+    const FactStore& facts = skb.facts();
+
+    EXPECT_EQ(facts.All("core").size(), static_cast<std::size_t>(spec.num_cores()));
+    EXPECT_EQ(facts.All("core_speed_milli").size(), static_cast<std::size_t>(spec.num_cores()));
+    EXPECT_EQ(facts.Query("core_speed_milli", {0, 1000}).size(), 1u);
+    EXPECT_EQ(facts.All("package").size(), static_cast<std::size_t>(spec.packages));
+
+    // Every directed interconnect link, each exactly once.
+    Tuples links;
+    for (auto [a, b] : topo.links()) {
+      links.push_back({a, b});
+    }
+    EXPECT_EQ(Sorted(facts.All("link")), Sorted(links));
+
+    // shares_cache holds exactly the pairs behind one shared cache: a package
+    // on the AMDs (8 * C(4,2) = 48 pairs on the 8x4), a die on the Intel.
+    Tuples shared;
+    for (int a = 0; a < spec.num_cores(); ++a) {
+      for (int b = a + 1; b < spec.num_cores(); ++b) {
+        if (topo.PackageOf(a) == topo.PackageOf(b) &&
+            (spec.shared_cache_per_package || topo.DieOf(a) == topo.DieOf(b))) {
+          shared.push_back({a, b});
+        }
+      }
+    }
+    EXPECT_EQ(Sorted(facts.All("shares_cache")), shared);
+  }
 }
 
 TEST(Skb, OnlineMeasurementAssertsLatencyFacts) {
@@ -117,31 +154,6 @@ TEST(Skb, NumaAwareRouteOrdersByDecreasingLatency) {
   }
   // The farthest package goes first and the source's own package last.
   EXPECT_EQ(route.nodes.back().leader, 0);
-}
-
-TEST(Skb, UnicastOrderFarthestFirst) {
-  SkbFixture f;
-  auto order = f.skb.UnicastOrder(0, /*farthest_first=*/true);
-  EXPECT_EQ(order.size(), 31u);
-  // No duplicates, source excluded.
-  EXPECT_EQ(std::count(order.begin(), order.end(), 0), 0);
-  EXPECT_GE(f.skb.UrpcLatency(0, order.front()), f.skb.UrpcLatency(0, order.back()));
-}
-
-TEST(Skb, PlaceDriverPrefersLeastLoadedCoreInDevicePackage) {
-  SkbFixture f;
-  EXPECT_EQ(f.skb.PlaceDriver(2), 8);  // first core of package 2 when unloaded
-  f.skb.facts().Assert("load", {8, 10});
-  f.skb.facts().Assert("load", {9, 1});
-  f.skb.facts().Assert("load", {10, 5});
-  f.skb.facts().Assert("load", {11, 5});
-  EXPECT_EQ(f.skb.PlaceDriver(2), 9);
-}
-
-TEST(Skb, BufferNodeFavorsReceiverLocality) {
-  SkbFixture f;
-  int node = f.skb.BufferNode(0, 9);  // sender core 0 (pkg 0), receiver pkg 2
-  EXPECT_EQ(node, 2);
 }
 
 }  // namespace
