@@ -1,12 +1,8 @@
 #include "apps/db.h"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <functional>
-#include <iterator>
 #include <numeric>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -55,10 +51,6 @@ class DbTokenizer {
       }
       return out;
     }
-    if ((c == '<' || c == '>' || c == '!') && pos + 1 < s.size() && s[pos + 1] == '=') {
-      pos += 2;
-      return std::string{c, '='};
-    }
     ++pos;
     return std::string(1, c);
   }
@@ -68,6 +60,20 @@ class DbTokenizer {
     std::string t = Next();
     pos = saved;
     return t;
+  }
+
+  // Accepts only the end of the statement, optionally after one ';'. Any
+  // other token is an extra clause the engine does not speak, so the whole
+  // statement is rejected rather than run without it.
+  std::optional<DbError> ExpectEnd() {
+    std::string t = Next();
+    if (t == ";") {
+      t = Next();
+    }
+    if (t.empty()) {
+      return std::nullopt;
+    }
+    return DbError{"trailing tokens: " + t};
   }
 
   // False when a string literal runs to the end of the statement without its
@@ -133,33 +139,6 @@ std::optional<DbValue> LiteralValue(const std::string& t) {
 template <typename Values>
 using ElementOf = typename std::remove_cvref_t<Values>::value_type;
 
-// Appends the index of every r with pred(values[r], lit) to `out`.
-template <typename T, typename Pred>
-void CollectMatches(const std::vector<T>& values, const T& lit, Pred pred,
-                    std::vector<std::size_t>* out) {
-  for (std::size_t r = 0; r < values.size(); ++r) {
-    if (pred(values[r], lit)) {
-      out->push_back(r);
-    }
-  }
-}
-
-// Drops every values[r] whose keep[r] is false; the rest keep their order.
-template <typename T>
-void Compact(std::vector<T>* values, const std::vector<bool>& keep) {
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < values->size(); ++r) {
-    if (!keep[r]) {
-      continue;
-    }
-    if (w != r) {
-      (*values)[w] = std::move((*values)[r]);
-    }
-    ++w;
-  }
-  values->resize(w);
-}
-
 }  // namespace
 
 std::string DbValueToString(const DbValue& v) {
@@ -185,17 +164,13 @@ std::vector<std::size_t> Database::Scan(const Table& table, const WhereClause& w
     std::iota(out.begin(), out.end(), std::size_t{0});
     return out;
   }
-  // The operator is picked once per statement; the loop runs typed.
   std::visit(
       [&where, &out](const auto& values) {
         const auto& lit = std::get<ElementOf<decltype(values)>>(where.val);
-        switch (where.op) {
-          case WhereOp::kEq: return CollectMatches(values, lit, std::equal_to<>(), &out);
-          case WhereOp::kNe: return CollectMatches(values, lit, std::not_equal_to<>(), &out);
-          case WhereOp::kLt: return CollectMatches(values, lit, std::less<>(), &out);
-          case WhereOp::kLe: return CollectMatches(values, lit, std::less_equal<>(), &out);
-          case WhereOp::kGt: return CollectMatches(values, lit, std::greater<>(), &out);
-          case WhereOp::kGe: return CollectMatches(values, lit, std::greater_equal<>(), &out);
+        for (std::size_t r = 0; r < values.size(); ++r) {
+          if (values[r] == lit) {
+            out.push_back(r);
+          }
         }
       },
       table.columns[static_cast<std::size_t>(where.col)].values);
@@ -209,17 +184,10 @@ std::optional<DbError> Database::ParseWhere(DbTokenizer& tok, const Table& table
   if (out->col < 0) {
     return DbError{"no such column: " + col};
   }
-  static constexpr std::pair<std::string_view, WhereOp> kOps[] = {
-      {"=", WhereOp::kEq},  {"!=", WhereOp::kNe}, {"<", WhereOp::kLt},
-      {"<=", WhereOp::kLe}, {">", WhereOp::kGt},  {">=", WhereOp::kGe},
-  };
   const std::string op = tok.Next();
-  const auto* known = std::find_if(std::begin(kOps), std::end(kOps),
-                                   [&op](const auto& entry) { return entry.first == op; });
-  if (known == std::end(kOps)) {
+  if (op != "=") {
     return DbError{"unknown WHERE operator: " + op};
   }
-  out->op = known->second;
   std::string lit = tok.Next();
   if (lit.empty() || (!IsIntLiteral(lit) && lit[0] != '\'')) {
     return DbError{"bad literal in WHERE"};
@@ -236,10 +204,6 @@ std::optional<DbError> Database::ParseWhere(DbTokenizer& tok, const Table& table
 }
 
 std::optional<DbError> Database::Exec(const std::string& sql) {
-  // Per-statement counters: stale values from an earlier UPDATE/DELETE must
-  // not leak into the next statement's accounting (or its simulated cost).
-  rows_changed_ = 0;
-  last_exec_scanned_ = 0;
   DbTokenizer tok(sql);
   if (!tok.LiteralsClosed()) {
     return DbError{"unterminated string literal"};
@@ -272,6 +236,9 @@ std::optional<DbError> Database::Exec(const std::string& sql) {
       if (sep != ",") {
         return DbError{"expected , or )"};
       }
+    }
+    if (auto err = tok.ExpectEnd()) {
+      return err;
     }
     if (tables_.count(name) != 0) {
       return DbError{"table exists: " + name};
@@ -310,6 +277,9 @@ std::optional<DbError> Database::Exec(const std::string& sql) {
         return DbError{"expected , or )"};
       }
     }
+    if (auto err = tok.ExpectEnd()) {
+      return err;
+    }
     Table& table = it->second;
     if (row.size() != table.columns.size()) {
       return DbError{"value count mismatch"};
@@ -327,120 +297,9 @@ std::optional<DbError> Database::Exec(const std::string& sql) {
           table.columns[i].values);
     }
     ++table.row_count;
-    ++rows_inserted_;
     return std::nullopt;
   }
-  if (verb == "UPDATE") {
-    return ExecUpdate(tok);
-  }
-  if (verb == "DELETE") {
-    return ExecDelete(tok);
-  }
   return DbError{"unsupported statement: " + verb};
-}
-
-// UPDATE t SET col = lit [, col = lit]* [WHERE col op lit]
-//
-// Two-phase on purpose: matching row indexes are collected against the
-// table's pre-statement values first, and assignments run second. Mutating
-// while scanning aliases the WHERE column with the SET column — a statement
-// like UPDATE items SET i_stock = 0 WHERE i_stock > 0 must evaluate every
-// row's predicate against the value it had when the statement began.
-std::optional<DbError> Database::ExecUpdate(DbTokenizer& tok) {
-  std::string name = tok.Next();
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return DbError{"no such table: " + name};
-  }
-  Table& table = it->second;
-  if (tok.Next() != "SET") {
-    return DbError{"expected SET"};
-  }
-  std::vector<std::pair<int, DbValue>> assignments;
-  while (true) {
-    std::string col = tok.Next();
-    int idx = table.ColumnIndex(col);
-    if (idx < 0) {
-      return DbError{"no such column: " + col};
-    }
-    if (tok.Next() != "=") {
-      return DbError{"expected = in SET"};
-    }
-    std::string lit = tok.Next();
-    std::optional<DbValue> v = LiteralValue(lit);
-    if (lit.empty() || !v.has_value()) {
-      return DbError{"bad literal in SET: " + lit};
-    }
-    if (!table.columns[static_cast<std::size_t>(idx)].Holds(*v)) {
-      return DbError{"type mismatch in column " + col};
-    }
-    assignments.emplace_back(idx, std::move(*v));
-    if (tok.Peek() == ",") {
-      tok.Next();
-      continue;
-    }
-    break;
-  }
-  WhereClause where;
-  std::string kw = tok.Next();
-  if (kw == "WHERE") {
-    if (auto err = ParseWhere(tok, table, &where)) {
-      return err;
-    }
-    kw = tok.Next();
-  }
-  if (!kw.empty() && kw != ";") {
-    return DbError{"trailing tokens: " + kw};
-  }
-  last_exec_scanned_ = table.row_count;
-  const std::vector<std::size_t> matched = Scan(table, where);
-  for (const auto& [idx, v] : assignments) {
-    std::visit(
-        [&matched, &v](auto& values) {
-          for (std::size_t r : matched) {
-            values[r] = std::get<ElementOf<decltype(values)>>(v);
-          }
-        },
-        table.columns[static_cast<std::size_t>(idx)].values);
-  }
-  rows_changed_ = matched.size();
-  return std::nullopt;
-}
-
-// DELETE FROM t [WHERE col op lit]
-std::optional<DbError> Database::ExecDelete(DbTokenizer& tok) {
-  if (tok.Next() != "FROM") {
-    return DbError{"expected FROM"};
-  }
-  std::string name = tok.Next();
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return DbError{"no such table: " + name};
-  }
-  Table& table = it->second;
-  WhereClause where;
-  std::string kw = tok.Next();
-  if (kw == "WHERE") {
-    if (auto err = ParseWhere(tok, table, &where)) {
-      return err;
-    }
-    kw = tok.Next();
-  }
-  if (!kw.empty() && kw != ";") {
-    return DbError{"trailing tokens: " + kw};
-  }
-  last_exec_scanned_ = table.row_count;
-  const std::vector<std::size_t> matched = Scan(table, where);
-  std::vector<bool> keep(table.row_count, true);
-  for (std::size_t r : matched) {
-    keep[r] = false;
-  }
-  for (Column& column : table.columns) {
-    std::visit([&keep](auto& values) { Compact(&values, keep); }, column.values);
-  }
-  table.row_count -= matched.size();
-  rows_changed_ = matched.size();
-  return std::nullopt;
 }
 
 std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sql) const {
@@ -452,22 +311,16 @@ std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sq
     return DbError{"expected SELECT"};
   }
   std::vector<std::string> cols;
-  bool star = false;
   while (true) {
     std::string c = tok.Next();
-    if (c == "*") {
-      star = true;
-    } else if (!c.empty()) {
-      cols.push_back(c);
-    } else {
+    if (c.empty()) {
       return DbError{"bad column list"};
     }
-    std::string sep = tok.Peek();
-    if (sep == ",") {
-      tok.Next();
-      continue;
+    cols.push_back(c);
+    if (tok.Peek() != ",") {
+      break;
     }
-    break;
+    tok.Next();
   }
   if (tok.Next() != "FROM") {
     return DbError{"expected FROM"};
@@ -480,77 +333,36 @@ std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sq
   const Table& table = it->second;
 
   WhereClause where;
-  int order_col = -1;
-  bool order_desc = false;
-  std::int64_t limit = -1;
-
-  std::string kw = tok.Next();
-  if (kw == "WHERE") {
+  if (tok.Peek() == "WHERE") {
+    tok.Next();
     if (auto err = ParseWhere(tok, table, &where)) {
       return *err;
     }
-    kw = tok.Next();
   }
-  if (kw == "ORDER") {
-    if (tok.Next() != "BY") {
-      return DbError{"expected BY"};
-    }
-    std::string col = tok.Next();
-    order_col = table.ColumnIndex(col);
-    if (order_col < 0) {
-      return DbError{"no such column: " + col};
-    }
-    if (tok.Peek() == "DESC") {
-      tok.Next();
-      order_desc = true;
-    } else if (tok.Peek() == "ASC") {
-      tok.Next();
-    }
-    kw = tok.Next();
-  }
-  if (kw == "LIMIT") {
+  std::int64_t limit = -1;
+  if (tok.Peek() == "LIMIT") {
+    tok.Next();
     std::string lit = tok.Next();
-    if (!IsIntLiteral(lit) || !ParseInt64(lit, &limit)) {
+    if (!IsIntLiteral(lit) || !ParseInt64(lit, &limit) || limit < 0) {
       return DbError{"bad LIMIT"};
     }
-    kw = tok.Next();
   }
-  if (!kw.empty() && kw != ";") {
-    return DbError{"trailing tokens: " + kw};
+  if (auto err = tok.ExpectEnd()) {
+    return *err;
+  }
+
+  std::vector<int> proj;
+  for (const auto& c : cols) {
+    int idx = table.ColumnIndex(c);
+    if (idx < 0) {
+      return DbError{"no such column: " + c};
+    }
+    proj.push_back(idx);
   }
 
   ResultSet rs;
-  std::vector<int> proj;
-  if (star) {
-    for (std::size_t i = 0; i < table.columns.size(); ++i) {
-      proj.push_back(static_cast<int>(i));
-      rs.columns.push_back(table.columns[i].name);
-    }
-  } else {
-    for (const auto& c : cols) {
-      int idx = table.ColumnIndex(c);
-      if (idx < 0) {
-        return DbError{"no such column: " + c};
-      }
-      proj.push_back(idx);
-      rs.columns.push_back(c);
-    }
-  }
-
   rs.rows_scanned = table.row_count;
-  std::vector<std::size_t> selected = Scan(table, where);
-  if (order_col >= 0) {
-    // Stable: ties keep table (insertion) order.
-    std::visit(
-        [&selected, order_desc](const auto& values) {
-          std::stable_sort(selected.begin(), selected.end(),
-                           [&values, order_desc](std::size_t a, std::size_t b) {
-                             return order_desc ? values[b] < values[a] : values[a] < values[b];
-                           });
-        },
-        table.columns[static_cast<std::size_t>(order_col)].values);
-  }
-  for (std::size_t r : selected) {
+  for (std::size_t r : Scan(table, where)) {
     if (limit >= 0 && static_cast<std::int64_t>(rs.rows.size()) >= limit) {
       break;
     }
@@ -576,7 +388,5 @@ std::size_t Database::TotalRows() const {
   }
   return total;
 }
-
-bool Database::HasTable(const std::string& name) const { return tables_.count(name) != 0; }
 
 }  // namespace mk::apps

@@ -156,9 +156,9 @@ Task<HttpResponse> HttpServer::Handle(const HttpRequest& req) {
     co_return resp;
   }
   if (req.path == "/buy" && db_exec_) {
-    // /buy?wid=N&sql=... — split on the FIRST '&' only: the SQL itself
-    // contains '=' (UPDATE ... SET col = v), so naive param splitting would
-    // shred it. '+' encodes spaces, as on /query.
+    // /buy?wid=N&sql=... — split on the FIRST '&' only: a quoted INSERT
+    // value may hold '&' or '=', so naive param splitting would shred the
+    // SQL. '+' encodes spaces, as on /query.
     std::uint64_t wid = 0;
     bool wid_ok = false;
     std::string sql;

@@ -30,15 +30,14 @@ constexpr std::uint64_t kShutdownTag = 0xdead;
 
 // Simulated DB costs, charged on the database's core: a statement pays a
 // fixed parse cost plus a scan cost per row (the "bottlenecked at the SQLite
-// core" behaviour of §5.4), and a replica applying a shipped or replayed log
-// record pays half the parse cost plus the same per-row cost.
+// core" behaviour of §5.4). A write is an INSERT, which scans no rows, so
+// the leader charges StatementCost(0) and a replica applying a shipped or
+// replayed log record pays half the parse cost.
 constexpr Cycles kDbCyclesPerRow = 25;
 constexpr Cycles StatementCost(std::uint64_t rows_scanned) {
   return 5000 + rows_scanned * kDbCyclesPerRow;
 }
-constexpr Cycles ApplyCost(std::uint64_t rows_scanned) {
-  return 2500 + rows_scanned * kDbCyclesPerRow;
-}
+constexpr Cycles kApplyCost = 2500;
 
 // Sends `sql` as one framed statement.
 Task<> SendSql(urpc::Channel& ch, const std::string& sql);

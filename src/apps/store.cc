@@ -269,7 +269,7 @@ Task<std::string> ReplicatedStore::HandleWrite(Group& g, Replica* r, std::uint64
   if (r->term_seen < term) {
     r->term_seen = term;
   }
-  co_await machine_.Compute(r->core, StatementCost(r->db.last_exec_scanned()));
+  co_await machine_.Compute(r->core, StatementCost(0));
   // 3. Ship to every live follower (even catching-up ones: applying shipped
   //    records in lsn order is how they converge). Snapshot the Link set
   //    first: Send can suspend, and a view change during the suspension may
@@ -328,25 +328,22 @@ Task<std::string> ReplicatedStore::HandleWrite(Group& g, Replica* r, std::uint64
 
 // --- Replication pumps ---
 
-std::uint64_t ReplicatedStore::ApplyRecord(Replica* r, const fs::WalRecord& rec) {
+void ReplicatedStore::ApplyRecord(Replica* r, const fs::WalRecord& rec) {
   if (rec.lsn != r->applied_lsn + 1) {
-    return 0;  // not next in order (dup or gap); caller decides what's next
+    return;  // not next in order (dup or gap); caller decides what's next
   }
   std::uint64_t wid = 0;
   std::string sql;
-  std::uint64_t scanned = 0;
   if (ParsePayload(rec.payload, &wid, &sql) && r->applied_wids.count(wid) == 0) {
     // Engine-level rejects are deterministic no-ops; the message is recorded
     // so this replica, once leader, answers a retry with the real outcome.
     auto err = r->db.Exec(sql);
-    scanned = r->db.last_exec_scanned();
     r->applied_wids.emplace(wid, err.has_value() ? err->message : std::string());
   }
   r->applied_lsn = rec.lsn;
   if (r->term_seen < rec.term) {
     r->term_seen = rec.term;
   }
-  return scanned;
 }
 
 Task<> ReplicatedStore::ApplyLoop(Group& g, Link* link) {
@@ -384,12 +381,12 @@ Task<> ReplicatedStore::ApplyLoop(Group& g, Link* link) {
         if (lr.lsn >= rec.lsn) {
           break;
         }
-        std::uint64_t scanned = ApplyRecord(f, lr);
-        co_await machine_.Compute(f->core, ApplyCost(scanned));
+        ApplyRecord(f, lr);
+        co_await machine_.Compute(f->core, kApplyCost);
       }
     }
-    std::uint64_t scanned = ApplyRecord(f, rec);
-    co_await machine_.Compute(f->core, ApplyCost(scanned));
+    ApplyRecord(f, rec);
+    co_await machine_.Compute(f->core, kApplyCost);
     // Ack the current applied lsn — also for dups and still-gapped receipts,
     // so the leader's view converges no matter which path delivered the data.
     co_await link->acks.Send(urpc::Pack(kAckTag, f->applied_lsn));
@@ -414,8 +411,8 @@ Task<> ReplicatedStore::CatchUp(Group& g, Replica* r) {
   while (true) {
     std::vector<fs::WalRecord> log = co_await g.wal.ReadAll(r->core);
     for (const fs::WalRecord& rec : log) {
-      std::uint64_t scanned = ApplyRecord(r, rec);
-      co_await machine_.Compute(r->core, ApplyCost(scanned));
+      ApplyRecord(r, rec);
+      co_await machine_.Compute(r->core, kApplyCost);
     }
     if (r->applied_lsn >= g.last_lsn || !r->alive) {
       break;

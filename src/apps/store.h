@@ -231,10 +231,10 @@ class ReplicatedStore {
   // Respawned-replica WAL replay until it reaches the leader's last lsn.
   Task<> CatchUp(Group& g, Replica* r);
 
-  // Applies one record if it is next in lsn order; returns the scan cost to
-  // charge (or 0 if skipped). Host-side only — no awaits between the check
-  // and the state update, so concurrent apply paths cannot interleave.
-  static std::uint64_t ApplyRecord(Replica* r, const fs::WalRecord& rec);
+  // Applies one record if it is next in lsn order; a skipped record changes
+  // nothing. Host-side only — no awaits between the check and the state
+  // update, so concurrent apply paths cannot interleave.
+  static void ApplyRecord(Replica* r, const fs::WalRecord& rec);
 
   void MakeLink(Group& g, Replica* follower);
   Task<std::string> RoundTrip(Group& g, bool is_write, std::uint64_t wid,

@@ -10,6 +10,7 @@ namespace mk::net {
 namespace {
 
 constexpr std::uint64_t kBufBytes = 2048;  // one buffer per descriptor
+constexpr std::uint64_t kRssSeed = 0x52535348;  // 'RSSH': keyed flow->queue hash
 
 // Trace flow ids: RX frames pair InjectFromWire with DriverRxPop (each ring
 // is a FIFO, so matching enqueue/dequeue serials within a queue identify one
@@ -99,7 +100,7 @@ int SimNic::RssQueueFor(const Packet& frame) const {
   if (!tuple.has_value()) {
     return 0;  // non-IP / runt frames go to the default queue, like real RSS
   }
-  std::uint32_t hash = RssHash(config_.rss_seed, *tuple);
+  std::uint32_t hash = RssHash(kRssSeed, *tuple);
   return reta_[hash % static_cast<std::uint32_t>(reta_.size())];
 }
 
@@ -111,7 +112,7 @@ void SimNic::NoteAdoptedFlow(const Packet& frame, int queue) {
   if (!tuple.has_value()) {
     return;
   }
-  std::uint32_t hash = RssHash(config_.rss_seed, *tuple);
+  std::uint32_t hash = RssHash(kRssSeed, *tuple);
   int default_queue =
       static_cast<int>(hash % static_cast<std::uint32_t>(config_.queues));
   if (default_queue == queue) {

@@ -38,7 +38,6 @@ class SimNic {
 
     // --- Multi-queue (82576-class) ---
     int queues = 1;  // RX/TX queue pairs; flows steered by RSS over 4-tuples
-    std::uint64_t rss_seed = 0x52535348;  // 'RSSH': keyed flow->queue hash
     // RSS indirection table (RETA) slots: the hash picks a slot, the slot
     // names a queue. 0 means `queues` slots with the identity mapping, which
     // is bit-identical to direct `hash % queues` steering for every queue

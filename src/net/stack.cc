@@ -342,7 +342,6 @@ void NetStack::CloseConn(TcpConn& c, CloseCause cause) {
   CancelTimer(c.retx_id);
   CancelTimer(c.lifecycle_id);
   c.unacked.clear();
-  c.dup_acks = 0;
   c.peer_closed = true;  // readers observe end-of-stream
   // A legacy connection is never closed: it only learns that its peer is
   // gone, and stays in the table.
@@ -636,7 +635,6 @@ Task<> NetStack::HandleConnSegment(const ParsedFrame& f, const Packet& frame,
   if (tcp.flags.ack) {
     if (SeqLt(c.snd_una, tcp.ack) && SeqLe(tcp.ack, c.snd_nxt)) {
       c.snd_una = tcp.ack;
-      c.dup_acks = 0;
       while (!c.unacked.empty() &&
              SeqLe(c.unacked.front().seq + c.unacked.front().seq_len, c.snd_una)) {
         c.unacked.pop_front();
@@ -645,9 +643,6 @@ Task<> NetStack::HandleConnSegment(const ParsedFrame& f, const Packet& frame,
         CancelTimer(c.retx_id);
         c.retx_tries = 0;
       }
-    } else if (tcp.ack == c.snd_una && !c.unacked.empty() && f.payload_len == 0 &&
-               !tcp.flags.syn && !tcp.flags.fin) {
-      ++c.dup_acks;  // recovery itself is timer-driven (go-back-N)
     }
     if (c.state == TcpState::kSynRcvd && c.snd_una == c.snd_nxt) {
       // The client's ACK covers our SYN-ACK: promote the half-open

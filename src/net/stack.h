@@ -192,7 +192,6 @@ class NetStack {
       std::vector<std::uint8_t> data;
     };
     std::deque<SentSeg> unacked;
-    int dup_acks = 0;
     // Set when a bounded TcpConnect gave up on the handshake. Late segments
     // for an abandoned connection are answered with RST: a retransmitted SYN
     // may have built a half-open connection on a server that would otherwise

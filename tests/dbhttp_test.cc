@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/db.h"
@@ -40,22 +41,31 @@ Database::ResultSet MustQuery(const Database& db, const std::string& sql) {
   return std::get<Database::ResultSet>(result);
 }
 
-TEST(Db, SelectStarReturnsAllRowsAndColumns) {
-  Database db = MakeDb();
-  auto rs = MustQuery(db, "SELECT * FROM items");
-  EXPECT_EQ(rs.columns, (std::vector<std::string>{"I_ID", "I_TITLE", "I_COST"}));
-  EXPECT_EQ(rs.rows.size(), 4u);
-  EXPECT_EQ(rs.rows_scanned, 4u);
-}
+// MakeDb's rows, every column in table order.
+const std::vector<std::vector<DbValue>> kItemRows = {
+    {DbValue{std::int64_t{1}}, DbValue{"alpha"}, DbValue{std::int64_t{500}}},
+    {DbValue{std::int64_t{2}}, DbValue{"beta"}, DbValue{std::int64_t{300}}},
+    {DbValue{std::int64_t{3}}, DbValue{"gamma"}, DbValue{std::int64_t{700}}},
+    {DbValue{std::int64_t{4}}, DbValue{"delta"}, DbValue{std::int64_t{300}}}};
 
-TEST(Db, WhereFiltersEveryOperator) {
+TEST(Db, SelectReturnsTheNamedColumnsOfEveryRow) {
   Database db = MakeDb();
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 300").rows.size(), 2u);
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost != 300").rows.size(), 2u);
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost < 500").rows.size(), 2u);
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost <= 500").rows.size(), 3u);
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost > 500").rows.size(), 1u);
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost >= 500").rows.size(), 2u);
+  auto rs = MustQuery(db, "SELECT i_id, i_title, i_cost FROM items");
+  EXPECT_EQ(rs.rows, kItemRows);
+  EXPECT_EQ(rs.rows_scanned, 4u);
+  // Columns come back in the order the SELECT names them.
+  auto swapped = MustQuery(db, "SELECT i_cost, i_id FROM items WHERE i_id = 3");
+  EXPECT_EQ(swapped.rows, (std::vector<std::vector<DbValue>>{
+                              {DbValue{std::int64_t{700}}, DbValue{std::int64_t{3}}}}));
+  // LIMIT keeps the first n matches in table order.
+  auto cheap = MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 300 LIMIT 1");
+  ASSERT_EQ(cheap.rows.size(), 1u);
+  EXPECT_EQ(std::get<std::int64_t>(cheap.rows[0][0]), 2);
+  auto first = MustQuery(db, "SELECT i_title FROM items LIMIT 2");
+  ASSERT_EQ(first.rows.size(), 2u);
+  EXPECT_EQ(std::get<std::string>(first.rows[0][0]), "alpha");
+  EXPECT_EQ(std::get<std::string>(first.rows[1][0]), "beta");
+  EXPECT_EQ(first.rows_scanned, 4u);  // the cost basis is still the table
 }
 
 TEST(Db, WhereOnTextColumn) {
@@ -65,69 +75,69 @@ TEST(Db, WhereOnTextColumn) {
   EXPECT_EQ(std::get<std::int64_t>(rs.rows[0][0]), 2);
 }
 
-TEST(Db, OrderByAndLimit) {
-  Database db = MakeDb();
-  auto rs = MustQuery(db, "SELECT i_title FROM items ORDER BY i_cost DESC LIMIT 2");
-  ASSERT_EQ(rs.rows.size(), 2u);
-  EXPECT_EQ(std::get<std::string>(rs.rows[0][0]), "gamma");
-  EXPECT_EQ(std::get<std::string>(rs.rows[1][0]), "alpha");
-  // Ascending with ties: stable order by insertion.
-  auto asc = MustQuery(db, "SELECT i_id FROM items ORDER BY i_cost LIMIT 3");
-  EXPECT_EQ(std::get<std::int64_t>(asc.rows[0][0]), 2);
-  EXPECT_EQ(std::get<std::int64_t>(asc.rows[1][0]), 4);
-  // Descending with ties: the 300s still keep insertion order.
-  auto desc = MustQuery(db, "SELECT i_title FROM items ORDER BY i_cost DESC");
-  ASSERT_EQ(desc.rows.size(), 4u);
-  std::vector<std::string> titles;
-  for (const auto& row : desc.rows) {
-    titles.push_back(std::get<std::string>(row[0]));
-  }
-  EXPECT_EQ(titles, (std::vector<std::string>{"gamma", "alpha", "beta", "delta"}));
-}
-
 TEST(Db, ErrorsAreReported) {
   Database db = MakeDb();
-  EXPECT_TRUE(std::holds_alternative<DbError>(db.Query("SELECT * FROM nope")));
+  EXPECT_TRUE(std::holds_alternative<DbError>(db.Query("SELECT i_id FROM nope")));
   EXPECT_TRUE(std::holds_alternative<DbError>(db.Query("SELECT bogus FROM items")));
   EXPECT_TRUE(std::holds_alternative<DbError>(db.Query("DROP TABLE items")));
   EXPECT_TRUE(db.Exec("INSERT INTO items VALUES (1, 2)").has_value());    // arity
   EXPECT_TRUE(db.Exec("INSERT INTO items VALUES ('x', 'y', 'z')").has_value());  // types
   EXPECT_TRUE(db.Exec("CREATE TABLE items (a INT)").has_value());  // duplicate
-  // An unknown WHERE operator is an error on every path, never a predicate
-  // that silently matches no row.
+  // An unknown WHERE operator is an error, never a predicate that silently
+  // matches no row.
   EXPECT_TRUE(
-      std::holds_alternative<DbError>(db.Query("SELECT * FROM items WHERE i_id LIKE 1")));
-  EXPECT_TRUE(db.Exec("UPDATE items SET i_cost = 1 WHERE i_id LIKE 1").has_value());
-  EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_id LIKE 1").has_value());
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 1").rows.size(), 0u);
-  EXPECT_EQ(db.TableRows("ITEMS"), 4u);
-  // A WHERE literal of the wrong type is an error on every path, never a
-  // comparison across types that matches every row or none.
+      std::holds_alternative<DbError>(db.Query("SELECT i_id FROM items WHERE i_id LIKE 1")));
+  // A WHERE literal of the wrong type is an error, never a comparison across
+  // types that matches every row or none.
   auto mismatch = db.Query("SELECT i_id FROM items WHERE i_id = '2'");
   ASSERT_TRUE(std::holds_alternative<DbError>(mismatch));
   EXPECT_EQ(std::get<DbError>(mismatch).message, "type mismatch in WHERE column I_ID");
   EXPECT_TRUE(
       std::holds_alternative<DbError>(db.Query("SELECT i_id FROM items WHERE i_title = 2")));
-  EXPECT_TRUE(db.Exec("UPDATE items SET i_cost = 0 WHERE i_id < '3'").has_value());
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 0").rows.size(), 0u);
-  EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_id <= '2'").has_value());
-  EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_title > 0").has_value());
-  EXPECT_EQ(db.TableRows("ITEMS"), 4u);
+  // The engine speaks CREATE TABLE, INSERT and SELECT cols FROM t
+  // [WHERE col = lit] [LIMIT n]. Every other statement or clause is an
+  // error, never a partial reading of it.
+  const std::pair<const char*, const char*> exec_rejects[] = {
+      {"UPDATE items SET i_cost = 0", "unsupported statement: UPDATE"},
+      {"DELETE FROM items", "unsupported statement: DELETE"},
+      {"DELETE FROM items WHERE i_cost = 300", "unsupported statement: DELETE"},
+      {"INSERT INTO items VALUES (5, 'eps', 100) WHERE i_id = 1", "trailing tokens: WHERE"},
+      {"INSERT INTO items VALUES (5, 'eps', 100); DELETE FROM items",
+       "trailing tokens: DELETE"},
+      {"CREATE TABLE extra (a INT) PRIMARY KEY", "trailing tokens: PRIMARY"},
+  };
+  for (const auto& [sql, message] : exec_rejects) {
+    EXPECT_EQ(db.Exec(sql).value_or(DbError{"accepted"}).message, message) << sql;
+  }
+  const std::pair<const char*, const char*> query_rejects[] = {
+      {"SELECT * FROM items", "no such column: *"},
+      {"SELECT i_id FROM extra", "no such table: EXTRA"},
+      {"SELECT i_id FROM items ORDER BY i_cost", "trailing tokens: ORDER"},
+      {"SELECT i_id FROM items LIMIT 1; SELECT i_id FROM items", "trailing tokens: SELECT"},
+      {"SELECT i_id FROM items LIMIT -1", "bad LIMIT"},
+      {"SELECT i_id FROM items WHERE i_cost < 500", "unknown WHERE operator: <"},
+      {"SELECT i_id FROM items WHERE i_cost <= 500", "unknown WHERE operator: <"},
+      {"SELECT i_id FROM items WHERE i_cost > 500", "unknown WHERE operator: >"},
+      {"SELECT i_id FROM items WHERE i_cost >= 500", "unknown WHERE operator: >"},
+      {"SELECT i_id FROM items WHERE i_cost != 300", "unknown WHERE operator: !"},
+  };
+  for (const auto& [sql, message] : query_rejects) {
+    auto result = db.Query(sql);
+    const DbError* error = std::get_if<DbError>(&result);
+    EXPECT_EQ(error ? error->message : "accepted", message) << sql;
+  }
   // A literal with no closing quote is an error, never a literal that
-  // swallows the rest of the statement: this UPDATE would otherwise drop its
-  // WHERE and retitle every row.
-  EXPECT_EQ(db.Exec("UPDATE items SET i_title = 'x WHERE i_id = 1")
+  // swallows the rest of the statement: the SELECT below would otherwise
+  // match the 'beta' row.
+  EXPECT_EQ(db.Exec("INSERT INTO items VALUES (5, 'x, 1)")
                 .value_or(DbError{"accepted"})
                 .message,
             "unterminated string literal");
   auto open_select = db.Query("SELECT i_id FROM items WHERE i_title = 'beta");
   const DbError* select_error = std::get_if<DbError>(&open_select);
   EXPECT_EQ(select_error ? select_error->message : "accepted", "unterminated string literal");
-  std::vector<std::string> titles;
-  for (const auto& row : MustQuery(db, "SELECT i_title FROM items").rows) {
-    titles.push_back(std::get<std::string>(row[0]));
-  }
-  EXPECT_EQ(titles, (std::vector<std::string>{"alpha", "beta", "gamma", "delta"}));
+  // No rejected statement changed the table.
+  EXPECT_EQ(MustQuery(db, "SELECT i_id, i_title, i_cost FROM items").rows, kItemRows);
 }
 
 TEST(Db, QuotedStringsWithSpacesAndEscapes) {
@@ -143,91 +153,20 @@ TEST(Db, TpcwPopulationAndQuery) {
   Database db;
   PopulateTpcw(&db, 100);
   EXPECT_EQ(db.TableRows("ITEMS"), 100u);
-  EXPECT_TRUE(db.HasTable("AUTHORS"));
+  EXPECT_EQ(db.TableRows("AUTHORS"), 26u);
+  EXPECT_EQ(db.TotalRows(), 126u);
   auto rs = MustQuery(db, TpcwQuery(42));
   ASSERT_EQ(rs.rows.size(), 1u);
   EXPECT_EQ(std::get<std::int64_t>(rs.rows[0][0]), 42);
   EXPECT_EQ(rs.rows_scanned, 100u);  // full scan: the cost basis
-}
-
-TEST(Db, UpdateRewritesMatchingRowsInPlace) {
-  Database db = MakeDb();
-  EXPECT_FALSE(db.Exec("UPDATE items SET i_cost = 999 WHERE i_title = 'beta'"));
-  EXPECT_EQ(db.rows_changed(), 1u);
-  EXPECT_EQ(db.last_exec_scanned(), 4u);  // full scan: the cost basis
-  auto rs = MustQuery(db, "SELECT i_cost FROM items WHERE i_id = 2");
-  ASSERT_EQ(rs.rows.size(), 1u);
-  EXPECT_EQ(std::get<std::int64_t>(rs.rows[0][0]), 999);
-  EXPECT_EQ(db.TableRows("ITEMS"), 4u);  // update never changes cardinality
-  // A copy owns its rows: every store replica starts as one, so a write to
-  // one replica must never show in its source.
+  // A copy owns its rows: every store replica starts as a copy of the
+  // populated source, so a write to one replica must never show in another.
   Database copy = db;
-  EXPECT_FALSE(copy.Exec("UPDATE items SET i_cost = 7, i_title = 'copied'"));
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 7").rows.size(), 0u);
+  EXPECT_FALSE(copy.Exec("INSERT INTO items VALUES (100, 'copied', 0, 1, 1)"));
+  EXPECT_EQ(copy.TableRows("ITEMS"), 101u);
+  EXPECT_EQ(db.TableRows("ITEMS"), 100u);
   EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_title = 'copied'").rows.size(), 0u);
-  EXPECT_EQ(MustQuery(copy, "SELECT i_id FROM items WHERE i_cost = 7").rows.size(), 4u);
-  // Multi-column SET, and no WHERE means every row.
-  EXPECT_FALSE(db.Exec("UPDATE items SET i_cost = 1, i_title = 'flat'"));
-  EXPECT_EQ(db.rows_changed(), 4u);
-  EXPECT_EQ(MustQuery(db, "SELECT i_id FROM items WHERE i_cost = 1").rows.size(), 4u);
-  // A SET referencing the WHERE column must not see its own writes (the
-  // in-place-update vs. scan aliasing bug): bump exactly the 300s, once.
-  Database db2 = MakeDb();
-  EXPECT_FALSE(db2.Exec("UPDATE items SET i_cost = 300 WHERE i_cost = 500"));
-  EXPECT_EQ(db2.rows_changed(), 1u);
-  EXPECT_EQ(MustQuery(db2, "SELECT i_id FROM items WHERE i_cost = 300").rows.size(), 3u);
-}
-
-TEST(Db, DeleteRemovesMatchingRows) {
-  Database db = MakeDb();
-  EXPECT_FALSE(db.Exec("DELETE FROM items WHERE i_cost = 300"));
-  EXPECT_EQ(db.rows_changed(), 2u);
-  EXPECT_EQ(db.TableRows("ITEMS"), 2u);
-  // Every column of a survivor stays in its row, and survivors keep their
-  // order.
-  const std::vector<std::vector<DbValue>> survivors = {
-      {DbValue{std::int64_t{1}}, DbValue{"alpha"}, DbValue{std::int64_t{500}}},
-      {DbValue{std::int64_t{3}}, DbValue{"gamma"}, DbValue{std::int64_t{700}}}};
-  EXPECT_EQ(MustQuery(db, "SELECT * FROM items").rows, survivors);
-  EXPECT_FALSE(db.Exec("DELETE FROM items WHERE i_cost = 300"));  // idempotent
-  EXPECT_EQ(db.rows_changed(), 0u);
-  EXPECT_FALSE(db.Exec("INSERT INTO items VALUES (5, 'eps', 100)"));
-  auto after = MustQuery(db, "SELECT i_id FROM items");
-  ASSERT_EQ(after.rows.size(), 3u);
-  EXPECT_EQ(std::get<std::int64_t>(after.rows[2][0]), 5);  // an insert lands last
-  EXPECT_FALSE(db.Exec("DELETE FROM items"));  // no WHERE: empty the table
-  EXPECT_EQ(db.rows_changed(), 3u);
-  EXPECT_EQ(db.TableRows("ITEMS"), 0u);
-  EXPECT_TRUE(db.Exec("DELETE FROM nope").has_value());
-}
-
-TEST(Db, MutationLedgerCountsOnlySuccessfulInserts) {
-  Database db = MakeDb();
-  EXPECT_EQ(db.rows_inserted(), 4u);  // MakeDb's fixture rows
-  EXPECT_FALSE(db.Exec("INSERT INTO items VALUES (5, 'eps', 100)"));
-  EXPECT_EQ(db.rows_inserted(), 5u);
-  EXPECT_TRUE(db.Exec("INSERT INTO items VALUES (6, 'bad')").has_value());
-  EXPECT_EQ(db.rows_inserted(), 5u);  // rejected statements leave no trace
-  EXPECT_EQ(db.TableRows("ITEMS"), 5u);
-}
-
-TEST(Db, PerStatementCountersResetBetweenStatements) {
-  // rows_changed/last_exec_scanned are per-statement: an INSERT (or a failed
-  // statement) after an UPDATE must not report the UPDATE's stale counts —
-  // the store charges simulated compute from last_exec_scanned, so leakage
-  // skews every subsequent write's cost.
-  Database db = MakeDb();
-  EXPECT_FALSE(db.Exec("UPDATE items SET i_cost = 999 WHERE i_title = 'beta'"));
-  EXPECT_EQ(db.rows_changed(), 1u);
-  EXPECT_EQ(db.last_exec_scanned(), 4u);
-  EXPECT_FALSE(db.Exec("INSERT INTO items VALUES (9, 'eta', 5)"));
-  EXPECT_EQ(db.rows_changed(), 0u);
-  EXPECT_EQ(db.last_exec_scanned(), 0u);
-  EXPECT_FALSE(db.Exec("DELETE FROM items WHERE i_cost = 999"));
-  EXPECT_EQ(db.rows_changed(), 1u);
-  EXPECT_TRUE(db.Exec("DELETE FROM nope").has_value());  // failed statement
-  EXPECT_EQ(db.rows_changed(), 0u);
-  EXPECT_EQ(db.last_exec_scanned(), 0u);
+  EXPECT_EQ(MustQuery(copy, "SELECT i_id FROM items WHERE i_title = 'copied'").rows.size(), 1u);
 }
 
 TEST(Db, IntegerLiteralOverflowIsRejectedNotWrapped) {
@@ -238,10 +177,13 @@ TEST(Db, IntegerLiteralOverflowIsRejectedNotWrapped) {
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->message.find("out of range"), std::string::npos);
   EXPECT_EQ(db.TableRows("ITEMS"), 4u);
-  EXPECT_EQ(db.rows_inserted(), 4u);
-  // WHERE literals too: rejected, not wrapped into a bogus comparison.
-  EXPECT_TRUE(db.Exec("DELETE FROM items WHERE i_cost = 18446744073709551617").has_value());
-  EXPECT_EQ(db.TableRows("ITEMS"), 4u);
+  // WHERE literals too: rejected, not wrapped into a bogus comparison
+  // (2^64 + 1 wraps to 1, the cost of the row inserted next).
+  ASSERT_FALSE(db.Exec("INSERT INTO items VALUES (5, 'one', 1)"));
+  auto wrapped = db.Query("SELECT i_id FROM items WHERE i_cost = 18446744073709551617");
+  const DbError* where_error = std::get_if<DbError>(&wrapped);
+  EXPECT_EQ(where_error ? where_error->message : "accepted",
+            "integer literal out of range: 18446744073709551617");
   // Boundary values parse exactly.
   EXPECT_FALSE(db.Exec("INSERT INTO items VALUES (9223372036854775807, 'max', -1)"));
   auto rs = MustQuery(db, "SELECT i_id FROM items WHERE i_title = 'max'");

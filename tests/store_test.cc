@@ -133,13 +133,23 @@ TEST(Store, RetryOfRejectedWriteReplaysTheErrorNotDup) {
     // A committed write's retry still answers "dup".
     EXPECT_EQ(co_await st.Execute(0, /*wid=*/10, Insert(1, 1)), "ok 2");
     EXPECT_EQ(co_await st.Execute(0, /*wid=*/10, Insert(1, 1)), "dup");
+    // Writes arrive from outside (/buy), and the engine accepts only CREATE
+    // TABLE and INSERT: an UPDATE or DELETE is a rejected write, retried or
+    // not, and no replica's table changes.
+    const std::string update = "UPDATE kv SET v = 0";
+    const std::string no_update = "error: db: unsupported statement: UPDATE";
+    EXPECT_EQ(co_await st.Execute(0, /*wid=*/11, update), no_update);
+    EXPECT_EQ(co_await st.Execute(0, /*wid=*/11, update), no_update);  // the retry
+    EXPECT_EQ(co_await st.Execute(0, /*wid=*/12, "DELETE FROM kv"),
+              "error: db: unsupported statement: DELETE");
     EXPECT_EQ(st.replica_table_rows(0, 0, "KV"), 1u);
+    EXPECT_EQ(st.replica_table_rows(0, 1, "KV"), 1u);
     co_await st.Shutdown();
     fx.sys.Shutdown();
   }(f, store));
   f.exec.Run();
-  EXPECT_EQ(store.writes_rejected(0), 1u);
-  EXPECT_EQ(store.writes_dup(0), 2u);  // both retries took the dedup path
+  EXPECT_EQ(store.writes_rejected(0), 3u);
+  EXPECT_EQ(store.writes_dup(0), 3u);  // every retry took the dedup path
   EXPECT_EQ(store.writes_committed(0), 1u);
 }
 
