@@ -658,7 +658,7 @@ Task<> Scenario(Cluster& cl, RunState& rs, const Sizes& sz, Attack attack,
     std::printf("goodput/bucket: baseline=%llu attack=%llu\n",
                 static_cast<unsigned long long>(base_avg),
                 static_cast<unsigned long long>(attack_avg));
-    gates.Check("attack goodput gate (>=50%% of baseline)",
+    gates.Check("attack goodput gate (>=50% of baseline)",
                 attack_avg * 2 >= base_avg);
     // Recovery: first full bucket after the attack at >=90% of baseline.
     std::size_t rb0 = static_cast<std::size_t>(attack_end / sz.bucket) + 1;
@@ -674,7 +674,7 @@ Task<> Scenario(Cluster& cl, RunState& rs, const Sizes& sz, Attack attack,
         break;
       }
     }
-    gates.Check("recovery gate (>=90%% of baseline within the window)", recovered);
+    gates.Check("recovery gate (>=90% of baseline within the window)", recovered);
   }
   bool no_leaks = tbl.live() == 0 && cl.server->established_count() == 0 &&
                   cl.server->half_open_count() == 0 &&
