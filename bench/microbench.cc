@@ -237,6 +237,61 @@ void BM_CoherenceFirstTouch(benchmark::State& state) {
 }
 BENCHMARK(BM_CoherenceFirstTouch);
 
+Task<> RingLap(hw::Machine& m, sim::Addr ring, int buffers) {
+  for (int b = 0; b < buffers; ++b) {
+    const sim::Addr frame = ring + static_cast<sim::Addr>(b) * 2048;
+    co_await m.mem().WritePosted(0, frame, 1536);
+    co_await m.mem().Read(4, frame, 1536);
+  }
+}
+
+// Every line this touches is already in the directory, the steady state of a
+// NIC ring (most of a rack switch's lookups). An untimed lap over a ring of
+// 4,096 2 KB buffers homed on node 0 of a 16-core machine fills it; each
+// iteration is one more lap: per buffer, core 0 posts a 1.5 KB frame and
+// core 4, on another package, reads it. Items are line accesses.
+void BM_CoherenceRingLap(benchmark::State& state) {
+  constexpr int kBuffers = 4096;
+  constexpr std::int64_t kLinesPerFrame = 1536 / sim::kCacheLineBytes;
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd4x4());
+  const sim::Addr ring = m.mem().AllocLines(0, kBuffers * 2048 / sim::kCacheLineBytes);
+  exec.Spawn(RingLap(m, ring, kBuffers));
+  exec.Run();
+  for (auto _ : state) {
+    exec.Spawn(RingLap(m, ring, kBuffers));
+    exec.Run();
+  }
+  benchmark::DoNotOptimize(m.mem().DirectoryLines());
+  state.SetItemsProcessed(state.iterations() * kBuffers * kLinesPerFrame * 2);
+}
+BENCHMARK(BM_CoherenceRingLap);
+
+Task<> RegionJob(hw::Machine& m, std::uint64_t lines) {
+  const hw::LineRegion region(m.mem(), 0, lines);
+  const std::uint64_t bytes = lines * sim::kCacheLineBytes;
+  co_await m.mem().Write(0, region.base(), bytes);
+  co_await m.mem().Read(4, region.base(), bytes);
+  co_await m.mem().Read(8, region.base(), bytes);
+}
+
+// An omp_mapreduce job's memory on one long-lived machine: each iteration a
+// LineRegion of 512 lines is allocated, written by one core, read by cores
+// of two other packages and freed, so after the first iteration every
+// directory group comes from the free list. Items are line accesses.
+void BM_CoherenceRegionChurn(benchmark::State& state) {
+  constexpr std::uint64_t kLines = 512;
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd4x4());
+  for (auto _ : state) {
+    exec.Spawn(RegionJob(m, kLines));
+    exec.Run();
+  }
+  benchmark::DoNotOptimize(m.mem().DirectoryLines());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kLines) * 3);
+}
+BENCHMARK(BM_CoherenceRegionChurn);
+
 Task<> Stream(urpc::Channel& ch, int n) {
   for (int i = 0; i < n; ++i) {
     co_await ch.SendPosted(urpc::Message{});

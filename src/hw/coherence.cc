@@ -1,7 +1,8 @@
 #include "hw/coherence.h"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
+#include <iterator>
 #include <stdexcept>
 
 #include "fault/fault.h"
@@ -14,100 +15,17 @@ constexpr std::uint64_t Bit(int core) { return std::uint64_t{1} << core; }
 // Allocation regions are striped per NUMA node so the home node can be
 // recovered from the address alone.
 constexpr Addr kNodeRegionBase = 0x1000'0000;
-constexpr Addr kNodeRegionSize = Addr{1} << 40;
+constexpr int kNodeRegionBits = 40;
+constexpr Addr kNodeRegionSize = Addr{1} << kNodeRegionBits;
 
-// Line directory: slot keys are line-aligned, so an unaligned key marks an
-// empty slot. A table starts at 64 slots (eight groups of eight lines).
-constexpr Addr kEmptyKey = ~Addr{0};
-constexpr std::size_t kGroupLines = 8;
-constexpr std::size_t kMinSlots = 64;
-// Fibonacci hashing of the group number: consecutive groups, and the same
-// offset in different nodes' regions, spread over the whole table.
-constexpr std::uint64_t kGroupMul = 0x9E37'79B9'7F4A'7C15;
+// The node whose region holds `addr` (at or above kNodeRegionBase), and the
+// index of its line in that region.
+std::pair<std::size_t, std::uint64_t> NodeAndLine(Addr addr) {
+  const Addr offset = addr - kNodeRegionBase;
+  return {offset >> kNodeRegionBits, (offset & (kNodeRegionSize - 1)) / sim::kCacheLineBytes};
+}
 
 }  // namespace
-
-template <typename V>
-std::size_t CoherentMemory::LineTable<V>::Home(Addr line_addr) const {
-  const Addr line = line_addr / sim::kCacheLineBytes;
-  const std::size_t group = static_cast<std::size_t>(((line / kGroupLines) * kGroupMul) >>
-                                                     group_shift_);
-  return group * kGroupLines + static_cast<std::size_t>(line % kGroupLines);
-}
-
-template <typename V>
-std::size_t CoherentMemory::LineTable<V>::Probe(Addr line_addr) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = Home(line_addr);
-  while (slots_[i].key != line_addr && slots_[i].key != kEmptyKey) {
-    i = (i + 1) & mask;
-  }
-  return i;
-}
-
-template <typename V>
-const V* CoherentMemory::LineTable<V>::Find(Addr line_addr) const {
-  if (slots_.empty()) {
-    return nullptr;
-  }
-  const Slot& s = slots_[Probe(line_addr)];
-  return s.key == line_addr ? &s.value : nullptr;
-}
-
-template <typename V>
-std::pair<V*, bool> CoherentMemory::LineTable<V>::FindOrInsert(Addr line_addr) {
-  std::size_t i = 0;
-  if (!slots_.empty()) {
-    i = Probe(line_addr);
-    if (slots_[i].key == line_addr) {
-      return {&slots_[i].value, false};
-    }
-  }
-  if (4 * (used_ + 1) > 3 * slots_.size()) {
-    Grow();
-    i = Probe(line_addr);
-  }
-  slots_[i].key = line_addr;
-  ++used_;
-  return {&slots_[i].value, true};
-}
-
-template <typename V>
-void CoherentMemory::LineTable<V>::Erase(Addr line_addr) {
-  if (slots_.empty()) {
-    return;
-  }
-  std::size_t hole = Probe(line_addr);
-  if (slots_[hole].key != line_addr) {
-    return;
-  }
-  // Walk the rest of the probe run. An entry moves back into the hole when
-  // its probe passes the hole on the way from its home slot; its own slot
-  // becomes the next hole.
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = (hole + 1) & mask; slots_[i].key != kEmptyKey; i = (i + 1) & mask) {
-    if (((i - Home(slots_[i].key)) & mask) >= ((i - hole) & mask)) {
-      slots_[hole] = slots_[i];
-      hole = i;
-    }
-  }
-  // FindOrInsert hands out an empty slot's value as value-initialized.
-  slots_[hole] = Slot{kEmptyKey, V{}};
-  --used_;
-}
-
-template <typename V>
-void CoherentMemory::LineTable<V>::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  const std::size_t size = old.empty() ? kMinSlots : 2 * old.size();
-  slots_.assign(size, Slot{kEmptyKey, V{}});
-  group_shift_ = 64 - std::countr_zero(size / kGroupLines);
-  for (const Slot& s : old) {
-    if (s.key != kEmptyKey) {
-      slots_[Probe(s.key)] = s;
-    }
-  }
-}
 
 CoherentMemory::CoherentMemory(sim::Executor& exec, const PlatformSpec& spec,
                                const Topology& topo, PerfCounters& counters)
@@ -116,9 +34,11 @@ CoherentMemory::CoherentMemory(sim::Executor& exec, const PlatformSpec& spec,
   if (topo.num_cores() > 64) {
     throw std::invalid_argument("CoherentMemory supports at most 64 cores");
   }
-  node_cursor_.resize(topo.num_packages());
+  if (topo.num_packages() > kMaxNodes) {
+    throw std::invalid_argument("CoherentMemory supports at most 8 NUMA nodes");
+  }
   for (int n = 0; n < topo.num_packages(); ++n) {
-    node_cursor_[n] = kNodeRegionBase + static_cast<Addr>(n) * kNodeRegionSize;
+    nodes_[n].cursor = kNodeRegionBase + static_cast<Addr>(n) * kNodeRegionSize;
   }
 }
 
@@ -126,49 +46,169 @@ Addr CoherentMemory::AllocLines(int node, std::uint64_t lines) {
   if (node < 0 || node >= topo_.num_packages()) {
     throw std::invalid_argument("AllocLines: bad node");
   }
-  Addr base = node_cursor_[node];
-  node_cursor_[node] += lines * sim::kCacheLineBytes;
+  Addr base = nodes_[node].cursor;
+  nodes_[node].cursor += lines * sim::kCacheLineBytes;
   return base;
 }
 
+int CoherentMemory::CheckAllocated(Addr addr, std::uint64_t lines) const {
+  if (addr >= kNodeRegionBase) {
+    const auto [node, line] = NodeAndLine(addr);
+    if (node < static_cast<std::size_t>(topo_.num_packages())) {
+      const std::uint64_t end = NodeAndLine(nodes_[node].cursor).second;
+      if (line <= end && lines <= end - line) {
+        return static_cast<int>(node);
+      }
+    }
+  }
+  throw std::out_of_range("CoherentMemory: address was never allocated");
+}
+
+std::uint64_t CoherentMemory::CheckedLines(Addr addr, std::uint64_t bytes) const {
+  const std::uint64_t lines = sim::LinesCovering(addr, bytes);
+  if (lines > 0) {
+    CheckAllocated(addr, lines);
+  }
+  return lines;
+}
+
 void CoherentMemory::FreeLines(Addr base, std::uint64_t lines) {
-  for (std::uint64_t i = 0; i < lines; ++i) {
-    const Addr line_addr = base + i * sim::kCacheLineBytes;
-    lines_.Erase(line_addr);
-    c2c_busy_until_.Erase(line_addr);
+  if (lines == 0) {
+    return;
+  }
+  Node& node = nodes_[CheckAllocated(base, lines)];
+  const std::uint64_t first = NodeAndLine(base).second;
+  const std::uint64_t end = first + lines;
+  for (std::uint64_t line = first; line < end;) {
+    const std::uint64_t leaf_index = line / kLeafLines;
+    if (leaf_index >= node.leaves.size() || node.leaves[leaf_index] == nullptr) {
+      line = (leaf_index + 1) * kLeafLines;
+      continue;
+    }
+    Leaf& leaf = *node.leaves[leaf_index];
+    std::uint32_t& id = leaf.group[line / kGroupLines % kLeafGroups];
+    // The freed slots of this group are [from, to).
+    const std::uint64_t from = line % kGroupLines;
+    const std::uint64_t to = std::min(end - line + from, kGroupLines);
+    line += to - from;
+    if (id == 0) {
+      continue;
+    }
+    Group& g = GroupAt(id);
+    bool others_live = false;
+    for (std::uint64_t s = 0; s < kGroupLines; ++s) {
+      if (g.sharers[s] == 0) {
+        continue;
+      }
+      if (s >= from && s < to) {
+        --live_lines_;
+      } else {
+        others_live = true;
+      }
+    }
+    if (!others_live) {
+      // NewGroup and BusyUntil reset the group and its block when they hand
+      // them out again.
+      if (g.busy != 0) {
+        free_busy_.push_back(g.busy);
+      }
+      free_groups_.push_back(id);
+      id = 0;
+      if (--leaf.live == 0) {
+        node.leaves[leaf_index].reset();
+      }
+      continue;
+    }
+    for (std::uint64_t s = from; s < to; ++s) {
+      g.sharers[s] = 0;
+      g.owner[s] = -1;
+      if (g.busy != 0) {
+        busy_blocks_[g.busy - 1][s] = 0;
+      }
+    }
   }
 }
 
-int CoherentMemory::HomeNode(Addr addr) const {
+int CoherentMemory::HomeNode(Addr addr) const { return CheckAllocated(addr, 1); }
+
+std::uint32_t CoherentMemory::NewGroup() {
+  if (free_groups_.empty()) {
+    if (groups_made_ / kChunkGroups == group_chunks_.size()) {
+      group_chunks_.push_back(std::make_unique_for_overwrite<Group[]>(kChunkGroups));
+    }
+    free_groups_.push_back(groups_made_++);
+  }
+  const std::uint32_t id = free_groups_.back();
+  free_groups_.pop_back();
+  Group& g = GroupAt(id);
+  std::fill(std::begin(g.sharers), std::end(g.sharers), 0);
+  std::fill(std::begin(g.owner), std::end(g.owner), -1);
+  g.busy = 0;
+  return id;
+}
+
+CoherentMemory::LineRef CoherentMemory::LineAt(Addr line_addr) {
+  const auto [home, line] = NodeAndLine(line_addr);
+  std::vector<std::unique_ptr<Leaf>>& leaves = nodes_[home].leaves;
+  const std::uint64_t leaf_index = line / kLeafLines;
+  if (leaf_index >= leaves.size()) {
+    leaves.resize(leaf_index + 1);
+  }
+  std::unique_ptr<Leaf>& leaf = leaves[leaf_index];
+  if (leaf == nullptr) {
+    leaf = std::make_unique<Leaf>();
+  }
+  std::uint32_t& id = leaf->group[line / kGroupLines % kLeafGroups];
+  if (id == 0) {
+    id = NewGroup();
+    ++leaf->live;
+  }
+  return {GroupAt(id), line % kGroupLines, static_cast<int>(home)};
+}
+
+std::pair<std::uint64_t, int> CoherentMemory::StateOf(Addr addr) const {
+  constexpr std::pair<std::uint64_t, int> kNeverCached{0, -1};
   if (addr < kNodeRegionBase) {
-    return 0;
+    return kNeverCached;
   }
-  auto node = static_cast<int>((addr - kNodeRegionBase) / kNodeRegionSize);
-  return node < topo_.num_packages() ? node : 0;
+  const auto [home, line] = NodeAndLine(addr);
+  if (home >= static_cast<std::size_t>(topo_.num_packages())) {
+    return kNeverCached;
+  }
+  const std::vector<std::unique_ptr<Leaf>>& leaves = nodes_[home].leaves;
+  const std::uint64_t leaf_index = line / kLeafLines;
+  if (leaf_index >= leaves.size() || leaves[leaf_index] == nullptr) {
+    return kNeverCached;
+  }
+  const std::uint32_t id = leaves[leaf_index]->group[line / kGroupLines % kLeafGroups];
+  if (id == 0) {
+    return kNeverCached;
+  }
+  const Group& g = group_chunks_[id / kChunkGroups][id % kChunkGroups];
+  return {g.sharers[line % kGroupLines], g.owner[line % kGroupLines]};
 }
 
-CoherentMemory::Line& CoherentMemory::LineAt(Addr line_addr) {
-  auto [line, inserted] = lines_.FindOrInsert(line_addr);
-  if (inserted) {
-    line->home = HomeNode(line_addr);
+Cycles& CoherentMemory::BusyUntil(LineRef line) {
+  std::uint32_t& block = line.group.busy;
+  if (block == 0) {
+    if (free_busy_.empty()) {
+      busy_blocks_.emplace_back();
+      free_busy_.push_back(static_cast<std::uint32_t>(busy_blocks_.size()));
+    }
+    block = free_busy_.back();
+    free_busy_.pop_back();
+    busy_blocks_[block - 1].fill(0);
   }
-  return *line;
+  return busy_blocks_[block - 1][line.slot];
 }
 
 bool CoherentMemory::HasLine(int core, Addr addr) const {
-  const Line* l = lines_.Find(sim::LineBase(addr));
-  return l != nullptr && (l->sharers & Bit(core)) != 0;
+  return (StateOf(addr).first & Bit(core)) != 0;
 }
 
-int CoherentMemory::OwnerOf(Addr addr) const {
-  const Line* l = lines_.Find(sim::LineBase(addr));
-  return l ? l->owner : -1;
-}
+int CoherentMemory::OwnerOf(Addr addr) const { return StateOf(addr).second; }
 
-std::uint64_t CoherentMemory::SharersOf(Addr addr) const {
-  const Line* l = lines_.Find(sim::LineBase(addr));
-  return l ? l->sharers : 0;
-}
+std::uint64_t CoherentMemory::SharersOf(Addr addr) const { return StateOf(addr).first; }
 
 Cycles CoherentMemory::TransferLatency(int core, int src_core, int home) const {
   const CostBook& c = spec_.cost;
@@ -202,8 +242,7 @@ Cycles CoherentMemory::TransferLatency(int core, int src_core, int home) const {
   return c.dram_base + c.dram_per_hop * static_cast<Cycles>(hops) + link_extra(hops);
 }
 
-Cycles CoherentMemory::ContentionDelay(Addr line_addr, int core, int src_core, int home,
-                                       bool is_write) {
+Cycles CoherentMemory::ContentionDelay(LineRef line, int core, int src_core, bool is_write) {
   const CostBook& c = spec_.cost;
   const Cycles now = exec_.now();
   Cycles wait = 0;
@@ -221,18 +260,18 @@ Cycles CoherentMemory::ContentionDelay(Addr line_addr, int core, int src_core, i
     // one at a time (the Figure 6 broadcast pathology). Ownership-migrating
     // writes instead pipeline through successive owners' caches, so their
     // serialization point is the home-node ordering below.
-    Cycles& busy_until = *c2c_busy_until_.FindOrInsert(line_addr).first;
+    Cycles& busy_until = BusyUntil(line);
     const Cycles start = busy_until > now ? busy_until : now;
     busy_until = start + c.c2c_occupancy;
     wait = start - now;  // the transaction's first reservation
   }
   if (is_write || src_core < 0) {
     // Writes order at the home node; memory fetches occupy its controller.
-    reserve(home_ctrl_[home], c.home_occupancy);
+    reserve(home_ctrl_[line.home], c.home_occupancy);
   }
   if (spec_.interconnect == InterconnectKind::kFrontSideBus && c.bus_occupancy > 0) {
     const bool crosses_bus =
-        cross_c2c || (src_core < 0 && topo_.PackageOf(core) != home) || is_write;
+        cross_c2c || (src_core < 0 && topo_.PackageOf(core) != line.home) || is_write;
     if (crosses_bus) {
       reserve(bus_, c.bus_occupancy);
     }
@@ -277,22 +316,24 @@ void CoherentMemory::AccountTraffic(int core, int src_core, int home, bool data_
 
 Cycles CoherentMemory::ReadLine(int core, Addr line_addr, bool prefetched) {
   const CostBook& c = spec_.cost;
-  Line& l = LineAt(line_addr);
+  const LineRef line = LineAt(line_addr);
+  std::uint64_t& sharers = line.group.sharers[line.slot];
+  const int owner = line.group.owner[line.slot];
   CoreCounters& cc = counters_.core(core);
   ++cc.loads;
-  if ((l.sharers & Bit(core)) != 0) {
+  if ((sharers & Bit(core)) != 0) {
     ++cc.cache_hits;
     return c.l1_hit;
   }
   ++cc.cache_misses;
   int src = -1;
-  if (l.owner >= 0 && l.owner != core) {
-    src = l.owner;
-  } else if (l.sharers != 0) {
+  if (owner >= 0 && owner != core) {
+    src = owner;
+  } else if (sharers != 0) {
     // Clean copy supplied by the nearest sharer; ties go to the lowest core.
     int best = -1;
     int best_hops = 1 << 20;
-    for (std::uint64_t rest = l.sharers; rest != 0; rest &= rest - 1) {
+    for (std::uint64_t rest = sharers; rest != 0; rest &= rest - 1) {
       const int s = std::countr_zero(rest);
       int h = topo_.SharesCache(core, s) ? -1 : topo_.HopsBetweenCores(core, s);
       if (h < best_hops) {
@@ -308,10 +349,13 @@ Cycles CoherentMemory::ReadLine(int core, Addr line_addr, bool prefetched) {
   } else {
     ++cc.c2c_transfers;
   }
-  Cycles lat = prefetched ? c.prefetched_read : TransferLatency(core, src, l.home);
-  lat += ContentionDelay(line_addr, core, src, l.home, /*is_write=*/false);
-  AccountTraffic(core, src, l.home, from_memory);
-  l.sharers |= Bit(core);
+  Cycles lat = prefetched ? c.prefetched_read : TransferLatency(core, src, line.home);
+  lat += ContentionDelay(line, core, src, /*is_write=*/false);
+  AccountTraffic(core, src, line.home, from_memory);
+  if (sharers == 0) {
+    ++live_lines_;
+  }
+  sharers |= Bit(core);
   trace::Emit<trace::Category::kCoherence>(trace::EventId::kCohMiss, exec_.now(), core,
                                            line_addr, lat);
   if (!from_memory) {
@@ -323,27 +367,29 @@ Cycles CoherentMemory::ReadLine(int core, Addr line_addr, bool prefetched) {
 
 Cycles CoherentMemory::WriteLine(int core, Addr line_addr) {
   const CostBook& c = spec_.cost;
-  Line& l = LineAt(line_addr);
+  const LineRef line = LineAt(line_addr);
+  std::uint64_t& sharers = line.group.sharers[line.slot];
+  std::int8_t& owner = line.group.owner[line.slot];
   CoreCounters& cc = counters_.core(core);
   ++cc.stores;
-  if (l.owner == core && l.sharers == Bit(core)) {
+  if (owner == core && sharers == Bit(core)) {
     ++cc.cache_hits;
     return c.l1_hit;
   }
   ++cc.cache_misses;
-  const bool need_data = (l.sharers & Bit(core)) == 0;
+  const bool need_data = (sharers & Bit(core)) == 0;
   int src = -1;
   if (need_data) {
-    if (l.owner >= 0 && l.owner != core) {
-      src = l.owner;
-    } else if (l.sharers != 0) {
-      src = std::countr_zero(l.sharers);  // the lowest sharer; `core` is not one
+    if (owner >= 0 && owner != core) {
+      src = owner;
+    } else if (sharers != 0) {
+      src = std::countr_zero(sharers);  // the lowest sharer; `core` is not one
     }
   }
   const bool from_memory = need_data && src < 0;
   Cycles fetch_lat = 0;
   if (need_data) {
-    fetch_lat = TransferLatency(core, src, l.home);
+    fetch_lat = TransferLatency(core, src, line.home);
     if (from_memory) {
       ++cc.dram_fetches;
     } else {
@@ -356,11 +402,11 @@ Cycles CoherentMemory::WriteLine(int core, Addr line_addr) {
   // widely-shared line at the ordering point.
   Cycles inval_lat = 0;
   int other_sharers = 0;
-  for (std::uint64_t rest = l.sharers & ~Bit(core); rest != 0; rest &= rest - 1) {
+  for (std::uint64_t rest = sharers & ~Bit(core); rest != 0; rest &= rest - 1) {
     const int s = std::countr_zero(rest);
     ++other_sharers;
     ++counters_.core(s).invalidations_recv;
-    Cycles rt = TransferLatency(core, s, l.home);
+    Cycles rt = TransferLatency(core, s, line.home);
     if (rt > inval_lat) {
       inval_lat = rt;
     }
@@ -374,12 +420,15 @@ Cycles CoherentMemory::WriteLine(int core, Addr line_addr) {
     // point.
     lat = c.cross_rt_base / 2;
   }
-  lat += ContentionDelay(line_addr, core, src, l.home, /*is_write=*/true);
-  if (need_data || l.sharers != Bit(core) || l.owner != core) {
-    AccountTraffic(core, src, l.home, from_memory);
+  lat += ContentionDelay(line, core, src, /*is_write=*/true);
+  if (need_data || sharers != Bit(core) || owner != core) {
+    AccountTraffic(core, src, line.home, from_memory);
   }
-  l.sharers = Bit(core);
-  l.owner = core;
+  if (sharers == 0) {
+    ++live_lines_;
+  }
+  sharers = Bit(core);
+  owner = static_cast<std::int8_t>(core);
   trace::Emit<trace::Category::kCoherence>(trace::EventId::kCohMiss, exec_.now(), core,
                                            line_addr, lat);
   if (need_data && !from_memory) {
@@ -394,9 +443,10 @@ Cycles CoherentMemory::WriteLine(int core, Addr line_addr) {
 // concurrent cores interleave between lines and a burst of lines does not
 // self-queue at a single timestamp.
 Task<Cycles> CoherentMemory::Read(int core, Addr addr, std::uint64_t bytes) {
+  const std::uint64_t n = CheckedLines(addr, bytes);
   Cycles total = 0;
   Addr first = sim::LineBase(addr);
-  for (std::uint64_t i = 0; i < sim::LinesCovering(addr, bytes); ++i) {
+  for (std::uint64_t i = 0; i < n; ++i) {
     Cycles lat = ReadLine(core, first + i * sim::kCacheLineBytes, /*prefetched=*/false);
     total += lat;
     co_await exec_.Delay(lat);
@@ -405,9 +455,10 @@ Task<Cycles> CoherentMemory::Read(int core, Addr addr, std::uint64_t bytes) {
 }
 
 Task<Cycles> CoherentMemory::ReadPrefetched(int core, Addr addr, std::uint64_t bytes) {
+  const std::uint64_t n = CheckedLines(addr, bytes);
   Cycles total = 0;
   Addr first = sim::LineBase(addr);
-  for (std::uint64_t i = 0; i < sim::LinesCovering(addr, bytes); ++i) {
+  for (std::uint64_t i = 0; i < n; ++i) {
     Cycles lat = ReadLine(core, first + i * sim::kCacheLineBytes, /*prefetched=*/true);
     total += lat;
     co_await exec_.Delay(lat);
@@ -416,9 +467,10 @@ Task<Cycles> CoherentMemory::ReadPrefetched(int core, Addr addr, std::uint64_t b
 }
 
 Task<Cycles> CoherentMemory::Write(int core, Addr addr, std::uint64_t bytes) {
+  const std::uint64_t n = CheckedLines(addr, bytes);
   Cycles total = 0;
   Addr first = sim::LineBase(addr);
-  for (std::uint64_t i = 0; i < sim::LinesCovering(addr, bytes); ++i) {
+  for (std::uint64_t i = 0; i < n; ++i) {
     Cycles lat = WriteLine(core, first + i * sim::kCacheLineBytes);
     total += lat;
     co_await exec_.Delay(lat);
@@ -429,8 +481,8 @@ Task<Cycles> CoherentMemory::Write(int core, Addr addr, std::uint64_t bytes) {
 Task<Cycles> CoherentMemory::WritePosted(int core, Addr addr, std::uint64_t bytes) {
   // State, traffic and contention are accounted as for a blocking write, but
   // the issuing core only pays the store-buffer retire cost per line.
+  const std::uint64_t n = CheckedLines(addr, bytes);
   Addr first = sim::LineBase(addr);
-  std::uint64_t n = sim::LinesCovering(addr, bytes);
   Cycles total = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     (void)WriteLine(core, first + i * sim::kCacheLineBytes);

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -313,18 +314,16 @@ TEST(CoherenceDirectory, NicRingPatternMatchesHostRecord) {
           << "node " << n << " line " << i;
     }
   }
-  // Enough distinct lines that the directory grows at least five times, even
-  // from a 1024-slot start at 3/4 load (768 << 4 entries).
-  EXPECT_GT(touched, std::uint64_t{768} << 4);
+  // Each node's ring spans two 4,096-line leaves, and more lines are touched
+  // than 512 groups of 8 hold, so the groups fill more than one slab chunk.
+  EXPECT_GT(touched, std::uint64_t{512} * 8);
   EXPECT_EQ(m.mem().DirectoryLines(), touched);
 }
 
-// Freeing shifts the entries behind each freed line back along its probe
-// run. 30 buffers per node put ~3,000 lines in a table that doubled six times
-// from 64 slots, and the frees below shift entries back across the table's
-// end (counted once with an instrumented build). Every kept line must still
-// read as the host recorded it, and every freed line as never cached on
-// every core.
+// A 2 KB buffer is four whole 8-line groups, so freeing one releases every
+// group its frame touched to the free list, while the other buffers' groups
+// in the same leaf stay. Every kept line must still read as the host
+// recorded it, and every freed line as never cached on every core.
 TEST(CoherenceDirectory, FreeLinesKeepsEveryOtherLine) {
   sim::Executor exec;
   Machine m(exec, Amd8x4());
@@ -362,41 +361,204 @@ TEST(CoherenceDirectory, FreeLinesKeepsEveryOtherLine) {
   EXPECT_EQ(m.mem().DirectoryLines(), kept);
 }
 
-// 48 lines fill the first 64-slot table to its 3/4 load limit.
-constexpr std::uint64_t kLines = 48;
-constexpr int kReader = 5;  // holds no copy of the first region's lines
-
-// A freed slot goes back to empty with a never-cached line state, so a new
-// line that lands in it starts clean: its first read is a DRAM fetch that
-// leaves the reader as the only sharer and no owner.
-TEST(CoherenceDirectory, FreedSlotsReadAsNeverCached) {
+// A region that starts at slot 3 of a group and crosses the boundary between
+// two 4,096-line leaves, on every node. A slice from its middle that starts
+// and ends inside a group is freed first, then the rest. A group split by a
+// free keeps its other lines' state, including those of the 3-line
+// allocation before the region.
+TEST(CoherenceDirectory, RegionAcrossGroupAndLeafBoundaries) {
+  constexpr std::uint64_t kPad = 3;
+  constexpr std::uint64_t kRegion = 5'000;      // the node's lines 3 to 5,002
+  constexpr std::uint64_t kSliceBegin = 1'001;  // the node's line 1,004, slot 4
+  constexpr std::uint64_t kSliceLines = 3'499;  // to line 4,502, slot 6
   sim::Executor exec;
-  Machine m(exec, Amd4x4());
-  const Addr first = m.mem().AllocLines(0, kLines);
-  Addr second = 0;
-  std::uint64_t fetches = 0;
-  exec.Spawn([](Machine& mm, Addr old_lines, Addr& new_lines,
-                std::uint64_t& dram_fetches) -> Task<> {
-    const std::uint64_t bytes = kLines * sim::kCacheLineBytes;
-    co_await mm.mem().Write(0, old_lines, bytes);
-    for (int core : {1, 2, 3, 8}) {
-      co_await mm.mem().Read(core, old_lines, bytes);
-    }
-    EXPECT_EQ(mm.mem().DirectoryLines(), kLines);
-    mm.mem().FreeLines(old_lines, kLines);
-    EXPECT_EQ(mm.mem().DirectoryLines(), 0u);
-    new_lines = mm.mem().AllocLines(0, kLines);
-    const std::uint64_t before = mm.counters().Total().dram_fetches;
-    co_await mm.mem().Read(kReader, new_lines, bytes);
-    dram_fetches = mm.counters().Total().dram_fetches - before;
-  }(m, first, second, fetches));
+  Machine m(exec, Amd8x4());
+  const int nodes = m.topo().num_packages();
+  const int cores = m.num_cores();
+  std::vector<Addr> pads(nodes);
+  std::vector<Addr> regions(nodes);
+  // Per node, the pad's lines then the region's.
+  std::vector<std::vector<LineRecord>> expect(nodes);
+  for (int n = 0; n < nodes; ++n) {
+    pads[n] = m.mem().AllocLines(n, kPad);
+    regions[n] = m.mem().AllocLines(n, kRegion);
+    ASSERT_EQ(regions[n], pads[n] + kPad * sim::kCacheLineBytes);
+    expect[n].resize(kPad + kRegion);
+    // Every seventh line is never touched; a core of the next package reads
+    // every third.
+    exec.Spawn([](Machine& mm, Addr base, int writer, int reader,
+                  std::vector<LineRecord>& record) -> Task<> {
+      for (std::size_t i = 0; i < record.size(); ++i) {
+        const Addr addr = base + i * sim::kCacheLineBytes;
+        if (i % 7 == 5) {
+          continue;
+        }
+        co_await mm.mem().Write(writer, addr);
+        record[i] = LineRecord{1ULL << writer, writer};
+        if (i % 3 == 0) {
+          co_await mm.mem().Read(reader, addr);
+          record[i].sharers |= 1ULL << reader;
+        }
+      }
+    }(m, pads[n], 4 * n, (4 * n + 5) % cores, expect[n]));
+  }
   exec.Run();
 
+  // Checks every line of every node; `live(i)` says whether a node's line i
+  // (pad first) still holds its recorded state. Returns the live lines.
+  auto check = [&](auto live) {
+    std::uint64_t count = 0;
+    for (int n = 0; n < nodes; ++n) {
+      for (std::uint64_t i = 0; i < kPad + kRegion; ++i) {
+        const bool keep = i % 7 != 5 && live(i);
+        count += keep ? 1 : 0;
+        EXPECT_TRUE(LineIs(m, pads[n] + i * sim::kCacheLineBytes,
+                           keep ? expect[n][i] : LineRecord{}))
+            << "node " << n << " line " << i;
+      }
+    }
+    return count;
+  };
+  const std::uint64_t touched = check([](std::uint64_t) { return true; });
+  EXPECT_EQ(m.mem().DirectoryLines(), touched);
+
+  for (int n = 0; n < nodes; ++n) {
+    m.mem().FreeLines(regions[n] + kSliceBegin * sim::kCacheLineBytes, kSliceLines);
+  }
+  const std::uint64_t kept = check([](std::uint64_t i) {
+    return i < kPad + kSliceBegin || i >= kPad + kSliceBegin + kSliceLines;
+  });
+  EXPECT_LT(kept, touched);
+  EXPECT_EQ(m.mem().DirectoryLines(), kept);
+
+  for (int n = 0; n < nodes; ++n) {
+    m.mem().FreeLines(regions[n], kSliceBegin);
+    const std::uint64_t tail = kSliceBegin + kSliceLines;
+    m.mem().FreeLines(regions[n] + tail * sim::kCacheLineBytes, kRegion - tail);
+  }
+  const std::uint64_t pad_lines = check([](std::uint64_t i) { return i < kPad; });
+  EXPECT_EQ(m.mem().DirectoryLines(), pad_lines);
+  for (int n = 0; n < nodes; ++n) {
+    m.mem().FreeLines(pads[n], kPad);
+  }
+  EXPECT_EQ(m.mem().DirectoryLines(), 0u);
+}
+
+// Two 8-line groups, each of which gets a reservation block.
+constexpr std::uint64_t kLines = 16;
+constexpr int kReader = 1;   // the writer's package; holds no copy of the new lines
+constexpr int kRemote = 31;  // package 7
+
+Task<> ReadLineOnce(Machine& m, int core, Addr addr) { co_await m.mem().Read(core, addr); }
+
+// The reader's DRAM fetch of a new line, then the remote core's read, which
+// the reader supplies cache to cache.
+Task<> FirstTwoReads(Machine& m, Addr addr, Cycles& remote_latency) {
+  co_await m.mem().Read(kReader, addr);
+  EXPECT_TRUE(LineIs(m, addr, LineRecord{1ULL << kReader, -1}));
+  remote_latency = co_await m.mem().Read(kRemote, addr);
+}
+
+// Freed groups and their reservation blocks go to free lists and the next
+// allocation gets them back. They must come back reset: a new line's first
+// read is a DRAM fetch that leaves the reader as the only sharer and no
+// owner, and a cross-package read right after it waits for no other supply,
+// though the freed lines' supplier was booked far past that read.
+TEST(CoherenceDirectory, FreedSlotsReadAsNeverCached) {
+  sim::Executor exec;
+  Machine m(exec, Amd8x4());
+  const Addr old_lines = m.mem().AllocLines(0, kLines);
+  exec.Spawn([](Machine& mm, Addr a) -> Task<> {
+    co_await mm.mem().Write(0, a, kLines * sim::kCacheLineBytes);
+  }(m, old_lines));
+  exec.Run();
+
+  // Each core outside package 0 reads each old line in the same cycle, so
+  // core 0 supplies each line 28 times over and is booked ~9,000 cycles out.
+  for (int core = 4; core < m.num_cores(); ++core) {
+    for (std::uint64_t l = 0; l < kLines; ++l) {
+      exec.Spawn(ReadLineOnce(m, core, old_lines + l * sim::kCacheLineBytes));
+    }
+  }
+  // Still in that cycle: free the lines and allocate new ones.
+  EXPECT_EQ(m.mem().DirectoryLines(), kLines);
+  m.mem().FreeLines(old_lines, kLines);
+  EXPECT_EQ(m.mem().DirectoryLines(), 0u);
+  const Addr new_lines = m.mem().AllocLines(0, kLines);
+  const std::uint64_t fetches_before = m.counters().core(kReader).dram_fetches;
+  std::vector<Cycles> remote_latency(kLines);
   for (std::uint64_t l = 0; l < kLines; ++l) {
-    EXPECT_TRUE(LineIs(m, second + l * sim::kCacheLineBytes, LineRecord{1ULL << kReader, -1}))
+    exec.Spawn(FirstTwoReads(m, new_lines + l * sim::kCacheLineBytes, remote_latency[l]));
+  }
+  exec.Run();
+
+  EXPECT_EQ(m.counters().core(kReader).dram_fetches - fetches_before, kLines);
+  const CostBook& c = m.cost();
+  const Cycles supply =
+      c.cross_rt_base + c.cross_rt_per_hop * static_cast<Cycles>(
+                                                 m.topo().HopsBetweenCores(kRemote, kReader));
+  for (std::uint64_t l = 0; l < kLines; ++l) {
+    EXPECT_EQ(remote_latency[l], supply) << "line " << l;
+    EXPECT_TRUE(LineIs(m, new_lines + l * sim::kCacheLineBytes,
+                       LineRecord{(1ULL << kReader) | (1ULL << kRemote), -1}))
         << "line " << l;
   }
-  EXPECT_EQ(fetches, kLines);
+  EXPECT_EQ(m.mem().DirectoryLines(), kLines);
+}
+
+// Whether awaiting `access` throws std::out_of_range.
+Task<> Rejects(Task<Cycles> access, bool& rejected) {
+  try {
+    co_await std::move(access);
+  } catch (const std::out_of_range&) {
+    rejected = true;
+  }
+}
+
+// An address AllocLines never returned has no home node. Every entry point
+// that takes one throws instead of homing it on node 0, and touches nothing;
+// the diagnostics read it as never cached.
+TEST(CoherenceDirectory, UnallocatedAddressIsRejected) {
+  sim::Executor exec;
+  Machine m(exec, Amd4x4());
+  const Addr node0 = m.mem().AllocLines(0, 2);
+  const Addr node3 = m.mem().AllocLines(3, 1);
+  const Addr region = (node3 - node0) / 3;  // one node's share of the address space
+  const std::pair<const char*, Addr> unallocated[] = {
+      {"below node 0's region", node0 - sim::kCacheLineBytes},
+      {"in a fifth node's region", node0 + 4 * region},
+      {"at node 0's cursor", node0 + 2 * sim::kCacheLineBytes},
+      {"past node 3's cursor", node3 + 5 * sim::kCacheLineBytes},
+      {"in node 1's region, which nothing allocated", node0 + region},
+  };
+  for (const auto& [where, addr] : unallocated) {
+    SCOPED_TRACE(where);
+    EXPECT_THROW(m.mem().HomeNode(addr), std::out_of_range);
+    EXPECT_THROW(m.mem().FreeLines(addr, 1), std::out_of_range);
+    bool rejected[4] = {};
+    exec.Spawn(Rejects(m.mem().Read(0, addr), rejected[0]));
+    exec.Spawn(Rejects(m.mem().ReadPrefetched(0, addr), rejected[1]));
+    exec.Spawn(Rejects(m.mem().Write(0, addr), rejected[2]));
+    exec.Spawn(Rejects(m.mem().WritePosted(0, addr), rejected[3]));
+    exec.Run();
+    EXPECT_TRUE(rejected[0]) << "Read";
+    EXPECT_TRUE(rejected[1]) << "ReadPrefetched";
+    EXPECT_TRUE(rejected[2]) << "Write";
+    EXPECT_TRUE(rejected[3]) << "WritePosted";
+    EXPECT_TRUE(LineIs(m, addr, LineRecord{}));
+  }
+  // A range that starts in node 0's two lines and runs past them.
+  EXPECT_THROW(m.mem().FreeLines(node0, 3), std::out_of_range);
+  bool rejected = false;
+  exec.Spawn(Rejects(m.mem().Read(0, node0 + sim::kCacheLineBytes, 2 * sim::kCacheLineBytes),
+                     rejected));
+  exec.Run();
+  EXPECT_TRUE(rejected);
+
+  EXPECT_EQ(m.mem().DirectoryLines(), 0u);
+  EXPECT_EQ(m.counters().Total().loads + m.counters().Total().stores, 0u);
+  EXPECT_EQ(m.mem().HomeNode(node0 + sim::kCacheLineBytes), 0);
+  EXPECT_EQ(m.mem().HomeNode(node3), 3);
 }
 
 }  // namespace
