@@ -522,68 +522,69 @@ Task<> Scenario(Cluster& cl, RunState& rs, const Sizes& sz, Attack attack,
               cl.server->established_count(), cl.server->peak_established(),
               cl.server->half_open_count());
 
-  std::unique_ptr<fault::Injector> inj;
   Cycles attack_start = 0;
   Cycles attack_end = 0;
   Cycles run_end;
-  if (clean) {
-    run_end = ramp_end + sz.sustain;
-    cl.exec.Spawn(ArrivalGen(cl, rs, run_end, bench::LoadShape::kDiurnal,
-                             10'000'000, sz.arrival_gap));
-  } else {
-    attack_start = ramp_end + sz.baseline;
-    attack_end = attack_start + sz.attack;
-    run_end = attack_end + sz.recovery;
-    double prob = chaos_seed == 0 ? 1.0 : 0.85;
-    fault::FaultPlan plan;
-    switch (attack) {
-      case Attack::kSynFlood:
-        plan.SynFlood(attack_start, attack_end, fault::kUnlimited, prob, chaos_seed);
-        break;
-      case Attack::kSlowloris:
-        plan.Slowloris(attack_start, attack_end, fault::kUnlimited, prob, chaos_seed);
-        break;
-      case Attack::kChurn:
-        plan.ConnChurn(attack_start, attack_end, fault::kUnlimited, prob, chaos_seed);
-        break;
-      case Attack::kClean:
-        break;
+  {
+    // The attack plan is armed from here until the run has drained.
+    std::unique_ptr<fault::Injector> inj;
+    if (clean) {
+      run_end = ramp_end + sz.sustain;
+      cl.exec.Spawn(ArrivalGen(cl, rs, run_end, bench::LoadShape::kDiurnal,
+                               10'000'000, sz.arrival_gap));
+    } else {
+      attack_start = ramp_end + sz.baseline;
+      attack_end = attack_start + sz.attack;
+      run_end = attack_end + sz.recovery;
+      double prob = chaos_seed == 0 ? 1.0 : 0.85;
+      fault::FaultPlan plan;
+      switch (attack) {
+        case Attack::kSynFlood:
+          plan.SynFlood(attack_start, attack_end, fault::kUnlimited, prob, chaos_seed);
+          break;
+        case Attack::kSlowloris:
+          plan.Slowloris(attack_start, attack_end, fault::kUnlimited, prob, chaos_seed);
+          break;
+        case Attack::kChurn:
+          plan.ConnChurn(attack_start, attack_end, fault::kUnlimited, prob, chaos_seed);
+          break;
+        case Attack::kClean:
+          break;
+      }
+      inj = std::make_unique<fault::Injector>(plan);
+      cl.exec.Spawn(ArrivalGen(cl, rs, run_end, bench::LoadShape::kSteady, 0,
+                               sz.arrival_gap));
+      switch (attack) {
+        case Attack::kSynFlood:
+          cl.exec.Spawn(SynFloodGen(cl, rs, attack_end, 15'000));
+          break;
+        case Attack::kSlowloris:
+          for (int i = 0; i < 8; ++i) {
+            cl.exec.Spawn(SlowlorisConn(cl, rs, attack_start, attack_end, 300'000));
+          }
+          break;
+        case Attack::kChurn:
+          cl.exec.Spawn(ChurnGen(cl, rs, attack_end, 40'000));
+          break;
+        case Attack::kClean:
+          break;
+      }
     }
-    inj = std::make_unique<fault::Injector>(plan);
-    inj->Install();
-    cl.exec.Spawn(ArrivalGen(cl, rs, run_end, bench::LoadShape::kSteady, 0,
-                             sz.arrival_gap));
-    switch (attack) {
-      case Attack::kSynFlood:
-        cl.exec.Spawn(SynFloodGen(cl, rs, attack_end, 15'000));
-        break;
-      case Attack::kSlowloris:
-        for (int i = 0; i < 8; ++i) {
-          cl.exec.Spawn(SlowlorisConn(cl, rs, attack_start, attack_end, 300'000));
-        }
-        break;
-      case Attack::kChurn:
-        cl.exec.Spawn(ChurnGen(cl, rs, attack_end, 40'000));
-        break;
-      case Attack::kClean:
-        break;
-    }
-  }
 
-  // Let the run play out, then drain in-flight requests.
-  while (cl.exec.now() < run_end) {
-    co_await cl.exec.Delay(run_end - cl.exec.now());
-  }
-  while (rs.inflight > 0) {
-    co_await cl.exec.Delay(500'000);
-  }
-  if (inj != nullptr) {
-    std::printf("attack window [%llu, %llu)\n",
-                static_cast<unsigned long long>(attack_start),
-                static_cast<unsigned long long>(attack_end));
-    inj->PrintActivationTable();
-    gates.Check("activation gate (every spec fired)", inj->AllSpecsActivated());
-    inj->Uninstall();
+    // Let the run play out, then drain in-flight requests.
+    while (cl.exec.now() < run_end) {
+      co_await cl.exec.Delay(run_end - cl.exec.now());
+    }
+    while (rs.inflight > 0) {
+      co_await cl.exec.Delay(500'000);
+    }
+    if (inj != nullptr) {
+      std::printf("attack window [%llu, %llu)\n",
+                  static_cast<unsigned long long>(attack_start),
+                  static_cast<unsigned long long>(attack_end));
+      inj->PrintActivationTable();
+      gates.Check("activation gate (every spec fired)", inj->AllSpecsActivated());
+    }
   }
 
   // Teardown: close pooled requester connections, then the held ballast.

@@ -105,7 +105,6 @@ KillCoreRun MeasureKillOneCore(bool print_activation_table) {
   fault::FaultPlan plan;
   plan.HaltCore(5, /*at=*/100'000);  // lands inside the second retype's prepare
   fault::Injector inj(plan);
-  inj.Install();
   KillCoreRun out;
   {
     System s(hw::Amd8x4());
@@ -125,7 +124,6 @@ KillCoreRun MeasureKillOneCore(bool print_activation_table) {
     inj.PrintActivationTable();
   }
   out.all_specs_activated = inj.AllSpecsActivated();
-  inj.Uninstall();
   return out;
 }
 
@@ -148,12 +146,8 @@ int RunKillCoreMode(bench::TraceSession& session) {
                        a.events_dispatched == b.events_dispatched &&
                        a.latencies == b.latencies &&
                        a.attempts_total == b.attempts_total;
-  std::printf("%-28s %s (run 1: %llu cycles / %llu events, run 2: %llu / %llu)\n",
-              "replay bit-identical:", deterministic ? "yes" : "NO",
-              static_cast<unsigned long long>(a.final_now),
-              static_cast<unsigned long long>(a.events_dispatched),
-              static_cast<unsigned long long>(b.final_now),
-              static_cast<unsigned long long>(b.events_dispatched));
+  bench::PrintReplay(28, deterministic, a.final_now, a.events_dispatched, b.final_now,
+                     b.events_dispatched);
   bool recovered = a.all_committed && a.dead_core_detected &&
                    a.attempts_total > static_cast<int>(a.latencies.size());
   std::printf("%-28s %s\n", "recovery (presumed abort):",

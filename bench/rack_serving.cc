@@ -147,7 +147,6 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
   std::unique_ptr<fault::Injector> inj;
   if (plan != nullptr) {
     inj = std::make_unique<fault::Injector>(*plan);
-    inj->Install();
   }
 
   const int total = cfg.rps * cfg.shards * cfg.machines;
@@ -274,7 +273,6 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
       inj->PrintActivationTable();
     }
     out.specs_activated = inj->AllSpecsActivated();
-    inj->Uninstall();
   }
   return out;
 }
@@ -500,27 +498,18 @@ int RunChaos(bench::TraceSession& session, bool quick, int machines,
   const RackOutput r = RunRack(cfg, &plan, true);
   PrintCounters(r);
 
-  struct Check {
-    const char* name;
-    bool ok;
-  } checks[] = {
-      {"ledger balances", r.load.Balanced()},
-      {"majority served", r.load.completed * 2 >= r.load.launched},
-      {"kill became a view change", r.view_changes == 1 && r.epoch == 2},
-      {"survivor heartbeats accepted", r.heartbeats > 0},
-      {"dead machine's flows re-steered", r.resteered > 0},
-      {"no unroutable frames", r.fabric_unknown_drops == 0},
-      {"every fault spec fired", r.specs_activated},
-  };
-  bool ok = true;
-  for (const Check& c : checks) {
-    std::printf("%-32s %s\n", c.name, c.ok ? "ok" : "FAIL");
-    ok = ok && c.ok;
-  }
-  if (!ok) {
-    std::printf("chaos FAIL: reproduce with seed %llu (plan above)\n",
-                static_cast<unsigned long long>(seed));
-  }
+  const bool ok = bench::PrintInvariants(
+      32,
+      {
+          {"ledger balances", r.load.Balanced()},
+          {"majority served", r.load.completed * 2 >= r.load.launched},
+          {"kill became a view change", r.view_changes == 1 && r.epoch == 2},
+          {"survivor heartbeats accepted", r.heartbeats > 0},
+          {"dead machine's flows re-steered", r.resteered > 0},
+          {"no unroutable frames", r.fabric_unknown_drops == 0},
+          {"every fault spec fired", r.specs_activated},
+      },
+      seed);
   return ok ? 0 : 1;
 }
 

@@ -133,7 +133,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
       plan.HaltCore(k.db ? p.db_core : p.web_core, t0 + k.at);
     }
     inj = std::make_unique<fault::Injector>(plan);
-    inj->Install();
     // Boot ran without the injector; arm the detector now.
     exec.Spawn(s.sys.HeartbeatLoop());
   }
@@ -267,7 +266,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
       inj->PrintActivationTable();
     }
     out.specs_activated = inj->AllSpecsActivated();
-    inj->Uninstall();
   }
   return out;
 }
@@ -361,12 +359,7 @@ int RunKillWeb(bench::TraceSession& session, bool quick, int shard) {
   const bool deterministic = SameRun(a, b);
   std::printf("%-26s %s\n", "committed-work ledger:",
               no_loss ? "completed + shed == launched" : "REQUESTS LOST");
-  std::printf("%-26s %s (run 1: %llu cycles / %llu events, run 2: %llu / %llu)\n",
-              "replay bit-identical:", deterministic ? "yes" : "NO",
-              static_cast<unsigned long long>(a.final_now),
-              static_cast<unsigned long long>(a.events),
-              static_cast<unsigned long long>(b.final_now),
-              static_cast<unsigned long long>(b.events));
+  bench::PrintReplay(26, deterministic, a.final_now, a.events, b.final_now, b.events);
   const bool ok = rec.recovered && no_loss && deterministic &&
                   a.view_changes == 1 && a.adopted > 0 && a.specs_activated &&
                   a.replicas_consistent;
@@ -399,12 +392,7 @@ int RunKillDb(bench::TraceSession& session, bool quick, int shard) {
   const bool deterministic = SameRun(a, b);
   std::printf("%-26s %s\n", "committed-work ledger:",
               no_loss ? "completed + shed == launched" : "REQUESTS LOST");
-  std::printf("%-26s %s (run 1: %llu cycles / %llu events, run 2: %llu / %llu)\n",
-              "replay bit-identical:", deterministic ? "yes" : "NO",
-              static_cast<unsigned long long>(a.final_now),
-              static_cast<unsigned long long>(a.events),
-              static_cast<unsigned long long>(b.final_now),
-              static_cast<unsigned long long>(b.events));
+  bench::PrintReplay(26, deterministic, a.final_now, a.events, b.final_now, b.events);
   // The dip here is bounded by the DB replica RPC timeout, and the
   // replacement replica must end up serving: redirects home, nothing left
   // dead, no request lost.
@@ -463,30 +451,21 @@ int RunChaos(bench::TraceSession& session, bool quick, std::uint64_t seed) {
   for (const Kill& k : kills) {
     db_kills += k.db ? 1 : 0;
   }
-  struct Check {
-    const char* name;
-    bool ok;
-  } checks[] = {
-      {"ledger balances", r.load.Balanced()},
-      {"majority served", r.load.completed * 2 >= r.load.launched},
-      {"all kills became view changes",
-       r.view_changes == static_cast<std::uint64_t>(n_kills) &&
-           r.epoch == 1 + static_cast<std::uint64_t>(n_kills)},
-      {"dead replicas respawned",
-       r.db_respawns == static_cast<std::uint64_t>(db_kills) && r.db_all_home},
-      {"live replicas consistent", r.replicas_consistent},
-      {"monitors quiesced", r.monitors_quiesced},
-      {"every fault spec fired", r.specs_activated},
-  };
-  bool ok = true;
-  for (const Check& c : checks) {
-    std::printf("%-32s %s\n", c.name, c.ok ? "ok" : "FAIL");
-    ok = ok && c.ok;
-  }
-  if (!ok) {
-    std::printf("chaos FAIL: reproduce with seed %llu (plan above)\n",
-                static_cast<unsigned long long>(seed));
-  }
+  const bool ok = bench::PrintInvariants(
+      32,
+      {
+          {"ledger balances", r.load.Balanced()},
+          {"majority served", r.load.completed * 2 >= r.load.launched},
+          {"all kills became view changes",
+           r.view_changes == static_cast<std::uint64_t>(n_kills) &&
+               r.epoch == 1 + static_cast<std::uint64_t>(n_kills)},
+          {"dead replicas respawned",
+           r.db_respawns == static_cast<std::uint64_t>(db_kills) && r.db_all_home},
+          {"live replicas consistent", r.replicas_consistent},
+          {"monitors quiesced", r.monitors_quiesced},
+          {"every fault spec fired", r.specs_activated},
+      },
+      seed);
   return ok ? 0 : 1;
 }
 

@@ -428,4 +428,28 @@ void PrintRecovery(const Recovery& rec, const std::string& rule) {
   }
 }
 
+void PrintReplay(int width, bool identical, Cycles cycles1, std::uint64_t events1,
+                 Cycles cycles2, std::uint64_t events2) {
+  std::printf("%-*s %s (run 1: %llu cycles / %llu events, run 2: %llu / %llu)\n",
+              width, "replay bit-identical:", identical ? "yes" : "NO",
+              static_cast<unsigned long long>(cycles1),
+              static_cast<unsigned long long>(events1),
+              static_cast<unsigned long long>(cycles2),
+              static_cast<unsigned long long>(events2));
+}
+
+bool PrintInvariants(int width, std::initializer_list<Invariant> invariants,
+                     std::uint64_t seed) {
+  bool ok = true;
+  for (const Invariant& inv : invariants) {
+    std::printf("%-*s %s\n", width, inv.name, inv.ok ? "ok" : "FAIL");
+    ok = ok && inv.ok;
+  }
+  if (!ok) {
+    std::printf("chaos FAIL: reproduce with seed %llu (plan above)\n",
+                static_cast<unsigned long long>(seed));
+  }
+  return ok;
+}
+
 }  // namespace mk::bench

@@ -3,14 +3,17 @@
 // HTTP client with an exact ledger, the per-shard NIC attachment, the
 // single-machine serving fleet (NIC, client stack, one stack and HttpServer
 // per shard, and the run that drains once every request is answered), the
-// completion timeline and its recovery-window analyzer, and the booted
-// system (monitors included) that the failover benches and fig6_shootdown,
-// fig7_unmap and fig8_twopc run on. Client behaviour changes here, once, for every serving bench. It also
-// holds sec54_webserver's single-machine web server.
+// completion timeline and its recovery-window analyzer, the fault runs'
+// replay and invariant lines, and the booted system (monitors included)
+// that the failover benches and fig6_shootdown, fig7_unmap and fig8_twopc
+// run on. Client behaviour changes here, once, for every serving bench. It
+// also holds sec54_webserver's single-machine web server.
 #ifndef MK_BENCH_SERVING_H_
 #define MK_BENCH_SERVING_H_
 
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -246,6 +249,25 @@ Recovery AnalyzeRecovery(const std::vector<int>& buckets, Cycles bucket,
                          Cycles kill_at, double frac);
 // Prints the target (with `rule`, e.g. ">= 7/8 of it") and the window.
 void PrintRecovery(const Recovery& rec, const std::string& rule);
+
+// --- Fault-run verdict lines ---
+
+// Prints "replay bit-identical: yes|NO (run 1: C cycles / E events, run 2:
+// C / E)", the label padded to `width` columns like the rest of the
+// caller's verdict block.
+void PrintReplay(int width, bool identical, Cycles cycles1, std::uint64_t events1,
+                 Cycles cycles2, std::uint64_t events2);
+
+// One invariant a chaos run must hold.
+struct Invariant {
+  const char* name;
+  bool ok;
+};
+// Prints one "name ok|FAIL" row per invariant, names padded to `width`
+// columns, and on any failure the line naming `seed` to reproduce it with.
+// Returns whether every invariant holds.
+bool PrintInvariants(int width, std::initializer_list<Invariant> invariants,
+                     std::uint64_t seed);
 
 }  // namespace mk::bench
 

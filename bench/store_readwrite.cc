@@ -217,7 +217,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const bench::Mix&
       }
     }
     inj = std::make_unique<fault::Injector>(plan);
-    inj->Install();
     exec.Spawn(s.sys.HeartbeatLoop());
   }
 
@@ -310,7 +309,6 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const bench::Mix&
       inj->PrintActivationTable();
     }
     out.specs_activated = inj->AllSpecsActivated();
-    inj->Uninstall();
   }
   return out;
 }
@@ -499,12 +497,7 @@ int RunKillLeader(bench::TraceSession& session, bool quick, int shard) {
   const bool deterministic = SameRun(a, b);
   std::printf("%-26s %s\n", "committed-work ledger:",
               no_loss ? "completed + shed == launched" : "REQUESTS LOST");
-  std::printf("%-26s %s (run 1: %llu cycles / %llu events, run 2: %llu / %llu)\n",
-              "replay bit-identical:", deterministic ? "yes" : "NO",
-              static_cast<unsigned long long>(a.final_now),
-              static_cast<unsigned long long>(a.events),
-              static_cast<unsigned long long>(b.final_now),
-              static_cast<unsigned long long>(b.events));
+  bench::PrintReplay(26, deterministic, a.final_now, a.events, b.final_now, b.events);
   const bool ok = rec.recovered && no_loss && deterministic && ledger_ok &&
                   a.view_changes == 1 && a.promotions == 1 && a.respawns == 1 &&
                   a.catchups == 1 && a.buys_errored == 0 &&
@@ -569,34 +562,25 @@ int RunChaos(bench::TraceSession& session, bool quick, std::uint64_t seed) {
   PrintCounters(r);
   const bool ledger_ok = CheckLedger(r, /*exact=*/false, /*print=*/true);
 
-  struct Check {
-    const char* name;
-    bool ok;
-  } checks[] = {
-      {"request ledger balances", r.load.Balanced()},
-      {"majority served", r.load.completed * 2 >= r.load.launched},
-      {"write ledger exact-once", ledger_ok},
-      {"all kills became view changes",
-       r.view_changes == static_cast<std::uint64_t>(n_kills) &&
-           r.epoch == 1 + static_cast<std::uint64_t>(n_kills)},
-      {"leader kills became promotions",
-       r.promotions == static_cast<std::uint64_t>(leader_kills)},
-      {"dead replicas respawned and caught up",
-       r.respawns == static_cast<std::uint64_t>(n_kills) &&
-           r.catchups == r.respawns},
-      {"fs + monitor replicas consistent", r.fs_consistent},
-      {"monitors quiesced", r.monitors_quiesced},
-      {"every fault spec fired", r.specs_activated},
-  };
-  bool ok = true;
-  for (const Check& c : checks) {
-    std::printf("%-36s %s\n", c.name, c.ok ? "ok" : "FAIL");
-    ok = ok && c.ok;
-  }
-  if (!ok) {
-    std::printf("chaos FAIL: reproduce with seed %llu (plan above)\n",
-                static_cast<unsigned long long>(seed));
-  }
+  const bool ok = bench::PrintInvariants(
+      36,
+      {
+          {"request ledger balances", r.load.Balanced()},
+          {"majority served", r.load.completed * 2 >= r.load.launched},
+          {"write ledger exact-once", ledger_ok},
+          {"all kills became view changes",
+           r.view_changes == static_cast<std::uint64_t>(n_kills) &&
+               r.epoch == 1 + static_cast<std::uint64_t>(n_kills)},
+          {"leader kills became promotions",
+           r.promotions == static_cast<std::uint64_t>(leader_kills)},
+          {"dead replicas respawned and caught up",
+           r.respawns == static_cast<std::uint64_t>(n_kills) &&
+               r.catchups == r.respawns},
+          {"fs + monitor replicas consistent", r.fs_consistent},
+          {"monitors quiesced", r.monitors_quiesced},
+          {"every fault spec fired", r.specs_activated},
+      },
+      seed);
   return ok ? 0 : 1;
 }
 

@@ -188,28 +188,17 @@ FaultPlan& FaultPlan::ConnChurn(sim::Cycles at, sim::Cycles until, int count,
 }
 
 Injector::Injector(const FaultPlan& plan) {
+  assert(internal::g_active == nullptr && "an Injector is already active");
   for (const FaultSpec& s : plan.specs()) {
     specs_.emplace_back(s);
   }
+  internal::g_active = this;
 }
 
 Injector::~Injector() {
-  if (installed_) {
-    Uninstall();
-  }
-}
-
-void Injector::Install() {
-  assert(internal::g_active == nullptr && "an Injector is already installed");
-  internal::g_active = this;
-  installed_ = true;
-}
-
-void Injector::Uninstall() {
   if (internal::g_active == this) {
     internal::g_active = nullptr;
   }
-  installed_ = false;
 }
 
 namespace {
@@ -235,15 +224,6 @@ bool Injector::CoreHalted(int core, sim::Cycles now) const {
     }
     st.activations.fetch_add(1, std::memory_order_relaxed);
     return true;
-  }
-  return false;
-}
-
-bool Injector::AnyHaltPlanned() const {
-  for (const SpecState& st : specs_) {
-    if (st.spec.kind == FaultKind::kCoreHalt) {
-      return true;
-    }
   }
   return false;
 }

@@ -4,7 +4,7 @@
 // system; this module makes the reproduction inherit distributed-systems
 // failure modes on demand. A FaultPlan is a declarative schedule of faults —
 // fail-stop core halts, IPI drops and delays, NIC frame loss and corruption,
-// interconnect latency spikes — and an Injector is the installed instance the
+// interconnect latency spikes — and an Injector is the live instance the
 // hardware models consult at their injection points.
 //
 // Two properties mirror mk::trace:
@@ -18,7 +18,7 @@
 //     and stream apply independently per domain — each domain's world sees
 //     the plan as its own; plain single-executor runs are domain 0 and
 //     behave exactly as before;
-//   * zero-cost when absent — with no Injector installed every injection
+//   * zero-cost when absent — with no Injector alive every injection
 //     point is one null-pointer test, schedules no events, and charges no
 //     cycles, so the paper benches stay byte-identical.
 //
@@ -158,11 +158,13 @@ class FaultPlan {
   std::vector<FaultSpec> specs_;
 };
 
-// The installed fault schedule. Process-wide singleton via Install/Uninstall
-// (the simulator is single-threaded), mirroring trace::Tracer. Queries are
+// The active fault schedule, armed for exactly its lifetime: the
+// constructor makes it the process-wide active() instance (at most one
+// Injector may exist at a time) and the destructor disarms it, so a scope
+// that declares one is a faulty run and nothing else is. Queries are
 // consulted by the hardware models; each query visits the spec list once —
 // plans are a handful of entries, so this is not a hot path, and with no
-// Injector installed the sites pay only `active() == nullptr`.
+// Injector alive the sites pay only `active() == nullptr`.
 class Injector {
  public:
   explicit Injector(const FaultPlan& plan);
@@ -170,8 +172,6 @@ class Injector {
   Injector& operator=(const Injector&) = delete;
   ~Injector();
 
-  void Install();
-  void Uninstall();
   static Injector* active();
 
   // True if `core` has fail-stop halted by `now`: a HaltCore spec for it, or
@@ -180,8 +180,6 @@ class Injector {
   // each true answer adds one activation to the matching spec, and the
   // coverage tables print that count.
   bool CoreHalted(int core, sim::Cycles now) const;
-  // True if any core is scheduled to halt at some point in the plan.
-  bool AnyHaltPlanned() const;
 
   // Consuming queries: called once per candidate injection, they advance
   // per-spec counters/streams and record stats.
@@ -254,7 +252,6 @@ class Injector {
 
   std::deque<SpecState> specs_;  // deque: SpecState is not movable (atomic member)
   std::array<std::atomic<std::uint64_t>, kNumKinds> injected_{};
-  bool installed_ = false;
 };
 
 namespace internal {

@@ -40,14 +40,6 @@ struct CoreCounters {
   std::uint64_t ipis_sent = 0;
   std::uint64_t ipis_received = 0;
 
-  // Invokes fn(name, value) for every counter field.
-  template <typename Fn>
-  void ForEachField(Fn&& fn) const {
-#define MK_VISIT(field) fn(#field, field);
-    MK_CORE_COUNTER_FIELDS(MK_VISIT)
-#undef MK_VISIT
-  }
-
   // Invokes fn(this_field&, other_field) for every pair of counter fields.
   template <typename Fn>
   void ZipFields(const CoreCounters& other, Fn&& fn) {

@@ -27,19 +27,6 @@ TcpHeader ConnHeader(const NetStack::TcpConn& c, std::uint32_t seq, TcpFlags fla
 
 }  // namespace
 
-const char* CloseCauseName(CloseCause c) {
-  switch (c) {
-    case CloseCause::kActiveFin: return "active-fin";
-    case CloseCause::kPassiveFin: return "passive-fin";
-    case CloseCause::kReset: return "reset";
-    case CloseCause::kConnectTimeout: return "connect-timeout";
-    case CloseCause::kHalfOpenExpiry: return "half-open-expiry";
-    case CloseCause::kRetxAbort: return "retx-abort";
-    case CloseCause::kNumCauses: break;
-  }
-  return "?";
-}
-
 Task<NetStack::UdpDatagram> NetStack::UdpSocket::Recv() {
   while (queue.empty()) {
     co_await ready.Wait();

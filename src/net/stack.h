@@ -100,7 +100,6 @@ enum class CloseCause : std::uint8_t {
 };
 inline constexpr std::size_t kNumCloseCauses =
     static_cast<std::size_t>(CloseCause::kNumCauses);
-const char* CloseCauseName(CloseCause c);
 
 // Lifecycle-mode tuning. `enabled` flips the stack from the legacy subset to
 // the full state machine; the rest only applies when enabled.

@@ -2,7 +2,7 @@
 // retransmit knobs.
 //
 // Whether recovery is armed is one decision, made here: Armed() is true
-// while a fault::Injector is installed, and Bound(c) turns a timeout into
+// while a fault::Injector is alive, and Bound(c) turns a timeout into
 // sim::kForever otherwise, so a plain run waits unboundedly and schedules no
 // timer event (see DESIGN.md §8).
 //
@@ -52,9 +52,9 @@ inline RecoveryConfig& MutableRecoveryConfig() {
 
 inline const RecoveryConfig& Config() { return MutableRecoveryConfig(); }
 
-// True while a fault::Injector is installed: the recovery machinery (bounded
-// waits, the monitor heartbeat, legacy TCP's wheel retransmits) runs only
-// then.
+// True while a fault::Injector is alive (one is armed for exactly its
+// lifetime): the recovery machinery (bounded waits, the monitor heartbeat,
+// legacy TCP's wheel retransmits) runs only then.
 inline bool Armed() { return fault::Injector::active() != nullptr; }
 
 // The wait bound for a recovery timeout `c`: `c` when armed, sim::kForever

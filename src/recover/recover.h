@@ -16,7 +16,7 @@
 // table, adopt orphaned flows, re-point DB clients, respawn replicas.
 //
 // Like the rest of the recovery machinery, everything here runs only while a
-// fault::Injector is installed (exclusions cannot happen otherwise), so plain
+// fault::Injector is alive (exclusions cannot happen otherwise), so plain
 // runs schedule no extra events and stay byte-identical.
 #ifndef MK_RECOVER_RECOVER_H_
 #define MK_RECOVER_RECOVER_H_

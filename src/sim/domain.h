@@ -8,7 +8,7 @@
 //
 // The current domain is published thread-locally by the engine around every
 // run and drain phase, so layers that keep per-domain streams (mk::fault's
-// per-spec Rng streams, sim::StreamPool) can key on it without plumbing a
+// per-spec Rng streams) can key on it without plumbing a
 // domain id through every call site. Outside an engine run — plain
 // single-executor simulations, test setup, bench main() — the current domain
 // is 0, which keeps every existing run byte-identical: domain 0's streams

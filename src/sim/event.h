@@ -244,33 +244,11 @@ class FifoResource {
   Cycles ReserveAt(Cycles now, Cycles service) {
     Cycles start = now > busy_until_ ? now : busy_until_;
     busy_until_ = start + service;
-    total_busy_ += service;
-    ++transactions_;
     return busy_until_;
-  }
-
-  Cycles busy_until() const { return busy_until_; }
-  Cycles total_busy() const { return total_busy_; }
-  std::uint64_t transactions() const { return transactions_; }
-
-  // Utilization over [0, horizon], in [0, 1].
-  double Utilization(Cycles horizon) const {
-    if (horizon == 0) {
-      return 0.0;
-    }
-    return static_cast<double>(total_busy_) / static_cast<double>(horizon);
-  }
-
-  void Reset() {
-    busy_until_ = 0;
-    total_busy_ = 0;
-    transactions_ = 0;
   }
 
  private:
   Cycles busy_until_ = 0;
-  Cycles total_busy_ = 0;
-  std::uint64_t transactions_ = 0;
 };
 
 }  // namespace mk::sim

@@ -114,7 +114,7 @@ void Executor::AdvanceTo(Cycles t) {
 void Executor::DispatchCycle() {
   const std::size_t slot = static_cast<std::size_t>(now_ & kWindowMask);
   // Pop-invoke until the bucket drains. An invoked event may append
-  // same-cycle events (Yield, immediate wake-ups); they link onto the tail
+  // same-cycle events (an Event's wake-ups); they link onto the tail
   // and this loop reaches them in insertion order. The head node is
   // unlinked before invoking, so mid-dispatch appends to an emptied bucket
   // start a fresh list. Coroutine resumptions — the dominant event kind —

@@ -51,7 +51,7 @@ class ParallelEngine;
 class Executor {
  public:
   // Width of the near-future bucket ring, in cycles. Power of two; sized to
-  // cover the simulator's common delay constants (Delay(50..800), Yield).
+  // cover the simulator's common delay constants (Delay(50..800)).
   static constexpr Cycles kNearWindow = 1024;
 
   Executor() = default;
@@ -84,20 +84,6 @@ class Executor {
       void await_resume() const noexcept {}
     };
     return Awaiter{this, d};
-  }
-
-  // Awaitable: reschedules the current task at the back of the current
-  // timestamp's queue, letting other ready tasks run first.
-  auto Yield() {
-    struct Awaiter {
-      Executor* exec;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        exec->PushHandle(exec->now_, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this};
   }
 
   // Starts a detached task. The executor owns its frame until completion; an
@@ -242,7 +228,7 @@ class Executor {
   void AdvanceTo(Cycles t);
 
   // Dispatches every event in the bucket for now_, including events appended
-  // to it mid-dispatch (Yield and other same-cycle scheduling).
+  // to it mid-dispatch (an Event's wake-ups and other same-cycle scheduling).
   void DispatchCycle();
 
   // The one dispatch step of Run and RunUntil: advances the clock to the

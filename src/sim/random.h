@@ -7,17 +7,14 @@
 // stream is for* — (base seed, domain, purpose) — never of when it was
 // created. A creation-order counter would silently entangle every consumer:
 // reordering two Rng constructions (or running domains on different host
-// threads) would reshuffle all downstream draws. DeriveStreamSeed and
-// StreamPool encode the keyed scheme; tests/random_stream_test.cc pins the
-// order-independence property.
+// threads) would reshuffle all downstream draws. DeriveStreamSeed encodes
+// the keyed scheme; tests/random_stream_test.cc pins it.
 #ifndef MK_SIM_RANDOM_H_
 #define MK_SIM_RANDOM_H_
 
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <utility>
 
 namespace mk::sim {
 
@@ -98,32 +95,6 @@ inline std::uint64_t DeriveStreamSeed(std::uint64_t base, int domain,
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-// Keyed stream registry: hands out one Rng per (domain, purpose), created
-// lazily on first request but seeded purely from the key. Request order,
-// interleaving, and host-thread placement cannot change any stream's
-// sequence. Not itself thread-safe — give each domain its own pool, or use
-// it from setup code only.
-class StreamPool {
- public:
-  explicit StreamPool(std::uint64_t base_seed) : base_(base_seed) {}
-
-  Rng& Get(int domain, std::uint64_t purpose = 0) {
-    const auto key = std::make_pair(domain, purpose);
-    auto it = streams_.find(key);
-    if (it == streams_.end()) {
-      it = streams_.emplace(key, Rng(DeriveStreamSeed(base_, domain, purpose))).first;
-    }
-    return it->second;
-  }
-
-  std::uint64_t base_seed() const { return base_; }
-  std::size_t size() const { return streams_.size(); }
-
- private:
-  std::uint64_t base_;
-  std::map<std::pair<int, std::uint64_t>, Rng> streams_;
-};
 
 }  // namespace mk::sim
 

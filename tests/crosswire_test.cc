@@ -193,13 +193,11 @@ TEST(CrossWireTest, WireDropFaultSiteConsumesAndCounts) {
   plan.DropWireFrames(/*src_machine=*/0, /*dst_machine=*/1, /*at=*/0,
                       /*count=*/3);
   fault::Injector inj(plan);
-  inj.Install();
 
   w.wire->Start();
   w.engine->domain(0).Spawn(Sender(*w.a, kFrames, 1'000, 500));
   w.engine->domain(1).Spawn(Receiver(*w.b, kFrames - 3));
   w.engine->Run();
-  inj.Uninstall();
 
   EXPECT_EQ(w.wire->dropped_ab(), 3u);
   EXPECT_EQ(w.wire->forwarded_ab(), static_cast<std::uint64_t>(kFrames - 3));
@@ -218,14 +216,12 @@ TEST(CrossWireTest, WireDelaySpikeWidensTheBoundAndCounts) {
   fault::FaultPlan plan;
   plan.WireDelay(/*src_machine=*/0, /*dst_machine=*/1, kExtra, /*at=*/0);
   fault::Injector inj(plan);
-  inj.Install();
 
   std::vector<Cycles> sends;
   w.wire->Start();
   w.engine->domain(0).Spawn(Sender(*w.a, kFrames, 1'000, 2'000, &sends));
   w.engine->domain(1).Spawn(Receiver(*w.b, kFrames));
   w.engine->Run();
-  inj.Uninstall();
 
   EXPECT_EQ(w.wire->delayed_ab(), static_cast<std::uint64_t>(kFrames));
   ASSERT_EQ(static_cast<int>(w.b->arrivals.size()), kFrames);
@@ -247,13 +243,11 @@ TEST(CrossWireTest, WrongPairSpecNeverActivates) {
   plan.DropWireFrames(/*src_machine=*/1, /*dst_machine=*/0, /*at=*/0,
                       /*count=*/100);
   fault::Injector inj(plan);
-  inj.Install();
 
   w.wire->Start();
   w.engine->domain(0).Spawn(Sender(*w.a, kFrames, 1'000, 500));
   w.engine->domain(1).Spawn(Receiver(*w.b, kFrames));
   w.engine->Run();
-  inj.Uninstall();
 
   EXPECT_EQ(w.wire->dropped_ab(), 0u);
   EXPECT_EQ(w.wire->forwarded_ab(), static_cast<std::uint64_t>(kFrames));

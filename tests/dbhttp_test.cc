@@ -400,11 +400,10 @@ TEST(HttpServerEndToEnd, EmptyQueryIsAnsweredAndTheNextQueryServed) {
 // --- Sharded read-only DB replicas ---
 
 TEST(DbShard, EmptyStatementUnderAnInjectorLeavesTheReplicaLive) {
-  // With an injector installed the reply wait is bounded. An empty statement
+  // While an injector is alive the reply wait is bounded. An empty statement
   // the replica never received would time out there and mark a healthy
-  // replica dead. (The injector uninstalls itself when it goes out of scope.)
+  // replica dead.
   fault::Injector inj{fault::FaultPlan{}};
-  inj.Install();
   sim::Executor exec;
   hw::Machine machine(exec, hw::Amd4x4());
   DbReplicaCluster cluster(machine, MakeDb(), {{0, 1}});

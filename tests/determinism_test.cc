@@ -159,7 +159,6 @@ FaultRunResult RunKillOneCoreTwoPhaseWorkload() {
   fault::FaultPlan plan;
   plan.HaltCore(5, /*at=*/100'000);
   fault::Injector inj(plan);
-  inj.Install();
   FaultRunResult out;
   {
     System s;
@@ -173,7 +172,6 @@ FaultRunResult RunKillOneCoreTwoPhaseWorkload() {
     out.events_dispatched = s.exec.events_dispatched();
     out.killed_core_failed = s.sys.CoreFailed(5);
   }
-  inj.Uninstall();
   return out;
 }
 
@@ -196,7 +194,6 @@ NetRunResult RunLossyNetperfWorkload() {
   fault::FaultPlan plan;
   plan.RandomRxLoss(/*rate=*/0.15, /*seed=*/7);
   fault::Injector inj(plan);
-  inj.Install();
   NetRunResult out;
   {
     sim::Executor exec;
@@ -235,7 +232,6 @@ NetRunResult RunLossyNetperfWorkload() {
     out.retransmits = a.tcp_retransmits() + b.tcp_retransmits();
     out.frames_lost = inj.injected(fault::FaultKind::kNicRxDrop);
   }
-  inj.Uninstall();
   return out;
 }
 

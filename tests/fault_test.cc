@@ -38,14 +38,6 @@ using monitor::Protocol;
 using sim::Cycles;
 using sim::Task;
 
-// RAII install/uninstall so a failing assertion can't leak an active
-// injector into the next test.
-struct ScopedInjector {
-  explicit ScopedInjector(const fault::FaultPlan& plan) : inj(plan) { inj.Install(); }
-  ~ScopedInjector() { inj.Uninstall(); }
-  fault::Injector inj;
-};
-
 // --- Plan and query semantics ---
 
 TEST(FaultPlan, KindNamesAreDistinct) {
@@ -59,8 +51,8 @@ TEST(Injector, InactiveByDefaultAndSingleton) {
   fault::FaultPlan plan;
   plan.HaltCore(3, 100);
   {
-    ScopedInjector s(plan);
-    EXPECT_EQ(fault::Injector::active(), &s.inj);
+    fault::Injector inj(plan);
+    EXPECT_EQ(fault::Injector::active(), &inj);
   }
   EXPECT_EQ(fault::Injector::active(), nullptr);
 }
@@ -68,14 +60,13 @@ TEST(Injector, InactiveByDefaultAndSingleton) {
 TEST(Injector, CoreHaltIsAPermanentPredicate) {
   fault::FaultPlan plan;
   plan.HaltCore(5, 1000);
-  ScopedInjector s(plan);
-  EXPECT_FALSE(s.inj.CoreHalted(5, 999));
-  EXPECT_TRUE(s.inj.CoreHalted(5, 1000));
-  EXPECT_TRUE(s.inj.CoreHalted(5, 1u << 30));  // permanent
-  EXPECT_FALSE(s.inj.CoreHalted(4, 1u << 30));
-  EXPECT_TRUE(s.inj.AnyHaltPlanned());
+  fault::Injector inj(plan);
+  EXPECT_FALSE(inj.CoreHalted(5, 999));
+  EXPECT_TRUE(inj.CoreHalted(5, 1000));
+  EXPECT_TRUE(inj.CoreHalted(5, 1u << 30));  // permanent
+  EXPECT_FALSE(inj.CoreHalted(4, 1u << 30));
   // Polling it never consumes anything.
-  EXPECT_EQ(s.inj.injected(fault::FaultKind::kCoreHalt), 0u);
+  EXPECT_EQ(inj.injected(fault::FaultKind::kCoreHalt), 0u);
 }
 
 TEST(Injector, MachineHaltedAnswersOnlyForAnInstalledHalt) {
@@ -90,7 +81,7 @@ TEST(Injector, MachineHaltedAnswersOnlyForAnInstalledHalt) {
     exec.Run();
     EXPECT_FALSE(halted_late);
   }
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   sim::Executor exec;
   hw::Machine m(exec, hw::Amd2x2());
   std::vector<bool> seen;
@@ -107,23 +98,23 @@ TEST(Injector, MachineHaltedAnswersOnlyForAnInstalledHalt) {
 TEST(Injector, CountedDropsExhaustAndEndpointsMatch) {
   fault::FaultPlan plan;
   plan.DropIpi(/*from=*/0, /*to=*/7, /*at=*/500, /*count=*/2);
-  ScopedInjector s(plan);
-  EXPECT_FALSE(s.inj.ShouldDropIpi(499, 0, 7));  // not yet armed
-  EXPECT_FALSE(s.inj.ShouldDropIpi(600, 1, 7));  // wrong sender
-  EXPECT_TRUE(s.inj.ShouldDropIpi(600, 0, 7));
-  EXPECT_TRUE(s.inj.ShouldDropIpi(700, 0, 7));
-  EXPECT_FALSE(s.inj.ShouldDropIpi(800, 0, 7));  // count exhausted
-  EXPECT_EQ(s.inj.injected(fault::FaultKind::kIpiDrop), 2u);
+  fault::Injector inj(plan);
+  EXPECT_FALSE(inj.ShouldDropIpi(499, 0, 7));  // not yet armed
+  EXPECT_FALSE(inj.ShouldDropIpi(600, 1, 7));  // wrong sender
+  EXPECT_TRUE(inj.ShouldDropIpi(600, 0, 7));
+  EXPECT_TRUE(inj.ShouldDropIpi(700, 0, 7));
+  EXPECT_FALSE(inj.ShouldDropIpi(800, 0, 7));  // count exhausted
+  EXPECT_EQ(inj.injected(fault::FaultKind::kIpiDrop), 2u);
 }
 
 TEST(Injector, ProbabilisticStreamsAreDeterministic) {
   auto decisions = [] {
     fault::FaultPlan plan;
     plan.RandomRxLoss(/*rate=*/0.3, /*seed=*/99);
-    ScopedInjector s(plan);
+    fault::Injector inj(plan);
     std::vector<bool> out;
     for (int i = 0; i < 200; ++i) {
-      out.push_back(s.inj.ShouldDropRxFrame(static_cast<Cycles>(i) * 100));
+      out.push_back(inj.ShouldDropRxFrame(static_cast<Cycles>(i) * 100));
     }
     return out;
   };
@@ -144,12 +135,12 @@ TEST(Injector, FaultStreamsArePerDomainAndOrderIndependent) {
   auto decisions_by_domain = [](std::vector<int> domain_order) {
     fault::FaultPlan plan;
     plan.RandomRxLoss(/*rate=*/0.3, /*seed=*/99);
-    ScopedInjector s(plan);
+    fault::Injector inj(plan);
     std::map<int, std::vector<bool>> out;
     for (int d : domain_order) {
       sim::internal::tls_current_domain = d;
       for (int i = 0; i < 100; ++i) {
-        out[d].push_back(s.inj.ShouldDropRxFrame(static_cast<Cycles>(i) * 100));
+        out[d].push_back(inj.ShouldDropRxFrame(static_cast<Cycles>(i) * 100));
       }
     }
     sim::internal::tls_current_domain = 0;
@@ -168,13 +159,13 @@ TEST(Injector, CountedFaultBudgetsArePerDomain) {
   // simulation must not observe domain 0 having already spent the fault.
   fault::FaultPlan plan;
   plan.DropIpi(/*from=*/0, /*to=*/1, /*at=*/0, /*count=*/1);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   sim::internal::tls_current_domain = 0;
-  EXPECT_TRUE(s.inj.ShouldDropIpi(10, 0, 1));
-  EXPECT_FALSE(s.inj.ShouldDropIpi(20, 0, 1));  // budget spent in domain 0
+  EXPECT_TRUE(inj.ShouldDropIpi(10, 0, 1));
+  EXPECT_FALSE(inj.ShouldDropIpi(20, 0, 1));  // budget spent in domain 0
   sim::internal::tls_current_domain = 1;
-  EXPECT_TRUE(s.inj.ShouldDropIpi(10, 0, 1));  // fresh budget in domain 1
-  EXPECT_FALSE(s.inj.ShouldDropIpi(20, 0, 1));
+  EXPECT_TRUE(inj.ShouldDropIpi(10, 0, 1));  // fresh budget in domain 1
+  EXPECT_FALSE(inj.ShouldDropIpi(20, 0, 1));
   sim::internal::tls_current_domain = 0;
 }
 
@@ -184,7 +175,7 @@ TEST(IpiFaults, DroppedIpiNeverArrivesDelayedIpiArrivesLate) {
   auto arrival = [](fault::FaultPlan plan) -> std::optional<Cycles> {
     sim::Executor exec;
     hw::Machine m(exec, hw::Amd2x2());
-    ScopedInjector s(plan);
+    fault::Injector inj(plan);
     std::optional<Cycles> arrived;
     m.ipi().SetHandler(2, [&](int, std::uint64_t) { arrived = exec.now(); });
     exec.Spawn([](hw::Machine& mm) -> Task<> { co_await mm.ipi().Send(0, 2, 1); }(m));
@@ -210,7 +201,7 @@ TEST(IpiFaults, HaltedCoreReceivesNothing) {
   hw::Machine m(exec, hw::Amd2x2());
   fault::FaultPlan plan;
   plan.HaltCore(2, 0);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   bool arrived = false;
   m.ipi().SetHandler(2, [&](int, std::uint64_t) { arrived = true; });
   exec.Spawn([](hw::Machine& mm) -> Task<> { co_await mm.ipi().Send(0, 2, 1); }(m));
@@ -222,7 +213,7 @@ TEST(LinkFaults, SpikeInflatesCrossPackageTransfers) {
   auto read_latency = [](fault::FaultPlan plan) {
     sim::Executor exec;
     hw::Machine m(exec, hw::Amd8x4());
-    ScopedInjector s(plan);
+    fault::Injector inj(plan);
     sim::Addr line = m.mem().AllocLines(0, 1);
     Cycles out = 0;
     exec.Spawn([](hw::Machine& mm, sim::Addr a, Cycles& result) -> Task<> {
@@ -263,7 +254,7 @@ TEST(NicFaults, RxDropLosesFrameTxDropEatsFrameAfterDma) {
   fault::FaultPlan plan;
   plan.DropRxFrames(/*at=*/0, /*count=*/1);
   plan.DropTxFrames(/*at=*/0, /*count=*/1);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   net::SimNic nic(m, net::SimNic::Config{});
   exec.Spawn([](net::SimNic& n) -> Task<> {
     co_await n.InjectFromWire(UdpFrame(MakeIp(10, 0, 0, 1), MakeIp(10, 0, 0, 2), 7, 64));
@@ -278,8 +269,8 @@ TEST(NicFaults, RxDropLosesFrameTxDropEatsFrameAfterDma) {
   EXPECT_EQ(nic.frames_sent(), 0u);
   Packet out;
   EXPECT_FALSE(nic.WirePop(&out));
-  EXPECT_EQ(s.inj.injected(fault::FaultKind::kNicRxDrop), 1u);
-  EXPECT_EQ(s.inj.injected(fault::FaultKind::kNicTxDrop), 1u);
+  EXPECT_EQ(inj.injected(fault::FaultKind::kNicRxDrop), 1u);
+  EXPECT_EQ(inj.injected(fault::FaultKind::kNicTxDrop), 1u);
 }
 
 TEST(NicFaults, CorruptedFrameIsDeliveredButFailsChecksum) {
@@ -287,7 +278,7 @@ TEST(NicFaults, CorruptedFrameIsDeliveredButFailsChecksum) {
   hw::Machine m(exec, hw::Intel2x4());
   fault::FaultPlan plan;
   plan.CorruptRxFrames(/*at=*/0, /*count=*/1);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   net::SimNic nic(m, net::SimNic::Config{});
   net::NetStack stack(m, 0, MakeIp(10, 0, 0, 2), net::MacAddr{2, 0, 0, 0, 0, 1});
   stack.UdpBind(7);
@@ -301,7 +292,7 @@ TEST(NicFaults, CorruptedFrameIsDeliveredButFailsChecksum) {
     co_await st.Input(std::move(*frame));
   }(nic, stack));
   exec.Run();
-  EXPECT_EQ(s.inj.injected(fault::FaultKind::kNicRxCorrupt), 1u);
+  EXPECT_EQ(inj.injected(fault::FaultKind::kNicRxCorrupt), 1u);
   EXPECT_EQ(stack.drops_bad_frame(), 1u);
   EXPECT_EQ(stack.drops(), 1u);
 }
@@ -342,7 +333,7 @@ struct LossyStackPair {
 TEST(TcpRetransmit, GoBackNDeliversEverythingOverALossyLink) {
   fault::FaultPlan plan;
   plan.RandomRxLoss(/*rate=*/0.2, /*seed=*/42);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   LossyStackPair f;
   auto& listener = f.b.TcpListen(80);
   std::vector<std::uint8_t> received;
@@ -370,7 +361,7 @@ TEST(TcpRetransmit, GoBackNDeliversEverythingOverALossyLink) {
   for (std::size_t i = 0; i < received.size(); ++i) {
     ASSERT_EQ(received[i], static_cast<std::uint8_t>(i)) << "at offset " << i;
   }
-  EXPECT_GT(s.inj.injected(fault::FaultKind::kNicRxDrop), 0u);
+  EXPECT_GT(inj.injected(fault::FaultKind::kNicRxDrop), 0u);
   EXPECT_GT(f.a.tcp_retransmits(), 0u);
   // Recovery quiesced: no timer left an event behind or a wheel slot armed.
   EXPECT_EQ(f.exec.pending_events(), 0u);
@@ -384,7 +375,7 @@ TEST(TcpRetransmit, LosslessRunsScheduleNoTimerAndRetransmitNothing) {
   // retransmit timer arms on the wheel, but nothing is lost, so nothing
   // retransmits.
   fault::FaultPlan plan;
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   LossyStackPair f;
   auto& listener = f.b.TcpListen(80);
   std::size_t total = 0;
@@ -411,7 +402,7 @@ TEST(TcpRetransmit, LosslessRunsScheduleNoTimerAndRetransmitNothing) {
 
 TEST(TcpRetransmit, LosslessLegacyTransferArmsTheWheelAndDisarmsOnTheLastAck) {
   fault::FaultPlan plan;
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   LossyStackPair f;
   ASSERT_FALSE(f.a.lifecycle().enabled);
   auto& listener = f.b.TcpListen(80);
@@ -473,10 +464,10 @@ TEST(NicFaults, QueueScopedDropsOnlyHitTheirQueue) {
   ASSERT_NE(port_q2, 0);
   fault::FaultPlan plan;
   plan.DropRxFramesOnQueue(/*queue=*/2, /*at=*/0, /*count=*/1);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   // A wildcard-site query (the pre-multi-queue call sites pass -1) must not
   // match — or consume — a queue-scoped spec.
-  EXPECT_FALSE(s.inj.ShouldDropRxFrame(/*now=*/100));
+  EXPECT_FALSE(inj.ShouldDropRxFrame(/*now=*/100));
   exec.Spawn([](net::SimNic& n, std::uint16_t p0, std::uint16_t p2) -> Task<> {
     co_await n.InjectFromWire(UdpFrame(kIpA, kIpB, p0, 64));
     co_await n.InjectFromWire(UdpFrame(kIpA, kIpB, p2, 64));
@@ -487,7 +478,7 @@ TEST(NicFaults, QueueScopedDropsOnlyHitTheirQueue) {
   EXPECT_EQ(nic.queue_stats(0).rx_fault_drops, 0u);
   EXPECT_EQ(nic.queue_stats(2).rx_frames, 1u);  // second q2 frame survived
   EXPECT_EQ(nic.queue_stats(2).rx_fault_drops, 1u);
-  EXPECT_EQ(s.inj.injected(fault::FaultKind::kNicRxDrop), 1u);
+  EXPECT_EQ(inj.injected(fault::FaultKind::kNicRxDrop), 1u);
 }
 
 // --- TCP loss sweep: four rates, loss in each direction, replay identical ---
@@ -543,7 +534,7 @@ SweepResult RunLossyEcho(double rate, std::uint64_t seed) {
   fault::FaultPlan plan;
   plan.RandomRxLoss(rate, seed);
   plan.RandomTxLoss(rate, seed ^ 0x5a5a5a5a);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   DuplexLossyPair f;
   SweepResult r;
   auto& listener = f.b.TcpListen(7);
@@ -577,8 +568,8 @@ SweepResult RunLossyEcho(double rate, std::uint64_t seed) {
   f.exec.Run();
   r.retx_client = f.a.tcp_retransmits();
   r.retx_server = f.b.tcp_retransmits();
-  r.lost_rx = s.inj.injected(fault::FaultKind::kNicRxDrop);
-  r.lost_tx = s.inj.injected(fault::FaultKind::kNicTxDrop);
+  r.lost_rx = inj.injected(fault::FaultKind::kNicRxDrop);
+  r.lost_tx = inj.injected(fault::FaultKind::kNicTxDrop);
   r.events = f.exec.events_dispatched();
   r.final_now = f.exec.now();
   return r;
@@ -591,7 +582,7 @@ SweepResult RunLossyWebRequest(double rate, std::uint64_t seed) {
   fault::FaultPlan plan;
   plan.RandomRxLoss(rate, seed);
   plan.RandomTxLoss(rate, seed + 1);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   DuplexLossyPair f;
   SweepResult r;
   auto& listener = f.b.TcpListen(80);
@@ -631,8 +622,8 @@ SweepResult RunLossyWebRequest(double rate, std::uint64_t seed) {
   f.exec.Run();
   r.retx_client = f.a.tcp_retransmits();
   r.retx_server = f.b.tcp_retransmits();
-  r.lost_rx = s.inj.injected(fault::FaultKind::kNicRxDrop);
-  r.lost_tx = s.inj.injected(fault::FaultKind::kNicTxDrop);
+  r.lost_rx = inj.injected(fault::FaultKind::kNicRxDrop);
+  r.lost_tx = inj.injected(fault::FaultKind::kNicTxDrop);
   r.events = f.exec.events_dispatched();
   r.final_now = f.exec.now();
   return r;
@@ -725,7 +716,7 @@ struct MonitorFixture {
 TEST(TwoPcRecovery, CommitsAmongSurvivorsAfterParticipantHalt) {
   fault::FaultPlan plan;
   plan.HaltCore(9, /*at=*/0);  // dead before the protocol starts, undetected
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   MonitorFixture f;
   caps::CapId root = f.sys.InstallRootCap(0, 64 << 20);
   monitor::Monitor::TwoPcResult result;
@@ -755,7 +746,7 @@ TEST(TwoPcRecovery, CommitsAmongSurvivorsAfterParticipantHalt) {
 TEST(TwoPcRecovery, HaltedMulticastLeaderIsReplaced) {
   fault::FaultPlan plan;
   plan.HaltCore(8, /*at=*/0);  // core 8 leads package 2 in the 8x4 route
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   MonitorFixture f;
   caps::CapId root = f.sys.InstallRootCap(0, 64 << 20);
   monitor::Monitor::TwoPcResult result;
@@ -780,7 +771,7 @@ TEST(TwoPcRecovery, HaltedMulticastLeaderIsReplaced) {
 TEST(TwoPcRecovery, HeartbeatDetectsHaltWithoutAnInitiator) {
   fault::FaultPlan plan;
   plan.HaltCore(13, /*at=*/10'000);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   MonitorFixture f;
   f.exec.Spawn([](MonitorFixture& fx) -> Task<> {
     // Nobody initiates anything; only the heartbeat sweep is running.
@@ -796,7 +787,7 @@ TEST(TwoPcRecovery, HeartbeatDetectsHaltWithoutAnInitiator) {
 TEST(TwoPcRecovery, CleanRunsUnderInjectorStillCommitFirstTry) {
   // An installed-but-empty plan must not change protocol outcomes.
   fault::FaultPlan plan;
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   MonitorFixture f;
   caps::CapId root = f.sys.InstallRootCap(0, 64 << 20);
   monitor::Monitor::TwoPcResult result;
@@ -822,7 +813,7 @@ TEST(RecvTimeout, DeadSenderYieldsNulloptAndNoLeakedWaiter) {
   auto drivers = CpuDriver::BootAll(m);
   fault::FaultPlan plan;
   plan.HaltCore(0, /*at=*/0);  // the would-be sender is dead
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   urpc::Channel ch(m, 0, 4);
   bool got = true;
   exec.Spawn([](urpc::Channel& c, CpuDriver& local, CpuDriver& snd, bool& out) -> Task<> {
@@ -842,7 +833,7 @@ TEST(RecvTimeout, MessageBeatingTheTimeoutIsDelivered) {
   hw::Machine m(exec, hw::Amd8x4());
   auto drivers = CpuDriver::BootAll(m);
   fault::FaultPlan plan;
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   urpc::Channel ch(m, 0, 4);
   int got = -1;
   exec.Spawn([](hw::Machine& mm, urpc::Channel& c) -> Task<> {
@@ -977,7 +968,7 @@ TEST(NameServiceFaults, DeadCoreRegistrationsAreEvictedLazily) {
   hw::Machine m(exec, hw::Amd8x4());
   fault::FaultPlan plan;
   plan.HaltCore(2, /*at=*/50'000);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   idc::NameService ns(m);
   // Built outside the coroutine: gcc miscompiles braced string-literal
   // initializer lists across the coroutine transform ("array used as
@@ -1059,7 +1050,7 @@ TEST(NameServiceFaults, QueryWhereEveryMatchIsDeadEvictsAllAndReturnsEmpty) {
   fault::FaultPlan plan;
   plan.HaltCore(2, /*at=*/50'000);
   plan.HaltCore(5, /*at=*/50'000);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   idc::NameService ns(m);
   std::map<std::string, std::string> props{{"kind", "service"}};
   exec.Spawn([](hw::Machine& mm, idc::NameService& svc,

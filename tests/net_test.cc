@@ -804,7 +804,6 @@ TEST(NicRxLoop, ReturnsOnceItsCoreHalts) {
   fault::FaultPlan plan;
   plan.HaltCore(kRxCore, 500'000);
   fault::Injector inj(plan);
-  inj.Install();
   std::vector<Cycles> handled;
   Cycles returned_at = 0;
   f.exec.Spawn(ServeAndRecordReturn(f.exec, nic, 100, &handled, &returned_at));
@@ -813,7 +812,6 @@ TEST(NicRxLoop, ReturnsOnceItsCoreHalts) {
   // its core dead and returns, leaving the frame in the ring.
   f.exec.Spawn(InjectBurstAt(f.exec, nic, 1'000'000, 1));
   f.exec.Run();
-  inj.Uninstall();
   EXPECT_EQ(handled.size(), 1u);
   EXPECT_GE(returned_at, 1'000'000u);
   EXPECT_TRUE(nic.RxReady());

@@ -47,12 +47,6 @@ struct Fixture {
   ReplicatedFs fs;
 };
 
-struct ScopedInjector {
-  explicit ScopedInjector(const fault::FaultPlan& plan) : inj(plan) { inj.Install(); }
-  ~ScopedInjector() { inj.Uninstall(); }
-  fault::Injector inj;
-};
-
 std::vector<std::uint8_t> Bytes(const std::string& s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
@@ -64,7 +58,7 @@ TEST(RamfsFault, ParticipantHaltMidAppendConvergesWithoutDoubleApply) {
   // final byte count is the assertion — one 'x' per acknowledged append.
   fault::FaultPlan plan;
   plan.HaltCore(7, /*at=*/30'000);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   Fixture f;
   int ok_appends = 0;
   std::string contents;
@@ -96,7 +90,7 @@ TEST(RamfsFault, RedeliveredRemoveKeepsItsOriginalResult) {
   // reports the same verdict.
   fault::FaultPlan plan;
   plan.HaltCore(11, /*at=*/30'000);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   Fixture f;
   f.exec.Spawn([](Fixture& fx) -> Task<> {
     for (int i = 0; i < 12; ++i) {
@@ -117,7 +111,7 @@ TEST(RamfsFault, MutationsAfterExclusionKeepSurvivorsConsistent) {
   // later redelivery would be skipped or applied uniformly everywhere.
   fault::FaultPlan plan;
   plan.HaltCore(4, /*at=*/40'000);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   Fixture f;
   f.exec.Spawn([](Fixture& fx) -> Task<> {
     (void)co_await fx.fs.Create(1, "/a");

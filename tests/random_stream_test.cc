@@ -17,14 +17,6 @@
 namespace mk::sim {
 namespace {
 
-std::vector<std::uint64_t> Draw(Rng& rng, int n) {
-  std::vector<std::uint64_t> out;
-  for (int i = 0; i < n; ++i) {
-    out.push_back(rng.Next());
-  }
-  return out;
-}
-
 TEST(DeriveStreamSeed, IdentityForDomainZeroPurposeZero) {
   // Domain 0 / purpose 0 is the pre-parallel-engine world: every historical
   // golden transcript was recorded with the base seed used directly, so the
@@ -53,51 +45,6 @@ TEST(DeriveStreamSeed, DistinctAcrossDomainsAndPurposes) {
 TEST(DeriveStreamSeed, PureFunctionOfInputs) {
   EXPECT_EQ(DeriveStreamSeed(99, 3, 2), DeriveStreamSeed(99, 3, 2));
   EXPECT_NE(DeriveStreamSeed(99, 3, 2), DeriveStreamSeed(100, 3, 2));
-}
-
-TEST(StreamPool, HandoutOrderDoesNotChangeStreams) {
-  // The regression proper: two pools, same base seed, streams requested in
-  // opposite orders. Every (domain, purpose) key must yield the identical
-  // sequence regardless of who asked first.
-  StreamPool a(1234);
-  StreamPool b(1234);
-
-  Rng& a0 = a.Get(0);
-  Rng& a1 = a.Get(1);
-  Rng& a2 = a.Get(2, /*purpose=*/5);
-
-  Rng& b2 = b.Get(2, /*purpose=*/5);  // reversed arrival order
-  Rng& b1 = b.Get(1);
-  Rng& b0 = b.Get(0);
-
-  EXPECT_EQ(Draw(a0, 16), Draw(b0, 16));
-  EXPECT_EQ(Draw(a1, 16), Draw(b1, 16));
-  EXPECT_EQ(Draw(a2, 16), Draw(b2, 16));
-}
-
-TEST(StreamPool, InterleavedDrawsMatchSequentialDraws) {
-  // Interleaving draws across streams (as concurrent domains do in wall
-  // time) must not couple the streams: each key's sequence is as if it were
-  // the only stream in the pool.
-  StreamPool a(77);
-  StreamPool b(77);
-
-  std::vector<std::uint64_t> a0;
-  std::vector<std::uint64_t> a1;
-  for (int i = 0; i < 32; ++i) {  // interleaved
-    a0.push_back(a.Get(0).Next());
-    a1.push_back(a.Get(1).Next());
-  }
-  EXPECT_EQ(a0, Draw(b.Get(0), 32));  // sequential
-  EXPECT_EQ(a1, Draw(b.Get(1), 32));
-}
-
-TEST(StreamPool, DomainZeroMatchesBareRng) {
-  // Pre-engine code seeded Rng(base) directly; the pool's domain-0 default
-  // stream must reproduce it exactly or golden transcripts would shift.
-  StreamPool pool(4242);
-  Rng bare(4242);
-  EXPECT_EQ(Draw(pool.Get(0), 64), Draw(bare, 64));
 }
 
 }  // namespace

@@ -38,12 +38,6 @@ using net::Packet;
 using sim::Cycles;
 using sim::Task;
 
-struct ScopedInjector {
-  explicit ScopedInjector(const fault::FaultPlan& plan) : inj(plan) { inj.Install(); }
-  ~ScopedInjector() { inj.Uninstall(); }
-  fault::Injector inj;
-};
-
 // --- RecoveryConfig scoping ---
 
 TEST(RecoveryConfig, ScopedOverrideRestoresOnExitAndNests) {
@@ -77,7 +71,7 @@ TEST(RecoveryConfig, BoundIsForeverUnlessAnInjectorIsInstalled) {
   EXPECT_EQ(recover::Bound(1234), sim::kForever);
   {
     fault::FaultPlan plan;
-    ScopedInjector s(plan);
+    fault::Injector inj(plan);
     EXPECT_TRUE(recover::Armed());
     EXPECT_EQ(recover::Bound(1234), 1234u);
   }
@@ -215,7 +209,7 @@ struct MonitorFixture {
 
 TEST(Membership, InitialViewReflectsBootedCoresAtEpochOne) {
   fault::FaultPlan plan;
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   MonitorFixture f;
   recover::MembershipService svc(f.sys);
   EXPECT_EQ(svc.view().epoch, 1u);
@@ -234,7 +228,7 @@ TEST(Membership, InitialViewReflectsBootedCoresAtEpochOne) {
 TEST(Membership, HeartbeatExclusionCommitsAViewChangeAndNotifiesInOrder) {
   fault::FaultPlan plan;
   plan.HaltCore(13, /*at=*/10'000);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   MonitorFixture f;
   recover::MembershipService svc(f.sys);
   std::vector<int> order;
@@ -274,7 +268,7 @@ TEST(Membership, ConcurrentExclusionsCommitDistinctEpochsSerially) {
   fault::FaultPlan plan;
   plan.HaltCore(5, /*at=*/10'000);
   plan.HaltCore(9, /*at=*/10'000);
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   MonitorFixture f;
   recover::MembershipService svc(f.sys);
   std::vector<std::uint64_t> epochs;
@@ -597,7 +591,7 @@ TEST(FailoverRst, UnknownFlowSegmentDrawsRstWithOrWithoutAnInjector) {
   expect_rst(1, 5555, /*seq=*/2000, /*ack=*/1000 + 3);  // the segment's ack; seq + payload
   {
     fault::FaultPlan plan;
-    ScopedInjector s(plan);
+    fault::Injector inj(plan);
     srv.Input(orphan);
     expect_rst(2, 5555, 2000, 1000 + 3);
   }
@@ -669,7 +663,7 @@ void ExpectLateSynAckDrawsRst() {
 TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
   ExpectLateSynAckDrawsRst();  // plain run: no retransmit timer
   fault::FaultPlan plan;
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   ExpectLateSynAckDrawsRst();  // armed: the SYN's retransmit timer arms too
 }
 
@@ -677,7 +671,7 @@ TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
 // retransmit timer and the connect deadline at once: nothing is resent.
 TEST(LegacyTcp, RstAnsweringTheSynCancelsItsTimersAtOnce) {
   fault::FaultPlan plan;
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   sim::Executor exec;
   hw::Machine m(exec, hw::Amd2x2());
   net::NetStack client(m, 0, kIpA, kMacA);

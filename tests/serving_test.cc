@@ -256,14 +256,12 @@ TEST(ServingFleet, LosslessRunUnderAnInjectorResendsNothing) {
   // included, reaches its peer, so no retransmit timer ever fires.
   recover::ScopedRecoveryConfig rcfg(ServingRecoveryConfig());
   fault::Injector inj{fault::FaultPlan{}};
-  inj.Install();
   sim::Executor exec;
   hw::Machine m(exec, hw::Amd4x4());
   Fleet fleet(m, 2, RingsOf512());
   fleet.AddShard({});
   fleet.AddShard({});
   const Ledger load = fleet.Run(10, kStaticMix, StaticPage());
-  inj.Uninstall();
 
   EXPECT_EQ(load.completed, 20);
   EXPECT_EQ(load.retries, 0);

@@ -341,15 +341,6 @@ TEST(FifoResource, QueuesArrivalsFifo) {
   EXPECT_EQ(r.ReserveAt(0, 10), 10u);
   EXPECT_EQ(r.ReserveAt(0, 10), 20u);   // queued behind the first
   EXPECT_EQ(r.ReserveAt(100, 10), 110u);  // idle gap: starts at arrival
-  EXPECT_EQ(r.transactions(), 3u);
-  EXPECT_EQ(r.total_busy(), 30u);
-}
-
-TEST(FifoResource, UtilizationOverHorizon) {
-  FifoResource r;
-  r.ReserveAt(0, 25);
-  EXPECT_DOUBLE_EQ(r.Utilization(100), 0.25);
-  EXPECT_DOUBLE_EQ(r.Utilization(0), 0.0);
 }
 
 TEST(Rng, DeterministicPerSeed) {

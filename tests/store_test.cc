@@ -32,12 +32,6 @@ using kernel::CpuDriver;
 using sim::Cycles;
 using sim::Task;
 
-struct ScopedInjector {
-  explicit ScopedInjector(const fault::FaultPlan& plan) : inj(plan) { inj.Install(); }
-  ~ScopedInjector() { inj.Uninstall(); }
-  fault::Injector inj;
-};
-
 struct Fixture {
   explicit Fixture(hw::PlatformSpec spec = hw::Amd4x4())
       : machine(exec, std::move(spec)),
@@ -277,7 +271,7 @@ TEST(Store, LeaderKillPromotesMostCaughtUpFollowerAndRespawns) {
   ReplicatedStore& store = f.MakeStore({{0, {1, 2}, 3}});
   fault::FaultPlan plan;
   plan.HaltCore(1, /*at=*/2'000'000);  // shard 0's boot leader
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   recover::MembershipService membership(f.sys);
   membership.Subscribe([&](const recover::View& v, int dead) -> Task<> {
     co_await store.HandleViewChange(v, dead);
@@ -328,7 +322,7 @@ TEST(Store, RpcsQueuedBehindAFailoverGoToThePromotedLeader) {
   ASSERT_LT(f.exec.now(), kHaltAt - 2'000);
   fault::FaultPlan plan;
   plan.HaltCore(1, kHaltAt);  // shard 0's boot leader
-  ScopedInjector s(plan);
+  fault::Injector inj(plan);
   recover::MembershipService membership(f.sys);
   membership.Subscribe([&](const recover::View& v, int dead) -> Task<> {
     co_await store.HandleViewChange(v, dead);

@@ -385,12 +385,6 @@ TEST(SyncReplay, BitIdenticalAcrossHostThreadCounts) {
 // latency faults. The primitives never lose a wakeup or strand a waiter —
 // the run completes with drained queues — and the plan's every spec fires.
 
-struct ScopedInjector {
-  explicit ScopedInjector(const fault::FaultPlan& plan) : inj(plan) { inj.Install(); }
-  ~ScopedInjector() { inj.Uninstall(); }
-  fault::Injector inj;
-};
-
 Task<> ChaosWorker(hw::Machine& m, McsLock& lock, TreeBarrier& bar, int core,
                    int episodes, int& completed, std::uint64_t seed) {
   sim::Rng rng(seed);
@@ -416,9 +410,9 @@ Cycles RunChaosWorld(bool with_faults) {
   fault::FaultPlan plan;
   plan.DelayIpi(-1, -1, /*extra=*/1'200, /*at=*/0);
   plan.LinkSpike(/*extra=*/450, /*at=*/0, /*until=*/sim::kForever);
-  std::unique_ptr<ScopedInjector> injector;
+  std::unique_ptr<fault::Injector> injector;
   if (with_faults) {
-    injector = std::make_unique<ScopedInjector>(plan);
+    injector = std::make_unique<fault::Injector>(plan);
   }
 
   sim::Executor exec;
@@ -443,9 +437,9 @@ Cycles RunChaosWorld(bool with_faults) {
   EXPECT_TRUE(bar.idle()) << "lost wakeup: a party is still inside Arrive";
   EXPECT_EQ(bar.generation(), static_cast<std::uint64_t>(episodes));
   if (with_faults) {
-    EXPECT_TRUE(injector->inj.AllSpecsActivated())
+    EXPECT_TRUE(injector->AllSpecsActivated())
         << "a fault spec never fired - the chaos run did not exercise it";
-    EXPECT_GT(injector->inj.injected(fault::FaultKind::kIpiDelay), 0u);
+    EXPECT_GT(injector->injected(fault::FaultKind::kIpiDelay), 0u);
   }
   return end;
 }
