@@ -137,11 +137,6 @@ class SimNic {
   // Interrupts: delivered only when enabled (drivers disable them while
   // polling, as e1000 drivers do). Masking is per queue; the handler runs at
   // IRQ delivery and the driver charges its own trap cost when it wakes.
-  void SetInterruptsEnabled(bool enabled) {
-    for (auto& q : queues_) {
-      q->irq_enabled = enabled;
-    }
-  }
   void SetInterruptsEnabled(int queue, bool enabled) {
     queues_[static_cast<std::size_t>(queue)]->irq_enabled = enabled;
   }
