@@ -526,7 +526,7 @@ Task<> Scenario(Cluster& cl, RunState& rs, const Sizes& sz, Attack attack,
   Cycles attack_end = 0;
   Cycles run_end;
   {
-    // The attack plan is armed from here until the run has drained.
+    // An attack run's plan is armed from here until the run has drained.
     std::unique_ptr<fault::Injector> inj;
     if (clean) {
       run_end = ramp_end + sz.sustain;

@@ -108,9 +108,8 @@ double RunEcho(double offered_mbps) {
   int echoed = 0;
   exec.Spawn(Generator(m, nic, offered_mbps, kFrames));
   // The driver charges no per-frame compute, only ring and channel traffic.
-  exec.Spawn(nic.ServeRx(kDriverCore, 0, /*frame_cost=*/0, [&to_app](Packet frame) -> Task<> {
-    co_await to_app.Send(std::move(frame));
-  }));
+  exec.Spawn(nic.ServeRx(kDriverCore, 0, /*frame_cost=*/0,
+                         [&to_app](Packet frame) { return to_app.Send(std::move(frame)); }));
   exec.Spawn(DriverTx(nic, from_app, kFrames));
   exec.Spawn(EchoApp(app, to_app, kFrames));
   exec.Spawn(WireSink(nic, kFrames, &echoed));

@@ -73,7 +73,7 @@ TEST(Injector, MachineHaltedAnswersOnlyForAnInstalledHalt) {
   fault::FaultPlan plan;
   plan.HaltCore(1, 1000);
   {
-    // The plan exists but is not installed: no core ever halts.
+    // The plan exists but no Injector arms it: no core ever halts.
     sim::Executor exec;
     hw::Machine m(exec, hw::Amd2x2());
     bool halted_late = true;
